@@ -10,12 +10,12 @@ __version__ = "0.1.0"
 from .ddpg import (DdpgAgent, ReplayBuffer, TrainConfig, TrainLog, Transition,
                    TrainingError, policy_controller, train)
 from .env import (EnvConfig, EnvState, RolloutError, SimulatedTrace, StepOutcome,
-                  recorded_accel_controller, reset, rollout, step)
+                  recorded_accel_controller, reset, rollout, simulate, step)
 from .evaluate import (ComparisonReport, EvalConfig, IndicatorSummary, compare,
                        evaluate_controller, evaluate_ground_truth,
                        export_distributions, trace_from_event)
 from .events import (CarFollowingEvent, ColumnMapping, DataError, DatasetSplit,
-                     FitError, SchemaError, TrajectorySample, descriptive_stats,
+                     FitError, SchemaError, descriptive_stats,
                      extract_events, fit_lognormal_headway, load_events,
                      split_dataset, write_events)
 from .idm import CalibrationError, IdmParams, calibrate_idm, desired_spacing, idm_accel, idm_controller

@@ -9,7 +9,6 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import os
 import re
 import sys
 from datetime import datetime, timezone
@@ -226,25 +225,23 @@ def _run_evaluations(args, include_ground_truth=False) -> tuple[list[EvaluationR
     controllers = _build_controllers(args, train_cfg, env_cfg)
     if not controllers:
         raise SystemExit(EXIT_USAGE)
-    threads = int(os.environ.get("ECOFOLLOW_THREADS", "1"))
 
     results = []
     for name, factory in controllers:
         if name == GROUND_TRUTH:
             results.append(evaluate_ground_truth(events, fuel, eval_cfg))
         else:
-            results.append(evaluate_controller(factory, name, events, fuel,
-                                               env_cfg, eval_cfg, threads=threads))
+            results.append(evaluate_controller(factory, name, events, fuel, env_cfg, eval_cfg))
     for res in results:
         _write_json(out / f"summary_{res.summary.name}.json", res.summary.to_json_dict())
         trace_dir = out / "traces" / res.summary.name
         trace_dir.mkdir(parents=True, exist_ok=True)
         for eid, trace in res.traces.items():
             trace.write_csv(trace_dir / f"{_safe_name(eid)}.csv")
-    export_distributions({r.summary.name: list(r.traces.values()) for r in results},
-                         out / "distributions", fuel, eval_cfg)
+    export_distributions({r.summary.name: r.values for r in results},
+                         out / "distributions", eval_cfg)
     config_echo = {"blocks": blocks, "vt_micro": str(args.vt_micro),
-                   "eval": {"ttc_cap": eval_cfg.ttc_cap, "speed_floor": eval_cfg.speed_floor,
+                   "eval": {"ttc_cap": eval_cfg.ttc_cap,
                             "per_event_means": eval_cfg.per_event_means, "bins": eval_cfg.bins}}
     return results, out, config_echo
 

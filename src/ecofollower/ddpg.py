@@ -18,7 +18,10 @@ from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from .env import Controller, EnvConfig, EnvState, DEFAULT_ENV, reset, step
+from .env import Controller, EnvConfig, EnvState, DEFAULT_ENV, simulate
+# train never calls step; the binding stays because benchmarks/test_bench_smoke.py
+# checks that the benchmark tracer wraps ddpg.step along with env.step
+from .env import step  # noqa: F401
 from .events import CarFollowingEvent, DatasetSplit
 from .nets import Adam, Mlp, soft_update
 from .objectives import RewardConfig, reward
@@ -135,12 +138,6 @@ def normalize_state(state: EnvState, cfg: TrainConfig) -> np.ndarray:
                      state.rel_speed / cfg.rel_speed_scale])
 
 
-def denormalize_state(x: np.ndarray, cfg: TrainConfig) -> EnvState:
-    return EnvState(float(x[0]) * cfg.speed_scale,
-                    float(x[1]) * cfg.spacing_scale,
-                    float(x[2]) * cfg.rel_speed_scale)
-
-
 def action_to_accel(y: float, env_cfg: EnvConfig) -> float:
     """Affine map of the squashed action [-1, 1] onto [a_min, a_max]."""
     return env_cfg.a_min + (y + 1.0) / 2.0 * (env_cfg.a_max - env_cfg.a_min)
@@ -153,11 +150,6 @@ def accel_to_action(a: float, env_cfg: EnvConfig) -> float:
 def actor_forward(net: Mlp, state_norm: np.ndarray) -> float:
     """Deterministic policy output in [-1, 1] for a single normalized state."""
     return float(net.forward(state_norm)[0, 0])
-
-
-def critic_forward(net: Mlp, state_norm: np.ndarray, action: float) -> float:
-    x = np.concatenate([np.asarray(state_norm, dtype=float).ravel(), [action]])
-    return float(net.forward(x)[0, 0])
 
 
 class DdpgAgent:
@@ -275,6 +267,15 @@ def train(split: DatasetSplit | Sequence[CarFollowingEvent],
                     np.random.default_rng(derive_seed(cfg.seed, "ddpg.noise")))
     update_floor = max(cfg.warmup_steps, cfg.batch_size)
 
+    s_norm, y = None, 0.0
+
+    def explore(state: EnvState, k: int) -> float:
+        # keeps the normalized state and the squashed action for the replay buffer
+        nonlocal s_norm, y
+        s_norm = normalize_state(state, cfg)
+        y = min(1.0, max(-1.0, actor_forward(agent.actor, s_norm) + noise.sample()))
+        return action_to_accel(y, env_config)
+
     log = TrainLog()
     rolling = deque(maxlen=cfg.rolling_window)
     collisions_cum = 0
@@ -284,26 +285,17 @@ def train(split: DatasetSplit | Sequence[CarFollowingEvent],
         noise.sigma = cfg.ou_sigma + (cfg.ou_sigma_final - cfg.ou_sigma) * frac
         noise.reset()
 
-        state = reset(event)
-        x_follow = float(event.x_follow[0])
         accel_prev = 0.0
         ep_reward, fuel_ml, steps = 0.0, 0.0, 0
         collided = False
-        for k in range(len(event) - 1):
-            s_norm = normalize_state(state, cfg)
-            y = actor_forward(agent.actor, s_norm) + noise.sample()
-            y = min(1.0, max(-1.0, y))
-            accel = action_to_accel(y, env_config)
-            outcome = step(state, accel, float(event.v_lead[k + 1]), event.dt,
-                           follow_position=x_follow, last=(k == len(event) - 2),
-                           config=env_config)
+        for k, state, _, accel, outcome in simulate(event, explore, env_config):
             r = reward(state, accel, accel_prev, outcome.next_state, event.dt,
                        outcome.collided, reward_config, fuel_model)
             # timeouts are not stored as terminal so the TD target keeps bootstrapping
             buffer.push(Transition(s_norm, y, r.total,
                                    normalize_state(outcome.next_state, cfg),
                                    outcome.collided))
-            fuel_ml += fuel_model.rate(state.follow_speed, accel) * event.dt
+            fuel_ml += r.fuel_rate * event.dt
             ep_reward += r.total
             steps += 1
             if len(buffer) >= update_floor:
@@ -311,12 +303,8 @@ def train(split: DatasetSplit | Sequence[CarFollowingEvent],
                     agent.update(buffer.sample(cfg.batch_size, rng_replay))
                 except TrainingError as exc:
                     raise TrainingError(f"episode {ep}, step {k}: {exc}") from exc
-            state = outcome.next_state
-            x_follow = outcome.follow_position
             accel_prev = accel
-            if outcome.done:
-                collided = outcome.collided
-                break
+            collided = outcome.collided
 
         collisions_cum += int(collided)
         mean_reward = ep_reward / steps

@@ -17,7 +17,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -130,41 +130,53 @@ class SimulatedTrace:
                                   self.spacing, self.rel_speed, self.x_follow)])
 
 
-def rollout(event: CarFollowingEvent, controller: Controller,
-            config: EnvConfig = DEFAULT_ENV) -> SimulatedTrace:
-    """Simulate the follower against the event's recorded leader.
+def simulate(event: CarFollowingEvent, controller: Controller, config: EnvConfig = DEFAULT_ENV
+             ) -> Iterator[tuple[int, EnvState, float, float, StepOutcome]]:
+    """Drive the follower through the event against its recorded leader.
 
-    Stops early on collision; the colliding step is the last recorded row.
+    Yields ``(k, state, follow_position, accel, outcome)`` per step: the state
+    and position the controller saw, the clamped acceleration it commanded and
+    the step outcome. The controller is asked for step k + 1 only when the
+    caller resumes the generator. Stops after the last step or on collision.
     """
     n_steps = len(event) - 1
-    t, accel = [], []
-    v, s, dv, x = [], [], [], []
     state = reset(event)
     x_follow = float(event.x_follow[0])
-    collided = False
+    v_lead, dt = event.v_lead.tolist(), event.dt
     for k in range(n_steps):
         try:
             a = float(controller(state, k))
         except Exception as exc:
             raise RolloutError(f"controller failed at step {k} of event {event.event_id}") from exc
         a = config.clamp(a)
-        t.append(float(event.t[k]))
+        outcome = step(state, a, v_lead[k + 1], dt,
+                       follow_position=x_follow, last=(k == n_steps - 1), config=config)
+        yield k, state, x_follow, a, outcome
+        if outcome.collided:
+            return
+        state = outcome.next_state
+        x_follow = outcome.follow_position
+
+
+def rollout(event: CarFollowingEvent, controller: Controller,
+            config: EnvConfig = DEFAULT_ENV) -> SimulatedTrace:
+    """Simulate the follower against the event's recorded leader.
+
+    Stops early on collision; the colliding step is the last recorded row.
+    """
+    accel, v, s, dv, x = [], [], [], [], []
+    collided = False
+    for _, state, x_follow, a, outcome in simulate(event, controller, config):
         accel.append(a)
         v.append(state.follow_speed)
         s.append(state.spacing)
         dv.append(state.rel_speed)
         x.append(x_follow)
-        outcome = step(state, a, float(event.v_lead[k + 1]), event.dt,
-                       follow_position=x_follow, last=(k == n_steps - 1), config=config)
-        state = outcome.next_state
-        x_follow = outcome.follow_position
-        if outcome.collided:
-            collided = True
-            break
+        collided = outcome.collided
     return SimulatedTrace(
         event_id=event.event_id,
         dt=event.dt,
-        t=np.asarray(t), accel=np.asarray(accel), v_follow=np.asarray(v),
+        t=event.t[:len(accel)], accel=np.asarray(accel), v_follow=np.asarray(v),
         spacing=np.asarray(s), rel_speed=np.asarray(dv), x_follow=np.asarray(x),
         collided=collided,
     )

@@ -9,13 +9,13 @@ environment.
 from __future__ import annotations
 
 import csv
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Sequence
 
 import numpy as np
 
+from . import indicators
 from .env import Controller, EnvConfig, DEFAULT_ENV, SimulatedTrace, rollout
 from .events import CarFollowingEvent, histogram_edges
 from .vtmicro import VtMicroModel
@@ -27,8 +27,7 @@ GROUND_TRUTH = "ground_truth"
 
 @dataclass(frozen=True)
 class EvalConfig:
-    ttc_cap: float = 50.0        # s; closing-gap TTC is capped before averaging
-    speed_floor: float = 0.1     # m/s; headway undefined below
+    ttc_cap: float = indicators.TTC_CAP   # s; closing-gap TTC is capped before averaging
     per_event_means: bool = False  # False: pool steps across events
     bins: int = 50
 
@@ -61,13 +60,6 @@ class IndicatorSummary:
         }
 
 
-@dataclass
-class EvaluationResult:
-    summary: IndicatorSummary
-    traces: dict[str, SimulatedTrace]
-    errors: list[tuple[str, str]]  # (event_id, message)
-
-
 def trace_from_event(event: CarFollowingEvent) -> SimulatedTrace:
     """Recorded behavior as a trace: accel is the follower-speed finite difference."""
     v = event.v_follow
@@ -85,33 +77,41 @@ def trace_from_event(event: CarFollowingEvent) -> SimulatedTrace:
 
 
 @dataclass
-class _StepValues:
+class TraceValues:
+    """Per-step indicator arrays of one trace, shared by summaries and histograms."""
+
+    trace: SimulatedTrace
     ttc_closing: np.ndarray   # capped, closing-gap steps only
     ttc_signed: np.ndarray    # clipped to +/- cap, any nonzero rel speed
     jerk: np.ndarray
     headway: np.ndarray       # steps above the speed floor
     fuel_rate: np.ndarray     # every step
-    duration: float
 
 
-def _step_values(trace: SimulatedTrace, fuel_model: VtMicroModel,
-                 cfg: EvalConfig) -> _StepValues:
-    dv = trace.rel_speed
-    spacing = trace.spacing
-    closing = dv < 0
-    nonzero = dv != 0
-    accel_prev = np.concatenate([[0.0], trace.accel[:-1]]) if len(trace) else np.array([])
-    moving = trace.v_follow >= cfg.speed_floor
+def trace_values(trace: SimulatedTrace, fuel_model: VtMicroModel,
+                 cfg: EvalConfig = EvalConfig()) -> TraceValues:
+    """Indicator arrays and VT-Micro rates of every step of the trace."""
     rates = np.array([fuel_model.rate(float(v), float(a))
                       for v, a in zip(trace.v_follow, trace.accel)])
-    return _StepValues(
-        ttc_closing=np.minimum(-spacing[closing] / dv[closing], cfg.ttc_cap),
-        ttc_signed=np.clip(-spacing[nonzero] / dv[nonzero], -cfg.ttc_cap, cfg.ttc_cap),
-        jerk=(trace.accel - accel_prev) / trace.dt,
-        headway=spacing[moving] / trace.v_follow[moving],
+    return TraceValues(
+        trace=trace,
+        ttc_closing=indicators.ttc_closing(trace.spacing, trace.rel_speed, cfg.ttc_cap),
+        ttc_signed=indicators.ttc_signed(trace.spacing, trace.rel_speed, cfg.ttc_cap),
+        jerk=indicators.jerk(trace.accel, trace.dt),
+        headway=indicators.headway(trace.spacing, trace.v_follow),
         fuel_rate=rates,
-        duration=len(trace) * trace.dt,
     )
+
+
+@dataclass
+class EvaluationResult:
+    summary: IndicatorSummary
+    values: list[TraceValues]      # one per evaluated event, in event_id order
+    errors: list[tuple[str, str]]  # (event_id, message)
+
+    @property
+    def traces(self) -> dict[str, SimulatedTrace]:
+        return {v.trace.event_id: v.trace for v in self.values}
 
 
 def _mean(chunks: list[np.ndarray], per_event: bool) -> float:
@@ -122,18 +122,17 @@ def _mean(chunks: list[np.ndarray], per_event: bool) -> float:
     return float(np.mean(pooled)) if pooled.size else float("nan")
 
 
-def summarize_traces(name: str, traces: Sequence[SimulatedTrace],
-                     fuel_model: VtMicroModel, cfg: EvalConfig = EvalConfig(),
-                     errors: int = 0) -> IndicatorSummary:
+def summarize_traces(name: str, values: Sequence[TraceValues],
+                     cfg: EvalConfig = EvalConfig(), errors: int = 0) -> IndicatorSummary:
     """Aggregate the four indicators over traces (step-pooled by default)."""
-    if not traces:
+    if not values:
         raise ValueError("summarize_traces needs at least one trace")
-    values = [_step_values(tr, fuel_model, cfg) for tr in traces]
+    traces = [v.trace for v in values]
     ttc_chunks = [v.ttc_closing for v in values]
     jerk_chunks = [np.abs(v.jerk) for v in values]
     headway_chunks = [v.headway for v in values]
     total_fuel = sum(float(np.sum(v.fuel_rate)) * tr.dt for v, tr in zip(values, traces))
-    total_time = sum(v.duration for v in values)
+    total_time = sum(tr.duration for tr in traces)
     if cfg.per_event_means:
         fuel_means = [float(np.mean(v.fuel_rate)) for v in values if v.fuel_rate.size]
         mean_fuel = float(np.mean(fuel_means)) if fuel_means else float("nan")
@@ -158,7 +157,7 @@ def summarize_traces(name: str, traces: Sequence[SimulatedTrace],
             "total_fuel_ml": total_fuel,
             "aggregation": "per_event_means" if cfg.per_event_means else "step_pooled",
             "ttc_cap_s": cfg.ttc_cap,
-            "speed_floor_m_s": cfg.speed_floor,
+            "speed_floor_m_s": indicators.SPEED_FLOOR,
         },
     )
 
@@ -167,8 +166,7 @@ def evaluate_controller(controller_factory: ControllerFactory, name: str,
                         events: Sequence[CarFollowingEvent],
                         fuel_model: VtMicroModel,
                         env_config: EnvConfig = DEFAULT_ENV,
-                        cfg: EvalConfig = EvalConfig(),
-                        threads: int = 1) -> EvaluationResult:
+                        cfg: EvalConfig = EvalConfig()) -> EvaluationResult:
     """Roll the controller out over every event and aggregate indicators.
 
     A failure on one event is recorded and excluded from the means; it never
@@ -177,35 +175,18 @@ def evaluate_controller(controller_factory: ControllerFactory, name: str,
     """
     if not events:
         raise ValueError("evaluate_controller needs a non-empty test set")
-    ordered = sorted(events, key=lambda e: e.event_id)
-
-    def run(event: CarFollowingEvent):
-        return rollout(event, controller_factory(event), env_config)
-
-    outcomes: list[SimulatedTrace | Exception] = []
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            futures = [pool.submit(run, ev) for ev in ordered]
-            for fut in futures:
-                outcomes.append(fut.exception() or fut.result())
-    else:
-        for ev in ordered:
-            try:
-                outcomes.append(run(ev))
-            except Exception as exc:
-                outcomes.append(exc)
-
     traces: dict[str, SimulatedTrace] = {}
     errors: list[tuple[str, str]] = []
-    for ev, out in zip(ordered, outcomes):
-        if isinstance(out, Exception):
-            errors.append((ev.event_id, str(out)))
-        else:
-            traces[ev.event_id] = out
+    for ev in sorted(events, key=lambda e: e.event_id):
+        try:
+            traces[ev.event_id] = rollout(ev, controller_factory(ev), env_config)
+        except Exception as exc:
+            errors.append((ev.event_id, str(exc)))
     if not traces:
         raise RuntimeError(f"controller {name!r} failed on every event: {errors[:3]}...")
-    summary = summarize_traces(name, list(traces.values()), fuel_model, cfg, errors=len(errors))
-    return EvaluationResult(summary=summary, traces=traces, errors=errors)
+    values = [trace_values(tr, fuel_model, cfg) for tr in traces.values()]
+    summary = summarize_traces(name, values, cfg, errors=len(errors))
+    return EvaluationResult(summary=summary, values=values, errors=errors)
 
 
 def evaluate_ground_truth(events: Sequence[CarFollowingEvent],
@@ -216,8 +197,9 @@ def evaluate_ground_truth(events: Sequence[CarFollowingEvent],
         raise ValueError("evaluate_ground_truth needs a non-empty test set")
     ordered = sorted(events, key=lambda e: e.event_id)
     traces = {ev.event_id: trace_from_event(ev) for ev in ordered}
-    summary = summarize_traces(GROUND_TRUTH, list(traces.values()), fuel_model, cfg)
-    return EvaluationResult(summary=summary, traces=traces, errors=[])
+    values = [trace_values(tr, fuel_model, cfg) for tr in traces.values()]
+    return EvaluationResult(summary=summarize_traces(GROUND_TRUTH, values, cfg),
+                            values=values, errors=[])
 
 
 @dataclass
@@ -281,9 +263,8 @@ def compare(summaries: Sequence[IndicatorSummary],
 INDICATOR_FILES = ("ttc", "jerk", "headway", "fuel_rate")
 
 
-def export_distributions(traces_by_controller: dict[str, Sequence[SimulatedTrace]],
-                         out_dir, fuel_model: VtMicroModel,
-                         cfg: EvalConfig = EvalConfig()) -> list[Path]:
+def export_distributions(values_by_controller: dict[str, Sequence[TraceValues]],
+                         out_dir, cfg: EvalConfig = EvalConfig()) -> list[Path]:
     """Per-indicator histogram CSVs with bin edges shared across controllers.
 
     TTC and jerk are exported signed (their observed distributions are
@@ -292,15 +273,14 @@ def export_distributions(traces_by_controller: dict[str, Sequence[SimulatedTrace
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     pooled: dict[str, dict[str, np.ndarray]] = {name: {} for name in INDICATOR_FILES}
-    for ctrl, traces in traces_by_controller.items():
-        values = [_step_values(tr, fuel_model, cfg) for tr in traces]
+    for ctrl, values in values_by_controller.items():
         pooled["ttc"][ctrl] = np.concatenate([v.ttc_signed for v in values]) if values else np.array([])
         pooled["jerk"][ctrl] = np.concatenate([v.jerk for v in values]) if values else np.array([])
         pooled["headway"][ctrl] = np.concatenate([v.headway for v in values]) if values else np.array([])
         pooled["fuel_rate"][ctrl] = np.concatenate([v.fuel_rate for v in values]) if values else np.array([])
 
     written = []
-    controllers = list(traces_by_controller)
+    controllers = list(values_by_controller)
     for indicator in INDICATOR_FILES:
         per_ctrl = pooled[indicator]
         everything = np.concatenate([per_ctrl[c] for c in controllers]) if controllers else np.array([])

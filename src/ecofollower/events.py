@@ -13,10 +13,11 @@ import json
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
+from . import indicators
 from .rng import SplitMix64
 
 CANONICAL_FIELDS = ("event_id", "t", "x_lead", "v_lead", "x_follow", "v_follow")
@@ -24,7 +25,6 @@ NUMERIC_FIELDS = CANONICAL_FIELDS[1:]
 
 DT_TOLERANCE = 1e-9            # max deviation of a time delta from the event dt, s
 DEFAULT_MIN_DURATION = 15.0    # shortest event kept at extraction, s
-HEADWAY_SPEED_FLOOR = 0.1      # m/s; below this headway diverges and is dropped
 
 
 class SchemaError(ValueError):
@@ -37,17 +37,6 @@ class DataError(ValueError):
 
 class FitError(ValueError):
     """Too few valid samples to fit the headway distribution."""
-
-
-@dataclass(frozen=True)
-class TrajectorySample:
-    """One synchronized leader/follower observation."""
-
-    time: float
-    lead_position: float
-    lead_speed: float
-    follow_position: float
-    follow_speed: float
 
 
 @dataclass(frozen=True)
@@ -75,17 +64,6 @@ class CarFollowingEvent:
     @property
     def gap(self) -> np.ndarray:
         return self.x_lead - self.x_follow
-
-    @property
-    def samples(self) -> Iterator[TrajectorySample]:
-        for i in range(len(self.t)):
-            yield TrajectorySample(
-                float(self.t[i]),
-                float(self.x_lead[i]),
-                float(self.v_lead[i]),
-                float(self.x_follow[i]),
-                float(self.v_follow[i]),
-            )
 
     @classmethod
     def from_arrays(cls, event_id, t, x_lead, v_lead, x_follow, v_follow) -> "CarFollowingEvent":
@@ -314,13 +292,12 @@ def _summary(values: np.ndarray) -> dict[str, float]:
     return {"mean": float(np.mean(values)), "min": float(np.min(values)), "max": float(np.max(values))}
 
 
-def descriptive_stats(events: Sequence[CarFollowingEvent], bins: int = 50,
-                      ttc_cap: float = 50.0) -> StatsReport:
+def descriptive_stats(events: Sequence[CarFollowingEvent], bins: int = 50) -> StatsReport:
     """Means/min/max of speeds and gap plus histograms of the derived metrics.
 
     The TTC histogram uses the signed raw value -gap/rel_speed (rel_speed =
-    lead - follow), clipped to [-ttc_cap, ttc_cap]; jerk is the second
-    difference of follower speed; headway excludes steps below the speed floor.
+    lead - follow), clipped to the TTC cap; jerk is the second difference of
+    follower speed; headway excludes steps below the speed floor.
     """
     if not events:
         raise ValueError("descriptive_stats needs at least one event")
@@ -331,14 +308,10 @@ def descriptive_stats(events: Sequence[CarFollowingEvent], bins: int = 50,
         follow.append(ev.v_follow)
         g = ev.gap
         gap.append(g)
-        dv = ev.v_lead - ev.v_follow
-        closing = dv != 0
-        ttc_vals.append(np.clip(-g[closing] / dv[closing], -ttc_cap, ttc_cap))
-        accel = np.diff(ev.v_follow) / ev.dt
-        if len(accel) >= 2:
-            jerk_vals.append(np.diff(accel) / ev.dt)
-        moving = ev.v_follow >= HEADWAY_SPEED_FLOOR
-        headway_vals.append(g[moving] / ev.v_follow[moving])
+        ttc_vals.append(indicators.ttc_signed(g, ev.v_lead - ev.v_follow))
+        # step 0's jerk would difference against the zero start, not a sample
+        jerk_vals.append(indicators.jerk(np.diff(ev.v_follow) / ev.dt, ev.dt)[1:])
+        headway_vals.append(indicators.headway(g, ev.v_follow))
     lead = np.concatenate(lead)
     follow = np.concatenate(follow)
     gap = np.concatenate(gap)
@@ -346,9 +319,9 @@ def descriptive_stats(events: Sequence[CarFollowingEvent], bins: int = 50,
         "lead_speed": Histogram.of(lead, bins),
         "follow_speed": Histogram.of(follow, bins),
         "gap": Histogram.of(gap, bins),
-        "ttc": Histogram.of(np.concatenate(ttc_vals) if ttc_vals else np.array([]), bins),
-        "jerk": Histogram.of(np.concatenate(jerk_vals) if jerk_vals else np.array([]), bins),
-        "headway": Histogram.of(np.concatenate(headway_vals) if headway_vals else np.array([]), bins),
+        "ttc": Histogram.of(np.concatenate(ttc_vals), bins),
+        "jerk": Histogram.of(np.concatenate(jerk_vals), bins),
+        "headway": Histogram.of(np.concatenate(headway_vals), bins),
     }
     return StatsReport(
         events=len(events),
@@ -360,8 +333,7 @@ def descriptive_stats(events: Sequence[CarFollowingEvent], bins: int = 50,
     )
 
 
-def fit_lognormal_headway(events: Sequence[CarFollowingEvent],
-                          speed_floor: float = HEADWAY_SPEED_FLOOR) -> tuple[float, float]:
+def fit_lognormal_headway(events: Sequence[CarFollowingEvent]) -> tuple[float, float]:
     """Maximum-likelihood lognormal fit of per-step time headways.
 
     Returns (mu, sigma) = (mean, population stddev) of ln(gap / follow_speed)
@@ -369,9 +341,7 @@ def fit_lognormal_headway(events: Sequence[CarFollowingEvent],
     """
     logs = []
     for ev in events:
-        v = ev.v_follow
-        moving = v >= speed_floor
-        h = ev.gap[moving] / v[moving]
+        h = indicators.headway(ev.gap, ev.v_follow)
         if h.size:
             logs.append(np.log(h))
     n = sum(a.size for a in logs)

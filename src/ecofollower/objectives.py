@@ -8,14 +8,14 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 from .env import EnvState
+from .indicators import SPEED_FLOOR
 from .vtmicro import VtMicroModel
 
 TTC_BOUND = 4.0              # s; gaps closing slower than this are not penalized
 DEFAULT_TTC_FLOOR = 0.1      # s; keeps log(TTC/4) finite near impact
-DEFAULT_SPEED_FLOOR = 0.1    # m/s; headway undefined below this
 DEFAULT_JERK_SCALE = 60.0    # m/s^3; full action swing (6 m/s^2) over one 0.1 s step
 DEFAULT_FUEL_SCALE = 1.0     # mL/s
 DEFAULT_FUEL_CLIP = -5.0
@@ -61,33 +61,21 @@ class RewardConfig:
     fuel_scale: float = DEFAULT_FUEL_SCALE
     collision_penalty: float = DEFAULT_COLLISION_PENALTY
     ttc_floor: float = DEFAULT_TTC_FLOOR
-    speed_floor: float = DEFAULT_SPEED_FLOOR
 
     def to_json_dict(self) -> dict:
-        return {
-            "weights": {
-                "w_ttc": self.weights.w_ttc,
-                "w_headway": self.weights.w_headway,
-                "w_fuel": self.weights.w_fuel,
-                "w_jerk": self.weights.w_jerk,
-            },
-            "headway": {"mu": self.headway.mu, "sigma": self.headway.sigma},
-            "jerk_scale": self.jerk_scale,
-            "fuel_scale": self.fuel_scale,
-            "collision_penalty": self.collision_penalty,
-            "ttc_floor": self.ttc_floor,
-        }
+        return asdict(self)
 
     @classmethod
     def from_json_dict(cls, obj: dict) -> "RewardConfig":
-        kwargs = {}
+        unknown = set(obj) - {f.name for f in fields(cls)}
+        if unknown:
+            raise ValueError(f"unknown reward config fields: {sorted(unknown)}")
+        kwargs = {key: float(value) for key, value in obj.items()
+                  if key not in ("weights", "headway")}
         if "weights" in obj:
             kwargs["weights"] = RewardWeights(**obj["weights"])
         if "headway" in obj:
             kwargs["headway"] = HeadwayModel(**obj["headway"])
-        for key in ("jerk_scale", "fuel_scale", "collision_penalty", "ttc_floor", "speed_floor"):
-            if key in obj:
-                kwargs[key] = float(obj[key])
         return cls(**kwargs)
 
     @classmethod
@@ -103,6 +91,7 @@ class RewardBreakdown:
     f_fuel: float
     f_jerk: float
     total: float
+    fuel_rate: float   # mL/s at the pre-step speed and commanded acceleration
     collision_penalty_applied: bool
 
 
@@ -132,12 +121,11 @@ def f_ttc(ttc_value: float | None, ttc_floor: float = DEFAULT_TTC_FLOOR) -> floa
     return math.log(max(ttc_value, ttc_floor) / TTC_BOUND)
 
 
-def time_headway(gap: float, follow_speed: float,
-                 speed_floor: float = DEFAULT_SPEED_FLOOR) -> float | None:
+def time_headway(gap: float, follow_speed: float) -> float | None:
     """gap / follower speed; None below the speed floor where it diverges."""
     if gap < 0:
         raise ValueError(f"time_headway needs non-negative gap, got {gap}")
-    if follow_speed < speed_floor:
+    if follow_speed < SPEED_FLOOR:
         return None
     return gap / follow_speed
 
@@ -181,13 +169,11 @@ def reward(state: EnvState, accel: float, accel_prev: float, next_state: EnvStat
     """
     if next_state.spacing > 0:
         ft = f_ttc(ttc(next_state.spacing, next_state.rel_speed), config.ttc_floor)
-        fh = f_headway(
-            time_headway(next_state.spacing, next_state.follow_speed, config.speed_floor),
-            config.headway,
-        )
+        fh = f_headway(time_headway(next_state.spacing, next_state.follow_speed), config.headway)
     else:
         ft, fh = 0.0, 0.0
-    ff = f_fuel(fuel_model.rate(state.follow_speed, accel), config.fuel_scale)
+    rate = fuel_model.rate(state.follow_speed, accel)
+    ff = f_fuel(rate, config.fuel_scale)
     fj = f_jerk(jerk(accel, accel_prev, dt), config.jerk_scale)
     w = config.weights
     total = w.w_ttc * ft + w.w_headway * fh + w.w_fuel * ff + w.w_jerk * fj
@@ -195,5 +181,5 @@ def reward(state: EnvState, accel: float, accel_prev: float, next_state: EnvStat
         total += config.collision_penalty
     return RewardBreakdown(
         f_ttc=ft, f_headway=fh, f_fuel=ff, f_jerk=fj,
-        total=total, collision_penalty_applied=collided,
+        total=total, fuel_rate=rate, collision_penalty_applied=collided,
     )

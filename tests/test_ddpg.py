@@ -3,12 +3,12 @@ import math
 import numpy as np
 import pytest
 
+from ecofollower import ddpg
 from ecofollower.ddpg import (DdpgAgent, OuNoise, ReplayBuffer, TrainConfig,
                               TrainLog, Transition, accel_to_action,
-                              action_to_accel, actor_forward, critic_forward,
-                              denormalize_state, normalize_state,
+                              action_to_accel, actor_forward, normalize_state,
                               policy_controller, train)
-from ecofollower.env import DEFAULT_ENV, EnvConfig, EnvState
+from ecofollower.env import DEFAULT_ENV, EnvConfig, EnvState, rollout, simulate
 from ecofollower.nets import Mlp
 from ecofollower.objectives import RewardConfig
 from ecofollower.vtmicro import reference_model
@@ -78,16 +78,6 @@ class TestOuNoise:
 
 
 class TestNormalization:
-    def test_bijective(self):
-        cfg = TrainConfig()
-        rng = np.random.default_rng(5)
-        for _ in range(200):
-            s = EnvState(rng.uniform(0, 33), rng.uniform(0, 110), rng.uniform(-12, 12))
-            back = denormalize_state(normalize_state(s, cfg), cfg)
-            assert back.follow_speed == pytest.approx(s.follow_speed, abs=1e-12)
-            assert back.spacing == pytest.approx(s.spacing, abs=1e-12)
-            assert back.rel_speed == pytest.approx(s.rel_speed, abs=1e-12)
-
     def test_action_affine_roundtrip(self):
         env = EnvConfig(a_min=-3.0, a_max=3.0)
         assert action_to_accel(0.0, env) == 0.0
@@ -147,12 +137,6 @@ class TestForwardHelpers:
         y = actor_forward(net, np.array([0.1, 0.2, 0.3]))
         assert -1.0 <= y <= 1.0
 
-    def test_critic_forward_concatenates_action(self):
-        w = [np.ones((4, 1))]
-        net = Mlp([4, 1], w, [np.zeros(1)], output_activation="linear")
-        q = critic_forward(net, np.array([1.0, 2.0, 3.0]), 4.0)
-        assert q == pytest.approx(10.0)
-
 
 class TestTrain:
     def test_bookkeeping_on_tiny_event(self):
@@ -210,3 +194,30 @@ class TestPolicyController:
         state = EnvState(8.0, 12.0, -1.0)
         want = action_to_accel(actor_forward(net, normalize_state(state, cfg)), DEFAULT_ENV)
         assert ctrl(state, 0) == want
+
+
+class TestTrainStepLoop:
+    def test_kinematics_match_rollout_under_same_actions(self, monkeypatch):
+        episodes = []
+
+        def recording(event, controller, config):
+            seen = []
+            episodes.append((event, seen))
+            for item in simulate(event, controller, config):
+                seen.append(item)
+                yield item
+
+        monkeypatch.setattr(ddpg, "simulate", recording)
+        events = make_fleet(3, seed=29, duration_range=(16.0, 17.0))
+        _, log = train(events, DEFAULT_ENV, RewardConfig(), small_cfg(episodes=4), FUEL)
+        assert [len(seen) for _, seen in episodes] == [r.steps for r in log.rows]
+        for event, seen in episodes:
+            _, states, positions, accels, outcomes = zip(*seen)
+            trace = rollout(event, lambda state, k: accels[k], DEFAULT_ENV)
+            assert len(trace) == len(seen)
+            np.testing.assert_array_equal(trace.accel, accels)
+            np.testing.assert_array_equal(trace.v_follow, [s.follow_speed for s in states])
+            np.testing.assert_array_equal(trace.spacing, [s.spacing for s in states])
+            np.testing.assert_array_equal(trace.rel_speed, [s.rel_speed for s in states])
+            np.testing.assert_array_equal(trace.x_follow, positions)
+            assert trace.collided == outcomes[-1].collided

@@ -7,10 +7,11 @@ import pytest
 from ecofollower.env import DEFAULT_ENV, rollout
 from ecofollower.evaluate import (EvalConfig, GROUND_TRUTH, compare,
                                   evaluate_controller, evaluate_ground_truth,
-                                  export_distributions, summarize_traces,
-                                  trace_from_event)
+                                  export_distributions, trace_from_event,
+                                  trace_values)
 from ecofollower.events import CarFollowingEvent
 from ecofollower.idm import IdmParams, idm_controller
+from ecofollower.indicators import SPEED_FLOOR
 from ecofollower.vtmicro import VtMicroCoefficients, VtMicroModel, reference_model
 
 from synthetic import constant_event, make_fleet, positions_from_speeds
@@ -46,7 +47,7 @@ class TestGroundTruthReplayIdentity:
                     ttc_vals.append(min(-gap[k] / dv[k], cfg.ttc_cap))
                 prev = accel[k - 1] if k > 0 else 0.0
                 jerk_vals.append((accel[k] - prev) / ev.dt)
-                if ev.v_follow[k] >= cfg.speed_floor:
+                if ev.v_follow[k] >= SPEED_FLOOR:
                     headway_vals.append(gap[k] / ev.v_follow[k])
         s = result.summary
         assert s.mean_ttc == pytest.approx(np.mean(ttc_vals), abs=1e-9)
@@ -129,15 +130,6 @@ class TestErrorIsolation:
         assert res.summary.errors == 1
         assert res.errors[0][0] == bad_id
 
-    def test_parallel_matches_serial(self):
-        events = make_fleet(4, seed=47)
-        serial = evaluate_controller(lambda ev: idm_controller(IdmParams()), "idm",
-                                     events, UNIT_FUEL, threads=1)
-        parallel = evaluate_controller(lambda ev: idm_controller(IdmParams()), "idm",
-                                       events, UNIT_FUEL, threads=4)
-        assert serial.summary.mean_headway == parallel.summary.mean_headway
-        assert serial.summary.mean_ttc == parallel.summary.mean_ttc
-
 
 class TestCompare:
     def test_paper_arithmetic(self):
@@ -179,8 +171,8 @@ def read_dist_csv(path):
 class TestExportDistributions:
     def test_single_value_occupies_one_bin(self, tmp_path):
         ev = constant_event(v=8.0, gap=12.0)
-        traces = {"gt": [trace_from_event(ev)]}
-        export_distributions(traces, tmp_path, UNIT_FUEL, EvalConfig(bins=20))
+        values = {"gt": [trace_values(trace_from_event(ev), UNIT_FUEL)]}
+        export_distributions(values, tmp_path, EvalConfig(bins=20))
         header, rows = read_dist_csv(tmp_path / "headway.csv")
         counts = [int(r[2]) for r in rows]
         assert sum(1 for c in counts if c > 0) == 1
@@ -190,7 +182,9 @@ class TestExportDistributions:
         events = make_fleet(3, seed=53)
         gt = [trace_from_event(ev) for ev in events]
         idm = [rollout(ev, idm_controller(IdmParams()), DEFAULT_ENV) for ev in events]
-        export_distributions({"gt": gt, "idm": idm}, tmp_path, UNIT_FUEL, EvalConfig(bins=30))
+        export_distributions({"gt": [trace_values(tr, UNIT_FUEL) for tr in gt],
+                              "idm": [trace_values(tr, UNIT_FUEL) for tr in idm]},
+                             tmp_path, EvalConfig(bins=30))
         header, rows = read_dist_csv(tmp_path / "jerk.csv")
         assert header == ["bin_left", "bin_right", "gt", "idm"]
         total_steps_gt = sum(len(tr) for tr in gt)
@@ -202,7 +196,8 @@ class TestExportDistributions:
         events = make_fleet(2, seed=57)
         gt = [trace_from_event(ev) for ev in events]
         jerks = np.concatenate([np.diff(np.concatenate([[0.0], tr.accel])) / tr.dt for tr in gt])
-        export_distributions({"gt": gt}, tmp_path, UNIT_FUEL, EvalConfig(bins=25))
+        export_distributions({"gt": [trace_values(tr, UNIT_FUEL) for tr in gt]},
+                             tmp_path, EvalConfig(bins=25))
         _, rows = read_dist_csv(tmp_path / "jerk.csv")
         occupied = [r for r in rows if r[2] > 0]
         assert min(r[0] for r in occupied) >= jerks.min() - 1e-9

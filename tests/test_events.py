@@ -249,7 +249,11 @@ class TestLognormalFit:
         assert mu == pytest.approx(0.0, abs=1e-12)
 
     def test_too_few_samples(self):
-        ev = self._event_with_headways([1.0, 1.0])
-        # raise the floor above the follower speed so nothing qualifies
+        # a follower creeping below the speed floor leaves no headway sample
+        n = 3
+        t = np.arange(n) * 0.1
+        v = np.full(n, 0.05)
+        x_follow = t * 0.05
+        ev = CarFollowingEvent.from_arrays("slow", t, x_follow + 5.0, v, x_follow, v)
         with pytest.raises(FitError):
-            fit_lognormal_headway([ev], speed_floor=2.0)
+            fit_lognormal_headway([ev])

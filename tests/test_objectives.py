@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -196,6 +197,23 @@ class TestRewardConfigJson:
         assert got.headway == cfg.headway
         assert got.collision_penalty == -20.0
         assert got.ttc_floor == 0.2
+
+    def test_every_field_roundtrips(self):
+        def bump(value):
+            if dataclasses.is_dataclass(value):
+                return dataclasses.replace(value, **{f.name: bump(getattr(value, f.name))
+                                                     for f in dataclasses.fields(value)})
+            return value * 1.5 + 0.25
+
+        default = RewardConfig()
+        cfg = bump(default)
+        for f in dataclasses.fields(RewardConfig):
+            assert getattr(cfg, f.name) != getattr(default, f.name), f.name
+        assert RewardConfig.from_json_dict(json.loads(json.dumps(cfg.to_json_dict()))) == cfg
+
+    def test_unknown_key_rejected(self):
+        with pytest.raises(ValueError, match="jerk_scal"):
+            RewardConfig.from_json_dict({"jerk_scal": 30.0})
 
     def test_invalid_sigma_rejected(self):
         with pytest.raises(ValueError):
