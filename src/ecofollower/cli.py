@@ -7,6 +7,7 @@ Every command writes a run manifest into its output directory. Exit codes:
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
 import json
 import re
@@ -17,9 +18,9 @@ from pathlib import Path
 from . import __version__
 from .ddpg import TrainConfig, TrainingError, policy_controller, train
 from .env import EnvConfig
-from .evaluate import (EvalConfig, EvaluationResult, GROUND_TRUTH, compare,
-                       evaluate_controller, evaluate_ground_truth,
-                       export_distributions)
+from .evaluate import (EmptyResultError, EvalConfig, EvaluationResult,
+                       GROUND_TRUTH, compare, evaluate_controller,
+                       evaluate_ground_truth, export_distributions)
 from .events import (ColumnMapping, DataError, FitError, SchemaError,
                      descriptive_stats, extract_events, fit_lognormal_headway,
                      load_events, split_dataset, write_events)
@@ -33,10 +34,6 @@ EXIT_USAGE = 1
 EXIT_INPUT = 2
 EXIT_EMPTY = 3
 EXIT_NUMERIC = 4
-
-
-class EmptyResultError(RuntimeError):
-    pass
 
 
 class _Parser(argparse.ArgumentParser):
@@ -170,11 +167,9 @@ def cmd_train(args) -> int:
         return EXIT_EMPTY
     blocks = _load_config_blocks(args.config)
     train_cfg, reward_cfg, env_cfg, _ = _configs(blocks)
-    if args.seed is not None:
-        train_cfg = TrainConfig.from_json_dict({**blocks.get("train", {}), "seed": args.seed})
-    if args.episodes is not None:
-        train_cfg = TrainConfig.from_json_dict(
-            {**blocks.get("train", {}), "seed": train_cfg.seed, "episodes": args.episodes})
+    overrides = {"seed": args.seed, "episodes": args.episodes}
+    train_cfg = dataclasses.replace(
+        train_cfg, **{k: v for k, v in overrides.items() if v is not None})
     fuel = _fuel_model(args.vt_micro)
     split = split_dataset(events, args.split, train_cfg.seed)
     write_events(split.train, out / "events_train.csv")

@@ -158,8 +158,8 @@ class DdpgAgent:
         self.critic = critic
         self.target_actor = actor.copy()
         self.target_critic = critic.copy()
-        self.actor_opt = Adam(actor.params(), lr=config.actor_lr)
-        self.critic_opt = Adam(critic.params(), lr=config.critic_lr)
+        self.actor_opt = Adam(actor.theta, lr=config.actor_lr)
+        self.critic_opt = Adam(critic.theta, lr=config.critic_lr)
         self.gamma = config.gamma
         self.tau = config.tau
 
@@ -182,16 +182,16 @@ class DdpgAgent:
         q, critic_cache = self.critic.forward_cache(np.concatenate([s, a], axis=1))
         td = q - target
         critic_loss = float(np.mean(td * td))
-        grads = self.critic.backward(critic_cache, 2.0 * td / n)
-        self.critic_opt.step(self.critic.params(), grads.weights + grads.biases)
+        dtheta, _ = self.critic.backward(critic_cache, 2.0 * td / n)
+        self.critic_opt.step(self.critic.theta, dtheta)
 
         a_pi, actor_cache = self.actor.forward_cache(s)
         q_pi, q_cache = self.critic.forward_cache(np.concatenate([s, a_pi], axis=1))
         actor_objective = float(np.mean(q_pi))
-        dq_dinput = self.critic.backward(q_cache, np.full_like(q_pi, 1.0 / n)).inputs
+        _, dq_dinput = self.critic.backward(q_cache, np.full_like(q_pi, 1.0 / n))
         dq_da = dq_dinput[:, -1:]
-        grads = self.actor.backward(actor_cache, -dq_da)  # ascend Q
-        self.actor_opt.step(self.actor.params(), grads.weights + grads.biases)
+        dtheta, _ = self.actor.backward(actor_cache, -dq_da)  # ascend Q
+        self.actor_opt.step(self.actor.theta, dtheta)
 
         soft_update(self.target_actor, self.actor, self.tau)
         soft_update(self.target_critic, self.critic, self.tau)

@@ -147,7 +147,7 @@ def simulate(event: CarFollowingEvent, controller: Controller, config: EnvConfig
         try:
             a = float(controller(state, k))
         except Exception as exc:
-            raise RolloutError(f"controller failed at step {k} of event {event.event_id}") from exc
+            raise RolloutError(f"controller failed at step {k} of event {event.event_id}: {exc}") from exc
         a = config.clamp(a)
         outcome = step(state, a, v_lead[k + 1], dt,
                        follow_position=x_follow, last=(k == n_steps - 1), config=config)

@@ -9,6 +9,7 @@ environment.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Sequence
@@ -25,11 +26,19 @@ ControllerFactory = Callable[[CarFollowingEvent], Controller]
 GROUND_TRUTH = "ground_truth"
 
 
+class EmptyResultError(RuntimeError):
+    """Nothing was left to evaluate: no events, or a controller failed on all of them."""
+
+
 @dataclass(frozen=True)
 class EvalConfig:
     ttc_cap: float = indicators.TTC_CAP   # s; closing-gap TTC is capped before averaging
     per_event_means: bool = False  # False: pool steps across events
     bins: int = 50
+
+
+def _finite_or_none(x: float) -> float | None:
+    return x if math.isfinite(x) else None
 
 
 @dataclass
@@ -45,18 +54,20 @@ class IndicatorSummary:
     metadata: dict = field(default_factory=dict)
 
     def to_json_dict(self) -> dict:
+        """JSON-ready fields; an undefined (non-finite) mean is written as null."""
         return {
             "name": self.name,
             "indicators": {
-                "mean_ttc_s": self.mean_ttc,
-                "mean_abs_jerk_m_s3": self.mean_abs_jerk,
-                "mean_headway_s": self.mean_headway,
-                "mean_fuel_rate_ml_s": self.mean_fuel_rate,
+                "mean_ttc_s": _finite_or_none(self.mean_ttc),
+                "mean_abs_jerk_m_s3": _finite_or_none(self.mean_abs_jerk),
+                "mean_headway_s": _finite_or_none(self.mean_headway),
+                "mean_fuel_rate_ml_s": _finite_or_none(self.mean_fuel_rate),
             },
             "events": self.events_evaluated,
             "collisions": self.collisions,
             "errors": self.errors,
-            "metadata": self.metadata,
+            "metadata": {k: _finite_or_none(v) if isinstance(v, float) else v
+                         for k, v in self.metadata.items()},
         }
 
 
@@ -183,7 +194,8 @@ def evaluate_controller(controller_factory: ControllerFactory, name: str,
         except Exception as exc:
             errors.append((ev.event_id, str(exc)))
     if not traces:
-        raise RuntimeError(f"controller {name!r} failed on every event: {errors[:3]}...")
+        first = "; ".join(f"{eid}: {msg}" for eid, msg in errors[:3])
+        raise EmptyResultError(f"controller {name!r} failed on every event; first errors: {first}")
     values = [trace_values(tr, fuel_model, cfg) for tr in traces.values()]
     summary = summarize_traces(name, values, cfg, errors=len(errors))
     return EvaluationResult(summary=summary, values=values, errors=errors)
@@ -223,13 +235,11 @@ class ComparisonReport:
                   "Fuel Consumption (mL/s)", "Fuel Saving (%)", "Collisions")
         rows = [header]
         for s in self.summaries:
+            means = (s.mean_ttc, s.mean_abs_jerk, s.mean_headway, s.mean_fuel_rate)
             saving = self.fuel_saving_pct.get(s.name)
             rows.append((
                 s.name,
-                f"{s.mean_ttc:.3f}",
-                f"{s.mean_abs_jerk:.3f}",
-                f"{s.mean_headway:.3f}",
-                f"{s.mean_fuel_rate:.3f}",
+                *("-" if not math.isfinite(m) else f"{m:.3f}" for m in means),
                 "-" if saving is None else f"{saving:.2f}",
                 str(s.collisions),
             ))

@@ -1,61 +1,44 @@
 """Small dense networks with explicit forward/backward passes.
 
 Everything is float64 numpy; gradients are exact analytic backprop and are
-cross-checked against central finite differences in the test suite.
+cross-checked against central finite differences in the test suite. Each net
+keeps all of its parameters in one contiguous vector ``theta`` (the weights of
+every layer, row-major, then the biases of every layer); gradients, Adam
+moments and soft updates use the same layout.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 POLICY_FORMAT_VERSION = 1
+OUTPUT_ACTIVATIONS = ("tanh", "linear")
+
+# Adam moment decay rates and denominator guard (Kingma & Ba defaults)
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
 
 
 class PolicyLoadError(RuntimeError):
     """Policy file is missing, malformed, or shaped differently than expected."""
 
 
-def _act(name: str, z: np.ndarray) -> np.ndarray:
-    if name == "tanh":
-        return np.tanh(z)
-    if name == "linear":
-        return z
-    raise ValueError(f"unknown activation {name!r}")
-
-
-def _act_deriv(name: str, out: np.ndarray) -> np.ndarray:
-    # derivatives expressed through the activation output
-    if name == "tanh":
-        return 1.0 - out * out
-    if name == "linear":
-        return np.ones_like(out)
-    raise ValueError(f"unknown activation {name!r}")
-
-
-@dataclass
-class Grads:
-    weights: list[np.ndarray]
-    biases: list[np.ndarray]
-    inputs: np.ndarray
-
-
 class Mlp:
     """Fully connected net: sizes[0] -> ... -> sizes[-1].
 
-    Hidden layers share one activation; the output layer has its own
-    (tanh for the actor's [-1, 1] squash, linear for the critic).
+    Hidden layers are tanh; the output layer is tanh (the actor's [-1, 1]
+    squash) or linear (the critic). ``weights`` and ``biases`` are per-layer
+    views into ``theta``, so ``theta`` must only ever be updated in place.
     """
 
-    def __init__(self, sizes, weights, biases, hidden_activation="tanh",
-                 output_activation="linear"):
+    def __init__(self, sizes, weights, biases, output_activation="linear"):
+        if output_activation not in OUTPUT_ACTIVATIONS:
+            raise ValueError(f"unknown output activation {output_activation!r}")
         self.sizes = list(sizes)
-        self.weights = weights
-        self.biases = biases
-        self.hidden_activation = hidden_activation
         self.output_activation = output_activation
         n_layers = len(self.sizes) - 1
         if len(weights) != n_layers or len(biases) != n_layers:
@@ -67,87 +50,95 @@ class Mlp:
                     f"({self.sizes[l]}, {self.sizes[l + 1]})")
             if biases[l].shape != (self.sizes[l + 1],):
                 raise ValueError(f"layer {l}: bias shape {biases[l].shape}")
+        self.theta = np.empty(sum(w.size + b.size for w, b in zip(weights, biases)))
+        self.weights, self.biases = self._layer_views(self.theta)
+        for view, given in zip(self.weights + self.biases, list(weights) + list(biases)):
+            view[...] = given
 
     @classmethod
-    def init(cls, sizes, rng: np.random.Generator, hidden_activation="tanh",
-             output_activation="linear") -> "Mlp":
+    def init(cls, sizes, rng: np.random.Generator, output_activation="linear") -> "Mlp":
         """Glorot-uniform initialization."""
         weights, biases = [], []
         for n_in, n_out in zip(sizes[:-1], sizes[1:]):
             limit = math.sqrt(6.0 / (n_in + n_out))
             weights.append(rng.uniform(-limit, limit, size=(n_in, n_out)))
             biases.append(np.zeros(n_out))
-        return cls(sizes, weights, biases, hidden_activation, output_activation)
+        return cls(sizes, weights, biases, output_activation)
 
-    def _activation_of(self, layer: int) -> str:
-        return self.output_activation if layer == len(self.weights) - 1 else self.hidden_activation
+    def _layer_views(self, flat: np.ndarray) -> tuple[list[np.ndarray], list[np.ndarray]]:
+        """Per-layer weight and bias views of a vector laid out like ``theta``."""
+        weights, biases, i = [], [], 0
+        for n_in, n_out in zip(self.sizes[:-1], self.sizes[1:]):
+            weights.append(flat[i:i + n_in * n_out].reshape(n_in, n_out))
+            i += n_in * n_out
+        for n_out in self.sizes[1:]:
+            biases.append(flat[i:i + n_out])
+            i += n_out
+        return weights, biases
+
+    def _squashed(self, layer: int) -> bool:
+        return layer < len(self.weights) - 1 or self.output_activation == "tanh"
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        h = np.atleast_2d(np.asarray(x, dtype=float))
-        for l, (w, b) in enumerate(zip(self.weights, self.biases)):
-            h = _act(self._activation_of(l), h @ w + b)
-        return h
+        return self.forward_cache(x)[0]
 
     def forward_cache(self, x: np.ndarray):
         """Forward pass keeping per-layer outputs for backward()."""
         h = np.atleast_2d(np.asarray(x, dtype=float))
         outs = [h]
         for l, (w, b) in enumerate(zip(self.weights, self.biases)):
-            h = _act(self._activation_of(l), h @ w + b)
+            h = h @ w + b
+            if self._squashed(l):
+                h = np.tanh(h)
             outs.append(h)
         return h, outs
 
-    def backward(self, cache: list[np.ndarray], dy: np.ndarray) -> Grads:
-        """Backprop dL/dy through the cached pass; returns parameter and input grads."""
-        dw = [None] * len(self.weights)
-        db = [None] * len(self.biases)
+    def backward(self, cache: list[np.ndarray], dy: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Backprop dL/dy through the cached pass.
+
+        Returns ``(dtheta, dinput)``: the parameter gradient laid out like
+        ``theta`` and the gradient with respect to the net's input.
+        """
+        dtheta = np.empty_like(self.theta)
+        dw, db = self._layer_views(dtheta)
         grad = np.asarray(dy, dtype=float)
         for l in range(len(self.weights) - 1, -1, -1):
-            dz = grad * _act_deriv(self._activation_of(l), cache[l + 1])
-            dw[l] = cache[l].T @ dz
-            db[l] = dz.sum(axis=0)
+            out = cache[l + 1]
+            dz = grad * (1.0 - out * out) if self._squashed(l) else grad
+            dw[l][...] = cache[l].T @ dz
+            db[l][...] = dz.sum(axis=0)
             grad = dz @ self.weights[l].T
-        return Grads(weights=dw, biases=db, inputs=grad)
-
-    def params(self) -> list[np.ndarray]:
-        return self.weights + self.biases
+        return dtheta, grad
 
     def copy(self) -> "Mlp":
-        return Mlp(self.sizes, [w.copy() for w in self.weights],
-                   [b.copy() for b in self.biases],
-                   self.hidden_activation, self.output_activation)
+        return Mlp(self.sizes, self.weights, self.biases, self.output_activation)
 
 
 def soft_update(target: Mlp, online: Mlp, tau: float) -> None:
     """Blend target parameters toward the online net: t <- tau*o + (1-tau)*t."""
-    for tp, op in zip(target.params(), online.params()):
-        tp *= 1.0 - tau
-        tp += tau * op
+    target.theta *= 1.0 - tau
+    target.theta += tau * online.theta
 
 
 class Adam:
-    """Per-parameter adaptive moments (beta1=0.9, beta2=0.999, eps=1e-8)."""
+    """Adaptive moments (ADAM_BETA1, ADAM_BETA2, ADAM_EPS) over one parameter vector."""
 
-    def __init__(self, params: list[np.ndarray], lr: float,
-                 beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
+    def __init__(self, theta: np.ndarray, lr: float):
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.t = 0
-        self.m = [np.zeros_like(p) for p in params]
-        self.v = [np.zeros_like(p) for p in params]
+        self.m = np.zeros_like(theta)
+        self.v = np.zeros_like(theta)
 
-    def step(self, params: list[np.ndarray], grads: list[np.ndarray]) -> None:
+    def step(self, theta: np.ndarray, grad: np.ndarray) -> None:
+        """Update ``theta`` in place from its gradient."""
         self.t += 1
-        b1c = 1.0 - self.beta1 ** self.t
-        b2c = 1.0 - self.beta2 ** self.t
-        for p, g, m, v in zip(params, grads, self.m, self.v):
-            m *= self.beta1
-            m += (1.0 - self.beta1) * g
-            v *= self.beta2
-            v += (1.0 - self.beta2) * g * g
-            p -= self.lr * (m / b1c) / (np.sqrt(v / b2c) + self.eps)
+        b1c = 1.0 - ADAM_BETA1 ** self.t
+        b2c = 1.0 - ADAM_BETA2 ** self.t
+        self.m *= ADAM_BETA1
+        self.m += (1.0 - ADAM_BETA1) * grad
+        self.v *= ADAM_BETA2
+        self.v += (1.0 - ADAM_BETA2) * grad * grad
+        theta -= self.lr * (self.m / b1c) / (np.sqrt(self.v / b2c) + ADAM_EPS)
 
 
 def save_policy(net: Mlp, path) -> None:
@@ -155,7 +146,7 @@ def save_policy(net: Mlp, path) -> None:
     obj = {
         "version": POLICY_FORMAT_VERSION,
         "sizes": net.sizes,
-        "hidden_activation": net.hidden_activation,
+        "hidden_activation": "tanh",
         "output_activation": net.output_activation,
         "weights": [w.tolist() for w in net.weights],
         "biases": [b.tolist() for b in net.biases],
@@ -176,10 +167,12 @@ def load_policy(path, expect_sizes=None) -> Mlp:
     if obj["version"] != POLICY_FORMAT_VERSION:
         raise PolicyLoadError(f"{path}: unsupported policy version {obj['version']}")
     try:
+        if obj["hidden_activation"] != "tanh":
+            raise ValueError(f"unsupported hidden activation {obj['hidden_activation']!r}")
         sizes = [int(s) for s in obj["sizes"]]
         weights = [np.asarray(w, dtype=float) for w in obj["weights"]]
         biases = [np.asarray(b, dtype=float) for b in obj["biases"]]
-        net = Mlp(sizes, weights, biases, obj["hidden_activation"], obj["output_activation"])
+        net = Mlp(sizes, weights, biases, obj["output_activation"])
     except (KeyError, TypeError, ValueError) as exc:
         raise PolicyLoadError(f"{path}: malformed policy: {exc}") from exc
     if expect_sizes is not None and list(expect_sizes) != sizes:

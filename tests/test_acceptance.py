@@ -175,19 +175,18 @@ def test_criterion_5_gradient_check():
                 return float(np.mean(d * d))
 
             out, cache = net.forward_cache(x)
-            analytic = net.backward(cache, 2.0 * (out - y) / len(x))
-            for arr, ag in zip(net.params(), analytic.weights + analytic.biases):
-                flat, gflat = arr.ravel(), ag.ravel()
-                for i in range(flat.size):
-                    orig = flat[i]
-                    flat[i] = orig + h
-                    fp = loss()
-                    flat[i] = orig - h
-                    fm = loss()
-                    flat[i] = orig
-                    num = (fp - fm) / (2.0 * h)
-                    denom = max(abs(gflat[i]), abs(num), 1e-8)
-                    assert abs(gflat[i] - num) / denom < 1e-4, f"probe {probe}"
+            dtheta, _ = net.backward(cache, 2.0 * (out - y) / len(x))
+            theta = net.theta
+            for i in range(theta.size):
+                orig = theta[i]
+                theta[i] = orig + h
+                fp = loss()
+                theta[i] = orig - h
+                fm = loss()
+                theta[i] = orig
+                num = (fp - fm) / (2.0 * h)
+                denom = max(abs(dtheta[i]), abs(num), 1e-8)
+                assert abs(dtheta[i] - num) / denom < 1e-4, f"probe {probe}"
 
 
 def test_criterion_6_training_determinism(tmp_path):

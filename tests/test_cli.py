@@ -1,12 +1,23 @@
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
-from ecofollower.cli import main
-from ecofollower.events import load_events, write_events
+from ecofollower.cli import _configs, main
+from ecofollower.ddpg import TrainConfig
+from ecofollower.env import EnvConfig
+from ecofollower.evaluate import EvalConfig
+from ecofollower.events import CarFollowingEvent, load_events, write_events
 
-from synthetic import constant_event, make_fleet
+from synthetic import constant_event, make_fleet, positions_from_speeds
+
+
+def strict_json(path):
+    """Parse a JSON file, failing on the bare NaN/Infinity that strict parsers reject."""
+    def reject(token):
+        raise ValueError(f"{path}: bare {token} is not JSON")
+    return json.loads(path.read_text(), parse_constant=reject)
 
 
 @pytest.fixture(scope="module")
@@ -189,6 +200,49 @@ class TestEvalCompare:
         for col in ("TTC (s)", "Jerk (m/s^3)", "Time Headway (s)", "Fuel Consumption (mL/s)"):
             assert col in table.splitlines()[0]
 
+    def test_undefined_ttc_is_null(self, tmp_path):
+        # the leader pulls away from a follower that stays below it: no step closes the gap
+        n, dt = 161, 0.1
+        v_lead, v_follow = np.full(n, 20.0), np.full(n, 10.0)
+        x_follow = positions_from_speeds(v_follow, dt)
+        events = tmp_path / "receding.csv"
+        write_events([CarFollowingEvent.from_arrays(
+            "recede", np.arange(n) * dt, positions_from_speeds(v_lead, dt, 15.0), v_lead,
+            x_follow, v_follow)], events)
+        out = tmp_path / "cmp"
+        assert main(["compare", "--events", str(events), "--idm-params", "--out", str(out)]) == 0
+        report = strict_json(out / "report.json")
+        for name in ("idm", "ground_truth"):
+            summary = strict_json(out / f"summary_{name}.json")
+            assert summary["indicators"]["mean_ttc_s"] is None
+            assert summary["metadata"]["ttc_steps"] == 0
+            assert summary["indicators"]["mean_headway_s"] > 0
+        assert [c["indicators"]["mean_ttc_s"] for c in report["controllers"]] == [None, None]
+        rows = (out / "report.txt").read_text().splitlines()[2:]
+        assert [row.split()[1] for row in rows] == ["-", "-"]
+
+    def test_hidden_activation_other_than_tanh_exit_2(self, tmp_path, trained, capsys):
+        policy = json.loads((trained["out"] / "policy.json").read_text())
+        policy["hidden_activation"] = "relu"
+        path = tmp_path / "relu_policy.json"
+        path.write_text(json.dumps(policy))
+        code = main(["eval", "--events", str(trained["events"]), "--policy", str(path),
+                     "--config", str(trained["cfg"]), "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert "relu" in capsys.readouterr().err
+
+    def test_controller_failing_every_event_exit_3(self, tmp_path, trained, capsys):
+        # (v / v_desired) ** beta overflows a Python float at the first step of every event
+        params = tmp_path / "idm.json"
+        params.write_text(json.dumps({"v_desired": 1e-100}))
+        code = main(["eval", "--events", str(trained["events"]), "--idm-params", str(params),
+                     "--out", str(tmp_path / "o")])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert "failed on every event" in err and "failed at step 0" in err
+        first_id = min(ev.event_id for ev in load_events(trained["events"], min_duration=0.0))
+        assert first_id in err
+
     def test_policy_with_wrong_sizes_exit_2(self, tmp_path, trained):
         # trained with [8, 8] hidden; default config expects [64, 64]
         code = main(["eval", "--events", str(trained["events"]),
@@ -220,9 +274,49 @@ class TestUsage:
                      "--episodes", "1", "--out", str(tmp_path / "o")])
         assert code == 1
 
+    def test_unknown_eval_field_exit_1(self, tmp_path, fleet_csv):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"eval": {"ttc_capp": 9}}))
+        code = main(["eval", "--events", str(fleet_csv), "--ground-truth",
+                     "--config", str(cfg), "--out", str(tmp_path / "o")])
+        assert code == 1
+
     def test_unknown_config_block_exit_1(self, tmp_path, fleet_csv):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"rewards": {}}))
         code = main(["train", "--events", str(fleet_csv), "--config", str(cfg),
                      "--episodes", "1", "--out", str(tmp_path / "o")])
         assert code == 1
+
+
+class TestConfigRoundTrip:
+    @staticmethod
+    def _bump(value):
+        """A valid value different from ``value``, of the same type."""
+        if isinstance(value, bool):
+            return not value
+        if isinstance(value, int):
+            return value + 1
+        if isinstance(value, float):
+            return value * 0.5 + 0.125
+        return tuple(v + 1 for v in value)
+
+    @pytest.mark.parametrize("block, cls", [("train", TrainConfig), ("env", EnvConfig),
+                                            ("eval", EvalConfig)])
+    def test_every_field_roundtrips(self, block, cls):
+        default = cls()
+        cfg = dataclasses.replace(default, **{f.name: self._bump(getattr(default, f.name))
+                                              for f in dataclasses.fields(cls)})
+        for f in dataclasses.fields(cls):
+            assert getattr(cfg, f.name) != getattr(default, f.name), f.name
+        blocks = json.loads(json.dumps({block: dataclasses.asdict(cfg)}))
+        resolved = dict(zip(("train", "reward", "env", "eval"), _configs(blocks)))
+        assert resolved[block] == cfg
+
+    def test_seed_and_episodes_flags_override_the_train_block(self, tmp_path, fleet_csv):
+        out = tmp_path / "run"
+        cfg = tiny_train_config(tmp_path, seed=3, episodes=7)
+        assert main(["train", "--events", str(fleet_csv), "--config", str(cfg),
+                     "--seed", "4", "--episodes", "2", "--out", str(out)]) == 0
+        assert json.loads((out / "manifest.json").read_text())["seed"] == 4
+        assert len((out / "trainlog.csv").read_text().splitlines()) == 1 + 2

@@ -110,17 +110,14 @@ class TestAgentUpdate:
     def test_tau_one_targets_equal_online(self):
         agent, batch = self._filled_agent_and_batch(tau=1.0)
         agent.update(batch)
-        for tp, op in zip(agent.target_actor.params(), agent.actor.params()):
-            np.testing.assert_array_equal(tp, op)
-        for tp, op in zip(agent.target_critic.params(), agent.critic.params()):
-            np.testing.assert_array_equal(tp, op)
+        np.testing.assert_array_equal(agent.target_actor.theta, agent.actor.theta)
+        np.testing.assert_array_equal(agent.target_critic.theta, agent.critic.theta)
 
     def test_tau_zero_targets_frozen(self):
         agent, batch = self._filled_agent_and_batch(tau=1e-300)
-        before = [p.copy() for p in agent.target_actor.params()]
+        before = agent.target_actor.theta.copy()
         agent.update(batch)
-        for tp, prev in zip(agent.target_actor.params(), before):
-            np.testing.assert_allclose(tp, prev, atol=1e-290)
+        np.testing.assert_allclose(agent.target_actor.theta, before, atol=1e-290)
 
     def test_critic_regresses_toward_targets(self):
         # repeated updates on a fixed batch shrink the TD loss
@@ -155,8 +152,7 @@ class TestTrain:
         p1, log1 = train(events, DEFAULT_ENV, RewardConfig(), cfg, FUEL)
         p2, log2 = train(events, DEFAULT_ENV, RewardConfig(), cfg, FUEL)
         assert log1.rows == log2.rows
-        for w1, w2 in zip(p1.params(), p2.params()):
-            np.testing.assert_array_equal(w1, w2)
+        np.testing.assert_array_equal(p1.theta, p2.theta)
 
     def test_different_seeds_differ(self):
         events = make_fleet(3, seed=13, duration_range=(16.0, 18.0))

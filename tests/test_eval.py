@@ -1,4 +1,5 @@
 import csv
+import json
 import math
 
 import numpy as np
@@ -160,6 +161,20 @@ class TestCompare:
         cols = [c.strip() for c in header.split("  ") if c.strip()]
         assert cols[:5] == ["Model", "TTC (s)", "Jerk (m/s^3)", "Time Headway (s)",
                             "Fuel Consumption (mL/s)"]
+
+    def test_undefined_means_are_null_and_dash(self):
+        undefined = summary_stub("policy", 0.86)
+        undefined.mean_ttc = undefined.mean_abs_jerk = math.nan
+        undefined.metadata = {"rms_jerk_m_s3": math.nan, "ttc_steps": 0}
+        report = compare([undefined, summary_stub(GROUND_TRUTH, 0.96)])
+        obj = json.loads(json.dumps(report.to_json_dict(), allow_nan=False))
+        policy = obj["controllers"][0]
+        assert policy["indicators"]["mean_ttc_s"] is None
+        assert policy["indicators"]["mean_abs_jerk_m_s3"] is None
+        assert policy["indicators"]["mean_headway_s"] == 1.4
+        assert policy["metadata"] == {"rms_jerk_m_s3": None, "ttc_steps": 0}
+        row = report.render_text().splitlines()[2].split()
+        assert row[:5] == ["policy", "-", "-", "1.400", "0.860"]
 
 
 def read_dist_csv(path):

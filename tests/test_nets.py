@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -62,6 +64,30 @@ class TestForward:
         with pytest.raises(ValueError):
             Mlp([3, 4], [np.zeros((3, 5))], [np.zeros(4)])
 
+    def test_unknown_output_activation_rejected(self):
+        with pytest.raises(ValueError, match="relu"):
+            Mlp([3, 4], [np.zeros((3, 4))], [np.zeros(4)], output_activation="relu")
+
+
+class TestFlatLayout:
+    def test_views_share_memory_with_theta(self):
+        net = Mlp.init([3, 6, 5, 1], np.random.default_rng(61), output_activation="tanh")
+        assert net.theta.shape == (3 * 6 + 6 * 5 + 5 * 1 + 6 + 5 + 1,)
+        for view in net.weights + net.biases:
+            assert np.shares_memory(view, net.theta)
+        flat = np.concatenate([p.ravel() for p in net.weights + net.biases])
+        np.testing.assert_array_equal(net.theta, flat)
+
+    def test_copy_owns_its_theta(self):
+        net = Mlp.init([3, 6, 1], np.random.default_rng(67))
+        before = net.theta.copy()
+        twin = net.copy()
+        np.testing.assert_array_equal(twin.theta, before)
+        twin.theta += 1.0
+        np.testing.assert_array_equal(net.theta, before)
+        for view in twin.weights + twin.biases:
+            assert not np.shares_memory(view, net.theta)
+
 
 class TestGradients:
     def test_regression_loss_gradients_match_fd(self):
@@ -75,9 +101,9 @@ class TestGradients:
             return float(np.mean((q - y) ** 2))
 
         q, cache = net.forward_cache(x)
-        analytic = net.backward(cache, 2.0 * (q - y) / len(x))
-        numeric = central_diff_grads(loss, net.params())
-        assert_grads_close(analytic.weights + analytic.biases, numeric)
+        dtheta, _ = net.backward(cache, 2.0 * (q - y) / len(x))
+        numeric = central_diff_grads(loss, [net.theta])
+        assert_grads_close([dtheta], numeric)
 
     def test_tanh_output_gradients_match_fd(self):
         rng = np.random.default_rng(29)
@@ -89,9 +115,9 @@ class TestGradients:
             return float(np.mean((net.forward(x) - y) ** 2))
 
         out, cache = net.forward_cache(x)
-        analytic = net.backward(cache, 2.0 * (out - y) / len(x))
-        numeric = central_diff_grads(loss, net.params())
-        assert_grads_close(analytic.weights + analytic.biases, numeric)
+        dtheta, _ = net.backward(cache, 2.0 * (out - y) / len(x))
+        numeric = central_diff_grads(loss, [net.theta])
+        assert_grads_close([dtheta], numeric)
 
     def test_input_gradients_match_fd(self):
         rng = np.random.default_rng(31)
@@ -102,7 +128,7 @@ class TestGradients:
             return float(net.forward(x)[0, 0])
 
         _, cache = net.forward_cache(x)
-        analytic = net.backward(cache, np.ones((1, 1))).inputs
+        _, analytic = net.backward(cache, np.ones((1, 1)))
         numeric = central_diff_grads(q_of_x, [x])[0]
         assert_grads_close([analytic], [numeric])
 
@@ -111,13 +137,14 @@ class TestGradients:
         net = Mlp.init([4, 8, 1], rng, output_activation="linear")
         x = rng.normal(size=(1, 4))
         q0, cache = net.forward_cache(x)
-        grads = net.backward(cache, np.ones((1, 1)))
+        dtheta, _ = net.backward(cache, np.ones((1, 1)))
+        dw0 = dtheta[:4 * 8].reshape(4, 8)  # theta starts with layer 0's weights, row-major
         eps = 1e-6
         w = net.weights[0]
         w[2, 3] += eps
         q1 = net.forward(x)[0, 0]
         w[2, 3] -= eps
-        assert (q1 - q0[0, 0]) / eps == pytest.approx(grads.weights[0][2, 3], rel=1e-4)
+        assert (q1 - q0[0, 0]) / eps == pytest.approx(dw0[2, 3], rel=1e-4)
 
 
 class TestSoftUpdate:
@@ -130,42 +157,69 @@ class TestSoftUpdate:
     def test_tau_one_copies(self):
         online, target = self._pair()
         soft_update(target, online, tau=1.0)
-        for tp, op in zip(target.params(), online.params()):
-            np.testing.assert_array_equal(tp, op)
+        np.testing.assert_array_equal(target.theta, online.theta)
 
     def test_tau_zero_freezes(self):
         online, target = self._pair()
-        before = [p.copy() for p in target.params()]
+        before = target.theta.copy()
         soft_update(target, online, tau=0.0)
-        for tp, prev in zip(target.params(), before):
-            np.testing.assert_array_equal(tp, prev)
+        np.testing.assert_array_equal(target.theta, before)
 
     def test_convex_combination(self):
         online, target = self._pair()
-        before = [p.copy() for p in target.params()]
+        before = target.theta.copy()
         soft_update(target, online, tau=0.3)
-        for tp, prev, op in zip(target.params(), before, online.params()):
-            lo = np.minimum(prev, op) - 1e-15
-            hi = np.maximum(prev, op) + 1e-15
-            assert np.all(tp >= lo) and np.all(tp <= hi)
+        lo = np.minimum(before, online.theta) - 1e-15
+        hi = np.maximum(before, online.theta) + 1e-15
+        assert np.all(target.theta >= lo) and np.all(target.theta <= hi)
+
+    def test_changes_only_the_target(self):
+        online, target = self._pair()
+        online_before, target_before = online.theta.copy(), target.theta.copy()
+        soft_update(target, online, tau=0.3)
+        np.testing.assert_array_equal(online.theta, online_before)
+        assert not np.array_equal(target.theta, target_before)
+        for view in target.weights + target.biases:
+            assert np.shares_memory(view, target.theta)
 
 
 class TestAdam:
     def test_first_step_matches_closed_form(self):
         p = np.array([1.0, -2.0])
         g = np.array([0.5, -0.25])
-        opt = Adam([p], lr=0.01)
-        opt.step([p], [g.copy()])
+        opt = Adam(p, lr=0.01)
+        opt.step(p, g.copy())
         # t=1: mhat = g, vhat = g^2 -> update = lr * g / (|g| + eps)
         expected = np.array([1.0, -2.0]) - 0.01 * g / (np.abs(g) + 1e-8)
         np.testing.assert_allclose(p, expected, rtol=1e-9)
 
     def test_descends_a_quadratic(self):
         p = np.array([5.0])
-        opt = Adam([p], lr=0.1)
+        opt = Adam(p, lr=0.1)
         for _ in range(500):
-            opt.step([p], [2.0 * p])
+            opt.step(p, 2.0 * p)
         assert abs(p[0]) < 0.05
+
+    def test_flat_steps_equal_per_array_reference(self):
+        # the same Adam formula applied to each layer array on its own
+        rng = np.random.default_rng(59)
+        net = Mlp.init([3, 5, 4, 1], rng, output_activation="tanh")
+        params = [p.copy() for p in net.weights + net.biases]
+        ms = [np.zeros_like(p) for p in params]
+        vs = [np.zeros_like(p) for p in params]
+        opt = Adam(net.theta, lr=0.01)
+        for t in range(1, 4):
+            grads = [rng.normal(size=p.shape) for p in params]
+            opt.step(net.theta, np.concatenate([g.ravel() for g in grads]))
+            b1c, b2c = 1.0 - 0.9 ** t, 1.0 - 0.999 ** t
+            for p, g, m, v in zip(params, grads, ms, vs):
+                m *= 0.9
+                m += (1.0 - 0.9) * g
+                v *= 0.999
+                v += (1.0 - 0.999) * g * g
+                p -= 0.01 * (m / b1c) / (np.sqrt(v / b2c) + 1e-8)
+        expected = np.concatenate([p.ravel() for p in params])
+        assert net.theta.tobytes() == expected.tobytes()
 
 
 class TestPolicyFile:
@@ -175,6 +229,7 @@ class TestPolicyFile:
         path = tmp_path / "policy.json"
         save_policy(net, path)
         loaded = load_policy(path)
+        assert loaded.theta.tobytes() == net.theta.tobytes()
         probes = rng.uniform(-2, 2, size=(100, 3))
         np.testing.assert_array_equal(net.forward(probes), loaded.forward(probes))
 
@@ -193,6 +248,16 @@ class TestPolicyFile:
         save_policy(net, path)
         with pytest.raises(PolicyLoadError, match="sizes"):
             load_policy(path, expect_sizes=[3, 64, 64, 1])
+
+    @pytest.mark.parametrize("field", ["hidden_activation", "output_activation"])
+    def test_unsupported_activation_rejected(self, tmp_path, field):
+        path = tmp_path / "policy.json"
+        save_policy(Mlp.init([3, 8, 1], np.random.default_rng(71)), path)
+        obj = json.loads(path.read_text())
+        obj[field] = "relu"
+        path.write_text(json.dumps(obj))
+        with pytest.raises(PolicyLoadError, match="relu"):
+            load_policy(path)
 
     def test_missing_version_rejected(self, tmp_path):
         path = tmp_path / "policy.json"
