@@ -10,7 +10,7 @@ __version__ = "0.1.0"
 from .ddpg import (DdpgAgent, ReplayBuffer, TrainConfig, TrainLog, Transition,
                    TrainingError, policy_controller, train)
 from .env import (EnvConfig, EnvState, RolloutError, SimulatedTrace, StepOutcome,
-                  recorded_accel_controller, reset, rollout, simulate, step)
+                  recorded_accel_controller, reset, rollout, rollout_batch, simulate, step)
 from .evaluate import (ComparisonReport, EvalConfig, IndicatorSummary, compare,
                        evaluate_controller, evaluate_ground_truth,
                        export_distributions, trace_from_event)

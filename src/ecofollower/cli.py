@@ -183,8 +183,10 @@ def cmd_train(args) -> int:
     policy, log = train(split, env_cfg, reward_cfg, train_cfg, fuel, progress=progress)
     save_policy(policy, out / "policy.json")
     log.write_csv(out / "trainlog.csv")
+    # the train block as resolved, --seed and --episodes included
+    hashed = dict(blocks, train=dataclasses.asdict(train_cfg))
     write_manifest(out, "train", train_cfg.seed,
-                   {"split": args.split, "config": blocks, "vt_micro": str(args.vt_micro)},
+                   {"split": args.split, "config": hashed, "vt_micro": str(args.vt_micro)},
                    [args.events])
     print(f"trained {train_cfg.episodes} episodes on {len(split.train)} events "
           f"-> {out / 'policy.json'}")
@@ -200,7 +202,7 @@ def _build_controllers(args, train_cfg, env_cfg) -> list[tuple[str, object]]:
         controllers.append(("policy", lambda ev, c=ctrl: c))
     if args.idm_params is not None:
         params = IdmParams() if args.idm_params == "default" else IdmParams.from_json(args.idm_params)
-        ctrl = idm_controller(params, env_cfg)
+        ctrl = idm_controller(params)
         controllers.append(("idm", lambda ev, c=ctrl: c))
     if args.ground_truth:
         controllers.append((GROUND_TRUTH, None))
@@ -233,6 +235,9 @@ def _run_evaluations(args, include_ground_truth=False) -> tuple[list[EvaluationR
         trace_dir.mkdir(parents=True, exist_ok=True)
         for eid, trace in res.traces.items():
             trace.write_csv(trace_dir / f"{_safe_name(eid)}.csv")
+    _write_json(out / "errors.json", {
+        r.summary.name: [{"event_id": eid, "message": msg} for eid, msg in r.errors]
+        for r in results})
     export_distributions({r.summary.name: r.values for r in results},
                          out / "distributions", eval_cfg)
     config_echo = {"blocks": blocks, "vt_micro": str(args.vt_micro),

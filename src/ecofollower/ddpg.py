@@ -133,9 +133,10 @@ class OuNoise:
 
 
 def normalize_state(state: EnvState, cfg: TrainConfig) -> np.ndarray:
+    """The actor's input: shape (3,) for one state, (N, 3) for arrays of N states."""
     return np.array([state.follow_speed / cfg.speed_scale,
                      state.spacing / cfg.spacing_scale,
-                     state.rel_speed / cfg.rel_speed_scale])
+                     state.rel_speed / cfg.rel_speed_scale]).T
 
 
 def action_to_accel(y: float, env_cfg: EnvConfig) -> float:
@@ -325,10 +326,15 @@ def train(split: DatasetSplit | Sequence[CarFollowingEvent],
 
 def policy_controller(net: Mlp, train_config: TrainConfig,
                       env_config: EnvConfig = DEFAULT_ENV) -> Controller:
-    """Deterministic (noise-free) controller wrapping a trained actor."""
+    """Deterministic (noise-free) controller wrapping a trained actor.
+
+    One forward pass over every state it is given: a single state, or the
+    arrays of states of a lockstep rollout.
+    """
 
     def control(state: EnvState, k: int) -> float:
-        y = actor_forward(net, normalize_state(state, train_config))
+        x = normalize_state(state, train_config)
+        y = net.forward(x)[:, 0].reshape(np.shape(state.follow_speed))
         return action_to_accel(y, env_config)
 
     return control

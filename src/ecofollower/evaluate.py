@@ -17,7 +17,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import indicators
-from .env import Controller, EnvConfig, DEFAULT_ENV, SimulatedTrace, rollout
+from .env import Controller, EnvConfig, DEFAULT_ENV, SimulatedTrace, rollout_batch
 from .events import CarFollowingEvent, histogram_edges
 from .vtmicro import VtMicroModel
 
@@ -102,15 +102,13 @@ class TraceValues:
 def trace_values(trace: SimulatedTrace, fuel_model: VtMicroModel,
                  cfg: EvalConfig = EvalConfig()) -> TraceValues:
     """Indicator arrays and VT-Micro rates of every step of the trace."""
-    rates = np.array([fuel_model.rate(float(v), float(a))
-                      for v, a in zip(trace.v_follow, trace.accel)])
     return TraceValues(
         trace=trace,
         ttc_closing=indicators.ttc_closing(trace.spacing, trace.rel_speed, cfg.ttc_cap),
         ttc_signed=indicators.ttc_signed(trace.spacing, trace.rel_speed, cfg.ttc_cap),
         jerk=indicators.jerk(trace.accel, trace.dt),
         headway=indicators.headway(trace.spacing, trace.v_follow),
-        fuel_rate=rates,
+        fuel_rate=fuel_model.rates(trace.v_follow, trace.accel),
     )
 
 
@@ -180,19 +178,28 @@ def evaluate_controller(controller_factory: ControllerFactory, name: str,
                         cfg: EvalConfig = EvalConfig()) -> EvaluationResult:
     """Roll the controller out over every event and aggregate indicators.
 
-    A failure on one event is recorded and excluded from the means; it never
-    aborts the batch. Events are processed in event_id order so results are
-    independent of scheduling.
+    The factory is called once per event; the events that got the same
+    controller object are rolled out together by ``rollout_batch``. A failure
+    on one event is recorded and excluded from the means; it never aborts the
+    others. Traces and errors are kept in event_id order.
     """
     if not events:
         raise ValueError("evaluate_controller needs a non-empty test set")
-    traces: dict[str, SimulatedTrace] = {}
-    errors: list[tuple[str, str]] = []
-    for ev in sorted(events, key=lambda e: e.event_id):
+    ordered = sorted(events, key=lambda e: e.event_id)
+    outcomes: dict[str, SimulatedTrace | Exception] = dict.fromkeys(e.event_id for e in ordered)
+    groups: dict[int, tuple[Controller, list[CarFollowingEvent]]] = {}
+    for ev in ordered:
         try:
-            traces[ev.event_id] = rollout(ev, controller_factory(ev), env_config)
+            controller = controller_factory(ev)
         except Exception as exc:
-            errors.append((ev.event_id, str(exc)))
+            outcomes[ev.event_id] = exc
+            continue
+        groups.setdefault(id(controller), (controller, []))[1].append(ev)
+    for controller, group in groups.values():
+        for ev, outcome in zip(group, rollout_batch(group, controller, env_config)):
+            outcomes[ev.event_id] = outcome
+    traces = {eid: o for eid, o in outcomes.items() if isinstance(o, SimulatedTrace)}
+    errors = [(eid, str(o)) for eid, o in outcomes.items() if not isinstance(o, SimulatedTrace)]
     if not traces:
         first = "; ".join(f"{eid}: {msg}" for eid, msg in errors[:3])
         raise EmptyResultError(f"controller {name!r} failed on every event; first errors: {first}")

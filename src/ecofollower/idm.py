@@ -3,6 +3,9 @@
 Sign convention: the model's interaction term expects the *closing* speed
 dv_closing = v_follower - v_leader (positive while catching up). The env's
 rel_speed is leader-minus-follower, so adapters must pass -rel_speed.
+
+The model functions take one state as floats or, elementwise, arrays of
+states.
 """
 
 from __future__ import annotations
@@ -12,6 +15,8 @@ import json
 import math
 from dataclasses import dataclass, asdict, replace
 from typing import Sequence
+
+import numpy as np
 
 from .env import Controller, EnvConfig, EnvState, DEFAULT_ENV, rollout
 from .events import CarFollowingEvent
@@ -57,31 +62,33 @@ class IdmParams:
 def desired_spacing(params: IdmParams, v: float, dv_closing: float) -> float:
     """Equilibrium-plus-dynamic desired gap at speed v and closing speed dv."""
     dynamic = v * params.T_headway + v * dv_closing / (2.0 * math.sqrt(params.a_max * params.a_comf))
-    return params.s_jam + max(0.0, dynamic)
+    return params.s_jam + np.maximum(0.0, dynamic)
 
 
-def idm_accel(params: IdmParams, v: float, spacing: float, dv_closing: float,
-              bounds: tuple[float, float] | None = None) -> float:
-    """IDM acceleration; optionally clamped to actuator bounds.
+def idm_accel(params: IdmParams, v: float, spacing: float, dv_closing: float) -> float:
+    """Unclamped IDM acceleration; the env clamps it to its actuator bounds.
 
     Raises on non-positive spacing: the caller must have terminated the
-    rollout on collision before asking for another command.
+    rollout on collision before asking for another command. An overflow of
+    a numpy input gives -inf (Python floats raise OverflowError).
     """
-    if spacing <= 0:
+    if np.any(np.less_equal(spacing, 0)):
         raise ValueError(f"idm_accel needs positive spacing, got {spacing}")
     s_star = desired_spacing(params, v, dv_closing)
-    a = params.a_max * (1.0 - (v / params.v_desired) ** params.beta - (s_star / spacing) ** 2)
-    if bounds is not None:
-        a = min(bounds[1], max(bounds[0], a))
+    with np.errstate(over="ignore"):
+        a = params.a_max * (1.0 - (v / params.v_desired) ** params.beta - (s_star / spacing) ** 2)
     return a
 
 
-def idm_controller(params: IdmParams, config: EnvConfig = DEFAULT_ENV) -> Controller:
-    """Adapter for env rollouts; flips rel_speed into the closing convention."""
+def idm_controller(params: IdmParams) -> Controller:
+    """Adapter for env rollouts; flips rel_speed into the closing convention.
+
+    The env clamps the command to its actuator bounds after checking that it
+    is finite, so an overflowing IDM fails its event instead of braking.
+    """
 
     def control(state: EnvState, k: int) -> float:
-        return idm_accel(params, state.follow_speed, state.spacing,
-                         -state.rel_speed, bounds=(config.a_min, config.a_max))
+        return idm_accel(params, state.follow_speed, state.spacing, -state.rel_speed)
 
     return control
 
@@ -89,7 +96,7 @@ def idm_controller(params: IdmParams, config: EnvConfig = DEFAULT_ENV) -> Contro
 def _spacing_mse(params: IdmParams, events: Sequence[CarFollowingEvent],
                  config: EnvConfig) -> float:
     """Mean squared spacing error vs. recordings; inf if any rollout collides."""
-    controller = idm_controller(params, config)
+    controller = idm_controller(params)
     total, count = 0.0, 0
     for ev in events:
         trace = rollout(ev, controller, config)

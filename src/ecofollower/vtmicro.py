@@ -54,9 +54,16 @@ class VtMicroModel:
     def rate(self, v: float, a: float) -> float:
         return fuel_rate(self.accel, self.decel, v, a)
 
+    def rates(self, v: np.ndarray, a: np.ndarray) -> np.ndarray:
+        """``rate`` of each (v, a) pair of two arrays; inf where the exponent overflows."""
+        with np.errstate(over="ignore"):
+            return np.exp(np.where(a >= 0, moe_exponent(self.accel, v, a),
+                                   moe_exponent(self.decel, v, a)))
+
 
 def moe_exponent(coeffs: VtMicroCoefficients, v: float, a: float) -> float:
-    """Evaluate P(v, a) with Horner nesting in both variables."""
+    """Evaluate P(v, a) with Horner nesting in both variables, of scalars or
+    elementwise of arrays."""
     k = coeffs.k
     p = 0.0
     for i in (3, 2, 1, 0):
@@ -139,7 +146,7 @@ def event_fuel(trace, model: VtMicroModel) -> tuple[float, float]:
     v, a, dt = _speed_accel_steps(trace)
     if len(v) == 0:
         raise ValueError("cannot integrate fuel over a zero-duration trace")
-    total = sum(model.rate(float(vk), float(ak)) for vk, ak in zip(v, a)) * dt
+    total = float(np.sum(model.rates(v, a))) * dt
     duration = len(v) * dt
     return total, total / duration
 

@@ -70,8 +70,7 @@ def idm_follower_event(event_id: str, v_lead: np.ndarray, dt: float,
     state = EnvState(follow_speed=float(v_f[0]), spacing=gap0,
                      rel_speed=float(v_lead[0] - v_f[0]))
     for k in range(n - 1):
-        a = idm_accel(params, state.follow_speed, state.spacing,
-                      -state.rel_speed, bounds=(env.a_min, env.a_max))
+        a = env.clamp(idm_accel(params, state.follow_speed, state.spacing, -state.rel_speed))
         out = step(state, a, float(v_lead[k + 1]), dt,
                    follow_position=float(x_f[k]), config=env)
         state = out.next_state

@@ -1,9 +1,11 @@
 import dataclasses
 import json
+import math
 
 import numpy as np
 import pytest
 
+from ecofollower import cli
 from ecofollower.cli import _configs, main
 from ecofollower.ddpg import TrainConfig
 from ecofollower.env import EnvConfig
@@ -243,6 +245,51 @@ class TestEvalCompare:
         first_id = min(ev.event_id for ev in load_events(trained["events"], min_duration=0.0))
         assert first_id in err
 
+    def test_nan_policy_fails_every_event_exit_3(self, tmp_path, trained, capsys):
+        policy = json.loads((trained["out"] / "policy.json").read_text())
+        policy["biases"][-1] = [math.nan]
+        path = tmp_path / "nan_policy.json"
+        path.write_text(json.dumps(policy))
+        code = main(["eval", "--events", str(trained["events"]), "--policy", str(path),
+                     "--config", str(trained["cfg"]), "--out", str(tmp_path / "o")])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert "failed at step 0" in err and "non-finite command nan" in err
+        first_id = min(ev.event_id for ev in load_events(trained["events"], min_duration=0.0))
+        assert first_id in err
+
+    def test_errors_json_lists_the_failed_event(self, tmp_path, trained, monkeypatch):
+        events = load_events(trained["events"], min_duration=0.0)
+        bad = events[2]
+        bad_gap = float(bad.x_lead[0] - bad.x_follow[0])
+        real = cli.idm_controller
+
+        def flaky_idm(params):
+            inner = real(params)
+
+            def control(state, k):
+                if np.any(state.spacing == bad_gap):
+                    raise RuntimeError("radar dropout")
+                return inner(state, k)
+            return control
+
+        monkeypatch.setattr(cli, "idm_controller", flaky_idm)
+        out = tmp_path / "cmp"
+        assert main(["compare", "--events", str(trained["events"]), "--idm-params",
+                     "--out", str(out)]) == 0
+        errors = strict_json(out / "errors.json")
+        assert errors == {"idm": [{
+            "event_id": bad.event_id,
+            "message": f"controller failed at step 0 of event {bad.event_id}: radar dropout"}],
+            "ground_truth": []}
+        assert strict_json(out / "summary_idm.json")["errors"] == 1
+
+    def test_errors_json_empty_when_nothing_failed(self, tmp_path, trained):
+        out = tmp_path / "eval"
+        assert main(["eval", "--events", str(trained["events"]), "--idm-params",
+                     "--out", str(out)]) == 0
+        assert strict_json(out / "errors.json") == {"idm": []}
+
     def test_policy_with_wrong_sizes_exit_2(self, tmp_path, trained):
         # trained with [8, 8] hidden; default config expects [64, 64]
         code = main(["eval", "--events", str(trained["events"]),
@@ -320,3 +367,17 @@ class TestConfigRoundTrip:
                      "--seed", "4", "--episodes", "2", "--out", str(out)]) == 0
         assert json.loads((out / "manifest.json").read_text())["seed"] == 4
         assert len((out / "trainlog.csv").read_text().splitlines()) == 1 + 2
+
+    def test_config_hash_covers_the_resolved_train_block(self, tmp_path, fleet_csv):
+        cfg = tiny_train_config(tmp_path)
+
+        def config_hash(name, *flags):
+            out = tmp_path / name
+            assert main(["train", "--events", str(fleet_csv), "--config", str(cfg),
+                         *flags, "--out", str(out)]) == 0
+            return json.loads((out / "manifest.json").read_text())["config_hash"]
+
+        one = config_hash("one", "--episodes", "1")
+        assert config_hash("one_again", "--episodes", "1") == one
+        assert config_hash("two", "--episodes", "2") != one
+        assert config_hash("seeded", "--episodes", "1", "--seed", "8") != one

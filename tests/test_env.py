@@ -150,6 +150,13 @@ class TestRollout:
         with pytest.raises(RolloutError, match="step 5"):
             rollout(ev, bad)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_command_rejected_before_the_clamp(self, bad):
+        # clamping first would turn NaN into full braking and +-inf into a bound
+        ev = constant_event()
+        with pytest.raises(RolloutError, match="step 3 .*non-finite command"):
+            rollout(ev, lambda state, k: bad if k == 3 else 0.0)
+
     def test_deterministic_for_deterministic_controller(self):
         ev = make_fleet(1, seed=3)[0]
         ctrl = constant_controller(0.1)

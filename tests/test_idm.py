@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from ecofollower.env import DEFAULT_ENV
+from ecofollower.env import DEFAULT_ENV, EnvConfig, rollout
+from ecofollower.events import CarFollowingEvent
 from ecofollower.idm import (CalibrationError, IdmParams, calibrate_idm,
                              desired_spacing, idm_accel, idm_controller)
 
@@ -68,8 +69,13 @@ class TestIdmAccel:
             assert math.isfinite(idm_accel(HAND_PARAMS, v, s, dv))
 
     def test_clamped_to_bounds(self):
-        a = idm_accel(HAND_PARAMS, 30.0, 0.5, 10.0, bounds=(-3.0, 3.0))
-        assert a == -3.0
+        # idm_accel is unbounded; a rollout clamps its command to the env's bounds
+        assert idm_accel(HAND_PARAMS, 30.0, 0.5, 10.0) < -3.0
+        t = np.arange(5) * 0.1
+        ev = CarFollowingEvent.from_arrays("clamp", t, 0.5 + 20.0 * t, np.full(5, 20.0),
+                                           np.zeros(5), np.full(5, 30.0))
+        trace = rollout(ev, idm_controller(HAND_PARAMS), EnvConfig(a_min=-3.0, a_max=3.0))
+        assert trace.accel[0] == -3.0
 
     def test_braking_when_closing(self):
         # closing on the leader must brake harder than cruising at the same gap
@@ -84,7 +90,7 @@ class TestControllerAdapter:
         ctrl = idm_controller(HAND_PARAMS)
         # rel_speed = -3 (gap closing) must equal dv_closing = +3
         got = ctrl(EnvState(8.0, 12.0, -3.0), 0)
-        want = idm_accel(HAND_PARAMS, 8.0, 12.0, 3.0, bounds=(-3.0, 3.0))
+        want = idm_accel(HAND_PARAMS, 8.0, 12.0, 3.0)
         assert got == want
 
 
