@@ -23,5 +23,5 @@ from .nets import Adam, Mlp, PolicyLoadError, load_policy, save_policy, soft_upd
 from .objectives import (HeadwayModel, RewardBreakdown, RewardConfig, RewardWeights,
                          f_fuel, f_headway, f_jerk, f_ttc, jerk, reward, time_headway,
                          ttc, ttc_signed)
-from .vtmicro import (VtMicroCoefficients, VtMicroModel, event_fuel, fuel_rate,
-                      load_coefficients, moe_exponent, reference_model)
+from .vtmicro import (VtMicroCoefficients, VtMicroModel, fuel_rate, load_coefficients,
+                      moe_exponent, reference_model)

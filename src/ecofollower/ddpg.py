@@ -10,7 +10,6 @@ independent RNG streams are derived from the seed per purpose.
 
 from __future__ import annotations
 
-import csv
 import math
 from collections import deque
 from dataclasses import dataclass, field, fields
@@ -22,7 +21,7 @@ from .env import Controller, EnvConfig, EnvState, DEFAULT_ENV, simulate
 # train never calls step; the binding stays because benchmarks/test_bench_smoke.py
 # checks that the benchmark tracer wraps ddpg.step along with env.step
 from .env import step  # noqa: F401
-from .events import CarFollowingEvent, DatasetSplit
+from .events import CarFollowingEvent, DatasetSplit, write_csv
 from .nets import Adam, Mlp, soft_update
 from .objectives import RewardConfig, reward
 from .rng import derive_seed
@@ -216,26 +215,9 @@ class TrainLogRow:
 class TrainLog:
     rows: list[TrainLogRow] = field(default_factory=list)
 
-    CSV_HEADER = ("episode", "mean_reward", "rolling_reward", "collisions_cum", "steps", "fuel_ml")
-
     def write_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(self.CSV_HEADER)
-            for r in self.rows:
-                writer.writerow([r.episode, repr(r.mean_reward), repr(r.rolling_reward),
-                                 r.collisions_cum, r.steps, repr(r.fuel_ml)])
-
-    @classmethod
-    def read_csv(cls, path) -> "TrainLog":
-        log = cls()
-        with open(path, newline="") as fh:
-            for row in csv.DictReader(fh):
-                log.rows.append(TrainLogRow(
-                    int(row["episode"]), float(row["mean_reward"]),
-                    float(row["rolling_reward"]), int(row["collisions_cum"]),
-                    int(row["steps"]), float(row["fuel_ml"])))
-        return log
+        columns = [f.name for f in fields(TrainLogRow)]
+        write_csv(path, columns, [[getattr(r, name) for r in self.rows] for name in columns])
 
 
 ProgressFn = Callable[[TrainLogRow], None]

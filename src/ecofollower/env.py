@@ -14,14 +14,13 @@ the gap is opening.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
-from .events import CarFollowingEvent
+from .events import CarFollowingEvent, write_csv
 
 
 class RolloutError(RuntimeError):
@@ -58,7 +57,6 @@ UNBOUNDED_ENV = EnvConfig(a_min=-math.inf, a_max=math.inf)
 class StepOutcome:
     next_state: EnvState
     collided: bool
-    done: bool
     follow_position: float
 
 
@@ -78,8 +76,7 @@ def reset(event: CarFollowingEvent) -> EnvState:
 
 
 def step(state: EnvState, accel: float, lead_speed_next: float, dt: float,
-         follow_position: float = 0.0, last: bool = False,
-         config: EnvConfig = DEFAULT_ENV) -> StepOutcome:
+         follow_position: float = 0.0, config: EnvConfig = DEFAULT_ENV) -> StepOutcome:
     """Advance the follower one interval under a commanded acceleration."""
     inputs = (state.follow_speed, state.spacing, state.rel_speed,
               accel, lead_speed_next, dt, follow_position)
@@ -96,7 +93,6 @@ def step(state: EnvState, accel: float, lead_speed_next: float, dt: float,
     return StepOutcome(
         next_state=EnvState(v_next, s_next, dv_next),
         collided=collided,
-        done=collided or last,
         follow_position=x_next,
     )
 
@@ -123,13 +119,8 @@ class SimulatedTrace:
         return len(self.t) * self.dt
 
     def write_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["t", "accel", "v_follow", "spacing", "rel_speed", "x_follow"])
-            for k in range(len(self.t)):
-                writer.writerow([repr(float(col[k])) for col in
-                                 (self.t, self.accel, self.v_follow,
-                                  self.spacing, self.rel_speed, self.x_follow)])
+        write_csv(path, ("t", "accel", "v_follow", "spacing", "rel_speed", "x_follow"),
+                  (self.t, self.accel, self.v_follow, self.spacing, self.rel_speed, self.x_follow))
 
 
 def simulate(event: CarFollowingEvent, controller: Controller, config: EnvConfig = DEFAULT_ENV
@@ -141,11 +132,10 @@ def simulate(event: CarFollowingEvent, controller: Controller, config: EnvConfig
     the step outcome. The controller is asked for step k + 1 only when the
     caller resumes the generator. Stops after the last step or on collision.
     """
-    n_steps = len(event) - 1
     state = reset(event)
     x_follow = float(event.x_follow[0])
     v_lead, dt = event.v_lead.tolist(), event.dt
-    for k in range(n_steps):
+    for k in range(len(event) - 1):
         try:
             a = float(controller(state, k))
         except Exception as exc:
@@ -153,8 +143,7 @@ def simulate(event: CarFollowingEvent, controller: Controller, config: EnvConfig
         if not math.isfinite(a):
             raise _command_error(event, k, f"non-finite command {a}")
         a = config.clamp(a)
-        outcome = step(state, a, v_lead[k + 1], dt,
-                       follow_position=x_follow, last=(k == n_steps - 1), config=config)
+        outcome = step(state, a, v_lead[k + 1], dt, follow_position=x_follow, config=config)
         yield k, state, x_follow, a, outcome
         if outcome.collided:
             return

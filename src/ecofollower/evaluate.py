@@ -8,7 +8,6 @@ environment.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -18,7 +17,7 @@ import numpy as np
 
 from . import indicators
 from .env import Controller, EnvConfig, DEFAULT_ENV, SimulatedTrace, rollout_batch
-from .events import CarFollowingEvent, histogram_edges
+from .events import CarFollowingEvent, histogram_edges, write_csv
 from .vtmicro import VtMicroModel
 
 ControllerFactory = Callable[[CarFollowingEvent], Controller]
@@ -178,8 +177,9 @@ def evaluate_controller(controller_factory: ControllerFactory, name: str,
                         cfg: EvalConfig = EvalConfig()) -> EvaluationResult:
     """Roll the controller out over every event and aggregate indicators.
 
-    The factory is called once per event; the events that got the same
-    controller object are rolled out together by ``rollout_batch``. A failure
+    The factory is called once per event, and only the events given the same
+    controller object are rolled out together by ``rollout_batch``: a factory
+    that builds a new controller per event rolls each event out alone. A failure
     on one event is recorded and excluded from the means; it never aborts the
     others. Traces and errors are kept in event_id order.
     """
@@ -302,14 +302,11 @@ def export_distributions(values_by_controller: dict[str, Sequence[TraceValues]],
         per_ctrl = pooled[indicator]
         everything = np.concatenate([per_ctrl[c] for c in controllers]) if controllers else np.array([])
         path = out_dir / f"{indicator}.csv"
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["bin_left", "bin_right", *controllers])
-            if everything.size:
-                edges = histogram_edges(everything, cfg.bins)
-                counts = {c: np.histogram(per_ctrl[c], bins=edges)[0] for c in controllers}
-                for i in range(len(edges) - 1):
-                    writer.writerow([repr(float(edges[i])), repr(float(edges[i + 1])),
-                                     *[int(counts[c][i]) for c in controllers]])
+        blocks = []
+        if everything.size:
+            edges = histogram_edges(everything, cfg.bins)
+            blocks.append((edges[:-1], edges[1:],
+                           *(np.histogram(per_ctrl[c], bins=edges)[0] for c in controllers)))
+        write_csv(path, ("bin_left", "bin_right", *controllers), *blocks)
         written.append(path)
     return written

@@ -108,6 +108,12 @@ class ColumnMapping:
         missing = [f for f in CANONICAL_FIELDS if f not in self.columns]
         if missing:
             raise SchemaError(f"mapping missing canonical fields: {missing}")
+        for block, keys, known in (("columns", self.columns, CANONICAL_FIELDS),
+                                   ("scale", self.scale, NUMERIC_FIELDS)):
+            unknown = sorted(set(keys) - set(known))
+            if unknown:
+                raise SchemaError(f"mapping {block} has unknown fields {unknown}; "
+                                  f"expected some of {list(known)}")
 
     @classmethod
     def identity(cls) -> "ColumnMapping":
@@ -189,21 +195,26 @@ def load_events(path, mapping: ColumnMapping | None = None,
     return extract_events(path, mapping, min_duration).events
 
 
-def write_events(events: Sequence[CarFollowingEvent], path) -> None:
-    """Write events in the normalized CSV format (floats round-trip exactly)."""
+def write_csv(path, header: Sequence[str], *blocks) -> None:
+    """Write a CSV table: the header row, then the rows of each block in turn.
+
+    A block is a sequence of equal-length columns (arrays or lists); each
+    column is converted to Python scalars once, so floats are written as their
+    ``repr`` (and round-trip exactly) and integers as integers. Lines end in
+    CRLF and a cell holding a comma or a quote is quoted.
+    """
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(CANONICAL_FIELDS)
-        for ev in events:
-            for i in range(len(ev)):
-                writer.writerow([
-                    ev.event_id,
-                    repr(float(ev.t[i])),
-                    repr(float(ev.x_lead[i])),
-                    repr(float(ev.v_lead[i])),
-                    repr(float(ev.x_follow[i])),
-                    repr(float(ev.v_follow[i])),
-                ])
+        writer.writerow(header)
+        for columns in blocks:
+            writer.writerows(zip(*(np.asarray(col).tolist() for col in columns)))
+
+
+def write_events(events: Sequence[CarFollowingEvent], path) -> None:
+    """Write events in the normalized CSV format, one block per event."""
+    write_csv(path, CANONICAL_FIELDS,
+              *(([ev.event_id] * len(ev), ev.t, ev.x_lead, ev.v_lead, ev.x_follow, ev.v_follow)
+                for ev in events))
 
 
 def split_dataset(events: Sequence[CarFollowingEvent], ratio: float, seed: int) -> DatasetSplit:
@@ -253,11 +264,8 @@ class Histogram:
         return cls(edges[:-1], edges[1:], count)
 
     def write_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["bin_left", "bin_right", "count"])
-            for left, right, n in zip(self.bin_left, self.bin_right, self.count):
-                writer.writerow([repr(float(left)), repr(float(right)), int(n)])
+        write_csv(path, ("bin_left", "bin_right", "count"),
+                  (self.bin_left, self.bin_right, self.count))
 
 
 @dataclass(frozen=True)

@@ -51,7 +51,10 @@ class IdmParams:
 
     @classmethod
     def from_json_dict(cls, obj: dict) -> "IdmParams":
-        return cls(**{k: float(obj[k]) for k in _FIELDS if k in obj})
+        unknown = set(obj) - set(_FIELDS)
+        if unknown:
+            raise ValueError(f"unknown IDM parameters: {sorted(unknown)}")
+        return cls(**{k: float(v) for k, v in obj.items()})
 
     @classmethod
     def from_json(cls, path) -> "IdmParams":

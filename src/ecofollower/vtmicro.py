@@ -49,7 +49,6 @@ class VtMicroCoefficients:
 class VtMicroModel:
     accel: VtMicroCoefficients
     decel: VtMicroCoefficients
-    single_table: bool = False
 
     def rate(self, v: float, a: float) -> float:
         return fuel_rate(self.accel, self.decel, v, a)
@@ -117,13 +116,9 @@ def load_coefficients(path) -> VtMicroModel:
 
 def _model_from_json(obj) -> VtMicroModel:
     if isinstance(obj, dict):
-        table = _parse_table(obj)
-        both = VtMicroCoefficients(k=table.k, regime="acceleration")
-        return VtMicroModel(
-            accel=both,
-            decel=VtMicroCoefficients(k=table.k, regime="deceleration"),
-            single_table=True,
-        )
+        k = _parse_table(obj).k
+        return VtMicroModel(accel=VtMicroCoefficients(k=k, regime="acceleration"),
+                            decel=VtMicroCoefficients(k=k, regime="deceleration"))
     tables = {t.regime: t for t in (_parse_table(o) for o in obj)}
     missing = [r for r in REGIMES if r not in tables]
     if missing:
@@ -135,25 +130,3 @@ def reference_model() -> VtMicroModel:
     """The bundled light-duty fuel table (see data/vtmicro_fuel_ldv.json for provenance)."""
     ref = resources.files("ecofollower.data").joinpath("vtmicro_fuel_ldv.json")
     return _model_from_json(json.loads(ref.read_text()))
-
-
-def event_fuel(trace, model: VtMicroModel) -> tuple[float, float]:
-    """Total fuel (mL) and mean rate (mL/s) over a trace or recorded event.
-
-    Left-rectangle rule: each step contributes rate(v_k, a_k) * dt, matching
-    the per-step reward accumulation used in training.
-    """
-    v, a, dt = _speed_accel_steps(trace)
-    if len(v) == 0:
-        raise ValueError("cannot integrate fuel over a zero-duration trace")
-    total = float(np.sum(model.rates(v, a))) * dt
-    duration = len(v) * dt
-    return total, total / duration
-
-
-def _speed_accel_steps(trace) -> tuple[np.ndarray, np.ndarray, float]:
-    """Per-step (speed, accel) arrays from a SimulatedTrace or CarFollowingEvent."""
-    if hasattr(trace, "accel"):
-        return np.asarray(trace.v_follow), np.asarray(trace.accel), float(trace.dt)
-    v = np.asarray(trace.v_follow)
-    return v[:-1], np.diff(v) / trace.dt, float(trace.dt)

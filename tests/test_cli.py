@@ -10,7 +10,7 @@ from ecofollower.cli import _configs, main
 from ecofollower.ddpg import TrainConfig
 from ecofollower.env import EnvConfig
 from ecofollower.evaluate import EvalConfig
-from ecofollower.events import CarFollowingEvent, load_events, write_events
+from ecofollower.events import CANONICAL_FIELDS, CarFollowingEvent, load_events, write_events
 
 from synthetic import constant_event, make_fleet, positions_from_speeds
 
@@ -69,6 +69,19 @@ class TestPrepare:
                      "--out", str(tmp_path / "o")])
         assert code == 2
         assert "NOPE" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("block, key, value", [("scale", "v_folow", 0.3048),
+                                                   ("columns", "lane", "lane")])
+    def test_unknown_mapping_key_exit_2(self, tmp_path, fleet_csv, capsys, block, key, value):
+        obj = {"columns": {f: f for f in CANONICAL_FIELDS}, "scale": {"v_follow": 0.3048}}
+        obj[block][key] = value
+        mapping = tmp_path / "map.json"
+        mapping.write_text(json.dumps(obj))
+        code = main(["prepare", "--input", str(fleet_csv), "--mapping", str(mapping),
+                     "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert key in capsys.readouterr().err
+        assert not (tmp_path / "o" / "events.csv").exists()
 
     def test_min_duration_filter(self, tmp_path):
         src = tmp_path / "mix.csv"
@@ -327,6 +340,14 @@ class TestUsage:
         code = main(["eval", "--events", str(fleet_csv), "--ground-truth",
                      "--config", str(cfg), "--out", str(tmp_path / "o")])
         assert code == 1
+
+    def test_unknown_idm_param_exit_1(self, tmp_path, fleet_csv, capsys):
+        params = tmp_path / "idm.json"
+        params.write_text(json.dumps({"T_headway": 1.5, "s_jam_typo": 4.0}))
+        code = main(["eval", "--events", str(fleet_csv), "--idm-params", str(params),
+                     "--out", str(tmp_path / "o")])
+        assert code == 1
+        assert "s_jam_typo" in capsys.readouterr().err
 
     def test_unknown_config_block_exit_1(self, tmp_path, fleet_csv):
         cfg = tmp_path / "cfg.json"

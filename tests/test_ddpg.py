@@ -1,3 +1,4 @@
+import csv
 import math
 
 import numpy as np
@@ -5,7 +6,7 @@ import pytest
 
 from ecofollower import ddpg
 from ecofollower.ddpg import (DdpgAgent, OuNoise, ReplayBuffer, TrainConfig,
-                              TrainLog, Transition, accel_to_action,
+                              TrainLogRow, Transition, accel_to_action,
                               action_to_accel, actor_forward, normalize_state,
                               policy_controller, train)
 from ecofollower.env import DEFAULT_ENV, EnvConfig, EnvState, rollout, simulate
@@ -176,10 +177,14 @@ class TestTrain:
         _, log = train(events, DEFAULT_ENV, RewardConfig(), small_cfg(episodes=2), FUEL)
         path = tmp_path / "log.csv"
         log.write_csv(path)
-        header = path.read_text().splitlines()[0]
-        assert header == "episode,mean_reward,rolling_reward,collisions_cum,steps,fuel_ml"
-        back = TrainLog.read_csv(path)
-        assert back.rows == log.rows
+        with path.open(newline="") as fh:
+            header, *rows = csv.reader(fh)
+        assert header == ["episode", "mean_reward", "rolling_reward", "collisions_cum",
+                          "steps", "fuel_ml"]
+        back = [TrainLogRow(int(ep), float(mean), float(rolling), int(cum), int(steps),
+                            float(fuel))
+                for ep, mean, rolling, cum, steps, fuel in rows]
+        assert back == log.rows
 
 
 class TestPolicyController:

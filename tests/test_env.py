@@ -53,12 +53,12 @@ class TestStep:
     def test_equilibrium_unchanged(self):
         out = step(EnvState(8.0, 12.0, 0.0), 0.0, lead_speed_next=8.0, dt=0.1)
         assert out.next_state == EnvState(8.0, 12.0, 0.0)
-        assert not out.collided and not out.done
+        assert not out.collided
 
     def test_collision_threshold(self):
         out = step(EnvState(10.0, 0.05, -5.0), -3.0, lead_speed_next=5.0, dt=0.1)
         assert out.next_state.spacing <= 0.0
-        assert out.collided and out.done
+        assert out.collided
 
     def test_speed_clamped_at_zero(self):
         out = step(EnvState(0.1, 20.0, 0.0), -3.0, lead_speed_next=8.0, dt=0.1)
@@ -73,10 +73,6 @@ class TestStep:
             step(EnvState(8.0, math.nan, 0.0), 0.0, 8.0, 0.1)
         with pytest.raises(ValueError):
             step(EnvState(8.0, 10.0, 0.0), 0.0, 8.0, 0.0)
-
-    def test_done_on_last(self):
-        out = step(EnvState(8.0, 12.0, 0.0), 0.0, 8.0, 0.1, last=True)
-        assert out.done and not out.collided
 
     @given(st.floats(0.0, 30.0), st.floats(0.5, 80.0), st.floats(-10.0, 10.0),
            st.floats(-3.0, 3.0), st.floats(0.0, 30.0))

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ecofollower.events import (CarFollowingEvent, ColumnMapping, DataError,
-                                FitError, SchemaError, descriptive_stats,
+from ecofollower.events import (CANONICAL_FIELDS, CarFollowingEvent, ColumnMapping,
+                                DataError, FitError, SchemaError, descriptive_stats,
                                 extract_events, fit_lognormal_headway,
                                 load_events, split_dataset, write_events)
 
@@ -93,6 +93,15 @@ class TestLoadEvents:
     def test_mapping_requires_all_fields(self):
         with pytest.raises(SchemaError):
             ColumnMapping(columns={"event_id": "id", "t": "t"})
+
+    def test_mapping_rejects_unknown_fields(self):
+        columns = {f: f for f in CANONICAL_FIELDS}
+        with pytest.raises(SchemaError, match="v_folow"):
+            ColumnMapping(columns=columns, scale={"v_folow": 0.3048})
+        with pytest.raises(SchemaError, match="event_id"):
+            ColumnMapping(columns=columns, scale={"event_id": 2.0})
+        with pytest.raises(SchemaError, match="lane"):
+            ColumnMapping(columns={**columns, "lane": "Lane_ID"})
 
     def test_roundtrip_bit_identical(self, tmp_path):
         events = make_fleet(3, seed=7)

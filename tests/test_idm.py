@@ -103,6 +103,10 @@ class TestJsonRoundTrip:
         path.write_text(json.dumps(params.to_json_dict()))
         assert IdmParams.from_json(path) == params
 
+    def test_unknown_key_rejected(self):
+        with pytest.raises(ValueError, match="s_jam_typo"):
+            IdmParams.from_json_dict({"T_headway": 1.5, "s_jam_typo": 4.0})
+
     def test_invalid_params_rejected(self):
         with pytest.raises(ValueError):
             IdmParams(a_max=-1.0)

@@ -5,10 +5,10 @@ import numpy as np
 import pytest
 
 from ecofollower.env import SimulatedTrace
+from ecofollower.evaluate import evaluate_ground_truth, summarize_traces, trace_values
 from ecofollower.events import CarFollowingEvent
-from ecofollower.vtmicro import (VtMicroCoefficients, VtMicroModel, event_fuel,
-                                 fuel_rate, load_coefficients, moe_exponent,
-                                 reference_model)
+from ecofollower.vtmicro import (VtMicroCoefficients, VtMicroModel, fuel_rate,
+                                 load_coefficients, moe_exponent, reference_model)
 
 
 def table(k, regime="acceleration"):
@@ -94,7 +94,6 @@ class TestLoader:
             {"regime": "deceleration", "k": [[2, 0, 0, 0]] + [[0] * 4] * 3},
         ])
         model = load_coefficients(path)
-        assert not model.single_table
         assert moe_exponent(model.accel, 0, 0) == 1.0
         assert moe_exponent(model.decel, 0, 0) == 2.0
 
@@ -102,7 +101,6 @@ class TestLoader:
         path = self._write(tmp_path, {"regime": "acceleration",
                                       "k": [[1, 0, 0, 0]] + [[0] * 4] * 3})
         model = load_coefficients(path)
-        assert model.single_table
         assert model.rate(3.0, 1.0) == model.rate(3.0, -1.0)
 
     def test_missing_regime_rejected(self, tmp_path):
@@ -144,7 +142,6 @@ class TestLoader:
 class TestReferenceTable:
     def test_loads_and_is_positive(self):
         model = reference_model()
-        assert not model.single_table
         for v in (0.0, 8.0, 20.0, 33.0):
             for a in (-3.0, -1.0, 0.0, 1.0, 3.0):
                 assert model.rate(v, a) > 0
@@ -174,11 +171,19 @@ def make_trace(v, accel, dt=0.1):
                           x_follow=np.zeros(n))
 
 
+def fuel_of(trace, model):
+    """(total fuel in mL, mean rate in mL/s) as summarize_traces reports them."""
+    summary = summarize_traces("c", [trace_values(trace, model)])
+    return summary.metadata["total_fuel_ml"], summary.mean_fuel_rate
+
+
 class TestEventFuel:
+    """The fuel integral of summarize_traces."""
+
     def test_constant_rate_integration(self):
         model = VtMicroModel(accel=zeros(), decel=zeros("deceleration"))
         trace = make_trace([8.0] * 100, [0.0] * 100)  # rate 1 mL/s for 10 s
-        total, mean = event_fuel(trace, model)
+        total, mean = fuel_of(trace, model)
         assert total == pytest.approx(10.0, rel=1e-12)
         assert mean == pytest.approx(1.0, rel=1e-12)
 
@@ -189,7 +194,7 @@ class TestEventFuel:
         coeffs = table(k)
         model = VtMicroModel(accel=coeffs, decel=coeffs)
         trace = make_trace([5.0, 5.0], [0.0, 1.0])
-        total, mean = event_fuel(trace, model)
+        total, mean = fuel_of(trace, model)
         assert total == pytest.approx(0.4, rel=1e-12)
         assert mean == pytest.approx(2.0, rel=1e-12)
 
@@ -199,13 +204,7 @@ class TestEventFuel:
         v = np.full(51, 8.0)
         x = v * t
         ev = CarFollowingEvent.from_arrays("e", t, x + 12.0, v, x, v)
-        total, mean = event_fuel(ev, model)
-        assert total == pytest.approx(5.0, rel=1e-12)  # 50 steps * 0.1 s * 1 mL/s
-        assert mean == pytest.approx(1.0, rel=1e-12)
-
-    def test_zero_duration_rejected(self):
-        model = VtMicroModel(accel=zeros(), decel=zeros("deceleration"))
-        one = np.array([0.0])
-        ev = CarFollowingEvent("stub", 0.1, one, one + 12.0, one + 8.0, one, one + 8.0)
-        with pytest.raises(ValueError):
-            event_fuel(ev, model)
+        summary = evaluate_ground_truth([ev], model).summary
+        # 50 steps * 0.1 s * 1 mL/s: the last sample starts no step
+        assert summary.metadata["total_fuel_ml"] == pytest.approx(5.0, rel=1e-12)
+        assert summary.mean_fuel_rate == pytest.approx(1.0, rel=1e-12)
