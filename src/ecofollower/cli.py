@@ -19,7 +19,7 @@ from . import __version__
 from .ddpg import TrainConfig, TrainingError, policy_controller, train
 from .env import EnvConfig
 from .evaluate import (EmptyResultError, EvalConfig, EvaluationResult,
-                       GROUND_TRUTH, compare, evaluate_controller,
+                       GROUND_TRUTH, NonFiniteFuelError, compare, evaluate_controller,
                        evaluate_ground_truth, export_distributions)
 from .events import (ColumnMapping, DataError, FitError, SchemaError,
                      descriptive_stats, extract_events, fit_lognormal_headway,
@@ -342,7 +342,7 @@ def main(argv=None) -> int:
     except (FileNotFoundError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    except TrainingError as exc:
+    except (TrainingError, NonFiniteFuelError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
     except ValueError as exc:

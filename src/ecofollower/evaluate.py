@@ -29,6 +29,10 @@ class EmptyResultError(RuntimeError):
     """Nothing was left to evaluate: no events, or a controller failed on all of them."""
 
 
+class NonFiniteFuelError(ArithmeticError):
+    """A VT-Micro fuel rate overflowed, so no fuel figure of the run would mean anything."""
+
+
 @dataclass(frozen=True)
 class EvalConfig:
     ttc_cap: float = indicators.TTC_CAP   # s; closing-gap TTC is capped before averaging
@@ -111,6 +115,17 @@ def trace_values(trace: SimulatedTrace, fuel_model: VtMicroModel,
     )
 
 
+def _check_fuel(name: str, values: Sequence[TraceValues]) -> None:
+    """Raise NonFiniteFuelError naming the first event and step whose fuel rate is not finite."""
+    for v in values:
+        bad = np.flatnonzero(~np.isfinite(v.fuel_rate))
+        if bad.size:
+            k = int(bad[0])
+            raise NonFiniteFuelError(
+                f"controller {name!r}: non-finite VT-Micro fuel rate {v.fuel_rate[k]} "
+                f"at step {k} of event {v.trace.event_id}")
+
+
 @dataclass
 class EvaluationResult:
     summary: IndicatorSummary
@@ -181,7 +196,8 @@ def evaluate_controller(controller_factory: ControllerFactory, name: str,
     controller object are rolled out together by ``rollout_batch``: a factory
     that builds a new controller per event rolls each event out alone. A failure
     on one event is recorded and excluded from the means; it never aborts the
-    others. Traces and errors are kept in event_id order.
+    others. A non-finite fuel rate on any trace raises NonFiniteFuelError.
+    Traces and errors are kept in event_id order.
     """
     if not events:
         raise ValueError("evaluate_controller needs a non-empty test set")
@@ -204,6 +220,7 @@ def evaluate_controller(controller_factory: ControllerFactory, name: str,
         first = "; ".join(f"{eid}: {msg}" for eid, msg in errors[:3])
         raise EmptyResultError(f"controller {name!r} failed on every event; first errors: {first}")
     values = [trace_values(tr, fuel_model, cfg) for tr in traces.values()]
+    _check_fuel(name, values)
     summary = summarize_traces(name, values, cfg, errors=len(errors))
     return EvaluationResult(summary=summary, values=values, errors=errors)
 
@@ -211,12 +228,14 @@ def evaluate_controller(controller_factory: ControllerFactory, name: str,
 def evaluate_ground_truth(events: Sequence[CarFollowingEvent],
                           fuel_model: VtMicroModel,
                           cfg: EvalConfig = EvalConfig()) -> EvaluationResult:
-    """Indicators of the recorded behavior itself."""
+    """Indicators of the recorded behavior itself; NonFiniteFuelError if a
+    recorded step's fuel rate is not finite."""
     if not events:
         raise ValueError("evaluate_ground_truth needs a non-empty test set")
     ordered = sorted(events, key=lambda e: e.event_id)
     traces = {ev.event_id: trace_from_event(ev) for ev in ordered}
     values = [trace_values(tr, fuel_model, cfg) for tr in traces.values()]
+    _check_fuel(GROUND_TRUTH, values)
     return EvaluationResult(summary=summarize_traces(GROUND_TRUTH, values, cfg),
                             values=values, errors=[])
 

@@ -123,7 +123,22 @@ class ColumnMapping:
     def from_json(cls, path) -> "ColumnMapping":
         with open(path) as fh:
             obj = json.load(fh)
-        return cls(columns=dict(obj["columns"]), scale={k: float(v) for k, v in obj.get("scale", {}).items()})
+        if not isinstance(obj, dict):
+            raise SchemaError(f"{path}: mapping must be a JSON object, got {type(obj).__name__}")
+        unknown = sorted(set(obj) - {"columns", "scale"})
+        if unknown:
+            raise SchemaError(f"{path}: mapping has unknown blocks {unknown}; "
+                              "expected 'columns' and optionally 'scale'")
+        if "columns" not in obj:
+            raise SchemaError(f"{path}: mapping has no 'columns' block")
+        columns, scale = obj["columns"], obj.get("scale", {})
+        if not isinstance(columns, dict) or not isinstance(scale, dict):
+            raise SchemaError(f"{path}: mapping 'columns' and 'scale' must be JSON objects")
+        try:
+            factors = {k: float(v) for k, v in scale.items()}
+        except (TypeError, ValueError) as exc:
+            raise SchemaError(f"{path}: mapping scale factor is not a number: {exc}") from exc
+        return cls(columns=columns, scale=factors)
 
 
 @dataclass(frozen=True)

@@ -18,7 +18,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .env import Controller, EnvConfig, EnvState, DEFAULT_ENV, rollout
+from .env import Controller, EnvConfig, EnvState, DEFAULT_ENV, RolloutError, rollout_batch
 from .events import CarFollowingEvent
 
 _FIELDS = ("a_max", "v_desired", "beta", "s_jam", "T_headway", "a_comf")
@@ -98,18 +98,21 @@ def idm_controller(params: IdmParams) -> Controller:
 
 def _spacing_mse(params: IdmParams, events: Sequence[CarFollowingEvent],
                  config: EnvConfig) -> float:
-    """Mean squared spacing error vs. recordings; inf if any rollout collides."""
-    controller = idm_controller(params)
+    """Mean squared spacing error vs. recordings; inf if any rollout collides.
+
+    Every event is rolled out in one lockstep batch; results are read in
+    event order, so the first event that fails or collides decides.
+    """
     total, count = 0.0, 0
-    for ev in events:
-        trace = rollout(ev, controller, config)
+    for ev, trace in zip(events, rollout_batch(events, idm_controller(params), config)):
+        if isinstance(trace, RolloutError):
+            raise trace
         if trace.collided:
             return math.inf
-        rec = ev.gap[: len(trace)]
-        err = trace.spacing - rec
+        err = trace.spacing - ev.gap[: len(trace)]
         total += float(err @ err)
         count += len(err)
-    return total / count if count else math.inf
+    return total / count
 
 
 def calibrate_idm(train_events: Sequence[CarFollowingEvent],
@@ -119,7 +122,10 @@ def calibrate_idm(train_events: Sequence[CarFollowingEvent],
 
     ``search_space`` maps parameter names to candidate values; unlisted
     parameters keep their defaults. Deterministic: ties go to the earliest
-    candidate in grid order.
+    candidate in grid order. A parameter listed with no values is a
+    ValueError; IDM failing on an event raises its RolloutError; a candidate
+    that collides on any event is never chosen (CalibrationError if none is
+    left).
     """
     if not train_events:
         raise ValueError("calibrate_idm needs at least one event")
@@ -127,6 +133,9 @@ def calibrate_idm(train_events: Sequence[CarFollowingEvent],
     unknown = set(search_space) - set(_FIELDS)
     if unknown:
         raise ValueError(f"unknown IDM parameters in search space: {sorted(unknown)}")
+    empty = [n for n in names if not len(search_space[n])]
+    if empty:
+        raise ValueError(f"no candidate values for IDM parameters {empty}")
     best_params, best_score = None, math.inf
     for combo in itertools.product(*(search_space[n] for n in names)):
         params = replace(IdmParams(), **dict(zip(names, combo)))

@@ -14,6 +14,8 @@ from ecofollower.events import CANONICAL_FIELDS, CarFollowingEvent, load_events,
 
 from synthetic import constant_event, make_fleet, positions_from_speeds
 
+CANONICAL = {f: f for f in CANONICAL_FIELDS}
+
 
 def strict_json(path):
     """Parse a JSON file, failing on the bare NaN/Infinity that strict parsers reject."""
@@ -70,17 +72,23 @@ class TestPrepare:
         assert code == 2
         assert "NOPE" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("block, key, value", [("scale", "v_folow", 0.3048),
-                                                   ("columns", "lane", "lane")])
-    def test_unknown_mapping_key_exit_2(self, tmp_path, fleet_csv, capsys, block, key, value):
-        obj = {"columns": {f: f for f in CANONICAL_FIELDS}, "scale": {"v_follow": 0.3048}}
-        obj[block][key] = value
+    @pytest.mark.parametrize("obj, named", [
+        pytest.param({"columns": CANONICAL, "scale": {"v_follow": 0.3048, "v_folow": 0.3048}},
+                     "v_folow", id="scale-v_folow-0.3048"),
+        pytest.param({"columns": {**CANONICAL, "lane": "lane"}, "scale": {"v_follow": 0.3048}},
+                     "lane", id="columns-lane-lane"),
+        pytest.param({"columns": CANONICAL, "scales": {"v_follow": 0.3048}}, "scales",
+                     id="scales-beside-columns"),
+        pytest.param({"cols": {}}, "cols", id="no-columns-block"),
+        pytest.param([{"columns": CANONICAL}], "JSON object", id="top-level-list"),
+    ])
+    def test_unknown_mapping_key_exit_2(self, tmp_path, fleet_csv, capsys, obj, named):
         mapping = tmp_path / "map.json"
         mapping.write_text(json.dumps(obj))
         code = main(["prepare", "--input", str(fleet_csv), "--mapping", str(mapping),
                      "--out", str(tmp_path / "o")])
         assert code == 2
-        assert key in capsys.readouterr().err
+        assert named in capsys.readouterr().err
         assert not (tmp_path / "o" / "events.csv").exists()
 
     def test_min_duration_filter(self, tmp_path):
@@ -302,6 +310,23 @@ class TestEvalCompare:
         assert main(["eval", "--events", str(trained["events"]), "--idm-params",
                      "--out", str(out)]) == 0
         assert strict_json(out / "errors.json") == {"idm": []}
+
+    @pytest.mark.parametrize("command", ["eval", "compare"])
+    def test_non_finite_fuel_exit_4(self, tmp_path, capsys, command):
+        # a recorded follower jumping from 0 to ~8 m/s in one step overflows VT-Micro
+        events = make_fleet(3, seed=7)
+        v_follow = events[0].v_follow.copy()
+        v_follow[0] = 0.0
+        events[0] = dataclasses.replace(events[0], v_follow=v_follow)
+        path = tmp_path / "jump.csv"
+        write_events(events, path)
+        out = tmp_path / "o"
+        code = main([command, "--events", str(path), "--idm-params", "--ground-truth",
+                     "--out", str(out)])
+        assert code == 4
+        err = capsys.readouterr().err
+        assert "'ground_truth'" in err and "step 0 of event synth-000" in err
+        assert not any(p.is_file() for p in out.rglob("*"))
 
     def test_policy_with_wrong_sizes_exit_2(self, tmp_path, trained):
         # trained with [8, 8] hidden; default config expects [64, 64]

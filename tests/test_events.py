@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -102,6 +103,27 @@ class TestLoadEvents:
             ColumnMapping(columns=columns, scale={"event_id": 2.0})
         with pytest.raises(SchemaError, match="lane"):
             ColumnMapping(columns={**columns, "lane": "Lane_ID"})
+
+    @pytest.mark.parametrize("obj, named", [
+        ({"columns": {f: f for f in CANONICAL_FIELDS}, "scales": {"v_follow": 0.3048}}, "scales"),
+        ({"cols": {}}, "cols"),
+        ({"scale": {"v_follow": 0.3048}}, "columns"),
+        ([{"columns": {f: f for f in CANONICAL_FIELDS}}], "list"),
+        ({"columns": {f: f for f in CANONICAL_FIELDS}, "scale": 0.3048}, "JSON objects"),
+        ({"columns": {f: f for f in CANONICAL_FIELDS}, "scale": {"v_follow": "ft"}}, "not a number"),
+    ], ids=["scales-beside-columns", "no-columns-block", "scale-only", "top-level-list",
+            "scale-not-object", "scale-not-number"])
+    def test_mapping_file_structure_checked(self, tmp_path, obj, named):
+        path = tmp_path / "map.json"
+        path.write_text(json.dumps(obj))
+        with pytest.raises(SchemaError, match=named):
+            ColumnMapping.from_json(path)
+
+    def test_mapping_file_with_scale_loads(self, tmp_path):
+        path = tmp_path / "map.json"
+        path.write_text(json.dumps({"columns": {f: f for f in CANONICAL_FIELDS},
+                                    "scale": {"v_follow": 0.3048}}))
+        assert ColumnMapping.from_json(path).scale == {"v_follow": 0.3048}
 
     def test_roundtrip_bit_identical(self, tmp_path):
         events = make_fleet(3, seed=7)

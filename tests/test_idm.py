@@ -1,18 +1,39 @@
+import itertools
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from ecofollower.env import DEFAULT_ENV, EnvConfig, rollout
+from ecofollower.env import DEFAULT_ENV, EnvConfig, RolloutError, rollout
 from ecofollower.events import CarFollowingEvent
-from ecofollower.idm import (CalibrationError, IdmParams, calibrate_idm,
+from ecofollower.idm import (CalibrationError, IdmParams, _spacing_mse, calibrate_idm,
                              desired_spacing, idm_accel, idm_controller)
 
-from synthetic import idm_follower_event, leader_profile
+from synthetic import idm_follower_event, leader_profile, make_fleet
 
 
 HAND_PARAMS = IdmParams(a_max=1.0, v_desired=15.0, beta=4.0, s_jam=2.0,
                         T_headway=1.2, a_comf=2.0)
+
+# no headway or jam terms, sky-high desired speed and a weak braking term:
+# collides on every event of every synthetic fleet, by a wide margin
+RAMMER = {"v_desired": 500.0, "s_jam": 0.0, "T_headway": 0.0, "a_max": 3.0, "a_comf": 100.0}
+
+
+def scalar_spacing_mse(params, events, config=DEFAULT_ENV):
+    """Oracle: the score event by event on the scalar engine, stopping at the first collision."""
+    controller = idm_controller(params)
+    total, count = 0.0, 0
+    for ev in events:
+        trace = rollout(ev, controller, config)
+        if trace.collided:
+            return math.inf
+        err = trace.spacing - ev.gap[: len(trace)]
+        total += float(err @ err)
+        count += len(err)
+    return total / count
 
 
 class TestDesiredSpacing:
@@ -137,7 +158,6 @@ class TestCalibration:
         assert got.a_max == true.a_max
         assert got.v_desired == true.v_desired
         assert got.T_headway == true.T_headway
-        from ecofollower.idm import _spacing_mse
         assert _spacing_mse(got, events, DEFAULT_ENV) < 1e-6
 
     def test_single_candidate_returned(self):
@@ -158,11 +178,53 @@ class TestCalibration:
 
     def test_all_candidates_collide(self):
         events = self._events_from(IdmParams())
-        space = {"v_desired": [500.0], "s_jam": [0.0], "T_headway": [0.0],
-                 "a_max": [3.0], "a_comf": [100.0]}
+        space = {k: [v] for k, v in RAMMER.items()}
         with pytest.raises(CalibrationError):
             calibrate_idm(events, space)
 
     def test_unknown_parameter_rejected(self):
         with pytest.raises(ValueError, match="unknown"):
             calibrate_idm(self._events_from(IdmParams(), n=1), {"nope": [1.0]})
+
+    def test_empty_candidate_list_rejected(self):
+        with pytest.raises(ValueError, match="a_max"):
+            calibrate_idm(self._events_from(IdmParams(), n=1), {"a_max": [], "s_jam": [2.0]})
+
+    def test_failing_candidate_raises(self):
+        # with a negative collision gap a ramming candidate reaches spacing <= 0
+        # before it counts as collided, and idm_accel refuses to command it
+        events = self._events_from(IdmParams())
+        space = {k: [getattr(IdmParams(), k), v] for k, v in RAMMER.items()}
+        with pytest.raises(RolloutError, match="positive spacing"):
+            calibrate_idm(events, space, EnvConfig(collision_gap=-5.0))
+
+
+well_conditioned_grids = st.fixed_dictionaries({
+    "a_max": st.lists(st.floats(0.5, 2.5), min_size=1, max_size=2, unique=True),
+    "v_desired": st.lists(st.floats(8.0, 30.0), min_size=1, max_size=2, unique=True),
+    "s_jam": st.lists(st.floats(1.0, 4.0), min_size=1, max_size=2, unique=True),
+    "T_headway": st.lists(st.floats(0.5, 2.0), min_size=1, max_size=2, unique=True),
+})
+
+
+@settings(max_examples=20, deadline=None)
+@given(seed=st.integers(0, 2**16), count=st.integers(1, 4), grid=well_conditioned_grids)
+def test_lockstep_scores_match_the_scalar_oracle(seed, count, grid):
+    events = make_fleet(count, seed=seed, duration_range=(15.0, 25.0))
+    grid_candidates = [replace(IdmParams(), **dict(zip(grid, combo)))
+                       for combo in itertools.product(*grid.values())]
+    candidates = [*grid_candidates, IdmParams(**RAMMER)]
+    want = [scalar_spacing_mse(p, events) for p in candidates]
+    got = [_spacing_mse(p, events, DEFAULT_ENV) for p in candidates]
+    assert want[-1] == got[-1] == math.inf
+    assert [math.isinf(g) for g in got] == [math.isinf(w) for w in want]
+    for g, w in zip(got, want):
+        if math.isfinite(w):
+            assert g == pytest.approx(w, rel=1e-9, abs=0)
+
+    ranked = sorted((w, i) for i, w in enumerate(want[:-1]) if math.isfinite(w))
+    if not ranked:
+        return
+    runner_up = ranked[1][0] if len(ranked) > 1 else math.inf
+    if runner_up > ranked[0][0] * (1 + 1e-6):
+        assert calibrate_idm(events, grid) == grid_candidates[ranked[0][1]]
