@@ -12,6 +12,7 @@ import hashlib
 import json
 import re
 import sys
+import typing
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -64,11 +65,49 @@ def write_manifest(out_dir: Path, command: str, seed, config_obj, inputs) -> Non
     })
 
 
+# config field type -> (the JSON value types it takes, what an error says it expects)
+_JSON_TYPES = {float: ((int, float), "a number"), int: (int, "an integer"),
+               bool: (bool, "true or false"), tuple[int, ...]: (list, "a list of integers")}
+
+
+def _read_field(tp, value, path: str):
+    if dataclasses.is_dataclass(tp):
+        return read_config(tp, value, path)
+    json_types, expected = _JSON_TYPES[tp]
+    if not isinstance(value, json_types) or isinstance(value, bool) != (tp is bool):
+        raise ValueError(f"{path} must be {expected}, got {json.dumps(value)}")
+    if json_types is list:
+        return tuple(_read_field(int, v, f"{path}[{i}]") for i, v in enumerate(value))
+    return tp(value)
+
+
+def read_config(cls, obj, where: str):
+    """Build the config dataclass ``cls`` from the JSON object ``obj``.
+
+    Field types come from ``cls``: a float takes any JSON number (a bool is not
+    one), an int an integer, a bool true/false, a ``tuple[int, ...]`` a list of
+    integers and a nested dataclass an object read the same way; absent fields
+    keep their defaults. Anything else is a ValueError naming ``where.field``.
+    """
+    if not isinstance(obj, dict):
+        raise ValueError(f"{where} must be a JSON object, got {json.dumps(obj)}")
+    unknown = sorted(set(obj) - {f.name for f in dataclasses.fields(cls)})
+    if unknown:
+        raise ValueError(f"unknown config fields: {', '.join(f'{where}.{k}' for k in unknown)}")
+    hints = typing.get_type_hints(cls)
+    kwargs = {k: _read_field(hints[k], v, f"{where}.{k}") for k, v in obj.items()}
+    try:
+        return cls(**kwargs)
+    except ValueError as exc:
+        raise ValueError(f"{where}: {exc}") from exc
+
+
 def _load_config_blocks(path) -> dict:
     if path is None:
         return {}
-    with open(path) as fh:
-        obj = json.load(fh)
+    obj = json.loads(Path(path).read_text())
+    if not isinstance(obj, dict):
+        raise ValueError(f"--config must be a JSON object, got {json.dumps(obj)}")
     known = {"train", "reward", "env", "eval"}
     unknown = set(obj) - known
     if unknown:
@@ -77,14 +116,10 @@ def _load_config_blocks(path) -> dict:
 
 
 def _configs(blocks: dict) -> tuple[TrainConfig, RewardConfig, EnvConfig, EvalConfig]:
-    try:
-        train_cfg = TrainConfig.from_json_dict(blocks.get("train", {}))
-        reward_cfg = RewardConfig.from_json_dict(blocks.get("reward", {}))
-        env_cfg = EnvConfig(**blocks.get("env", {}))
-        eval_cfg = EvalConfig(**blocks.get("eval", {}))
-    except TypeError as exc:
-        raise ValueError(f"bad config field: {exc}") from exc
-    return train_cfg, reward_cfg, env_cfg, eval_cfg
+    return (read_config(TrainConfig, blocks.get("train", {}), "train"),
+            read_config(RewardConfig, blocks.get("reward", {}), "reward"),
+            read_config(EnvConfig, blocks.get("env", {}), "env"),
+            read_config(EvalConfig, blocks.get("eval", {}), "eval"))
 
 
 def _fuel_model(path):
@@ -201,8 +236,8 @@ def _build_controllers(args, train_cfg, env_cfg) -> list[tuple[str, object]]:
         ctrl = policy_controller(net, train_cfg, env_cfg)
         controllers.append(("policy", lambda ev, c=ctrl: c))
     if args.idm_params is not None:
-        params = IdmParams() if args.idm_params == "default" else IdmParams.from_json(args.idm_params)
-        ctrl = idm_controller(params)
+        obj = {} if args.idm_params == "default" else json.loads(Path(args.idm_params).read_text())
+        ctrl = idm_controller(read_config(IdmParams, obj, "--idm-params"))
         controllers.append(("idm", lambda ev, c=ctrl: c))
     if args.ground_truth:
         controllers.append((GROUND_TRUTH, None))
@@ -241,8 +276,7 @@ def _run_evaluations(args, include_ground_truth=False) -> tuple[list[EvaluationR
     export_distributions({r.summary.name: r.values for r in results},
                          out / "distributions", eval_cfg)
     config_echo = {"blocks": blocks, "vt_micro": str(args.vt_micro),
-                   "eval": {"ttc_cap": eval_cfg.ttc_cap,
-                            "per_event_means": eval_cfg.per_event_means, "bins": eval_cfg.bins}}
+                   "eval": dataclasses.asdict(eval_cfg)}
     return results, out, config_echo
 
 

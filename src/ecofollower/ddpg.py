@@ -60,16 +60,14 @@ class TrainConfig:
             raise ValueError(f"gamma must be in (0, 1), got {self.gamma}")
         if not 0.0 < self.tau <= 1.0:
             raise ValueError(f"tau must be in (0, 1], got {self.tau}")
-
-    @classmethod
-    def from_json_dict(cls, obj: dict) -> "TrainConfig":
-        known = {f.name for f in fields(cls)}
-        unknown = set(obj) - known
-        if unknown:
-            raise ValueError(f"unknown train config fields: {sorted(unknown)}")
-        if "hidden_sizes" in obj:
-            obj = dict(obj, hidden_sizes=tuple(obj["hidden_sizes"]))
-        return cls(**obj)
+        for name in ("batch_size", "rolling_window"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
+        if any(n < 1 for n in self.hidden_sizes):
+            raise ValueError(f"hidden sizes must be >= 1, got {self.hidden_sizes}")
+        for name in ("speed_scale", "spacing_scale", "rel_speed_scale"):
+            if not getattr(self, name) > 0:
+                raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
 
 
 class Transition(NamedTuple):

@@ -42,6 +42,10 @@ class EnvConfig:
     a_max: float = 3.0           # m/s^2, actuator ceiling
     collision_gap: float = 0.0   # m; spacing at or below this counts as a crash
 
+    def __post_init__(self):
+        if not self.a_min < self.a_max:
+            raise ValueError(f"a_min must be below a_max, got {self.a_min} and {self.a_max}")
+
     def clamp(self, accel: float) -> float:
         return min(self.a_max, max(self.a_min, accel))
 

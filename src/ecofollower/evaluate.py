@@ -39,6 +39,12 @@ class EvalConfig:
     per_event_means: bool = False  # False: pool steps across events
     bins: int = 50
 
+    def __post_init__(self):
+        if self.bins < 1:
+            raise ValueError(f"bins must be >= 1, got {self.bins}")
+        if not self.ttc_cap > 0:
+            raise ValueError(f"ttc_cap must be positive, got {self.ttc_cap}")
+
 
 def _finite_or_none(x: float) -> float | None:
     return x if math.isfinite(x) else None

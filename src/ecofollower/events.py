@@ -252,6 +252,8 @@ def histogram_edges(values: np.ndarray, bins: int) -> np.ndarray:
     A degenerate or effectively-constant range (all values equal up to float
     dust) is padded to unit width so the edges stay strictly increasing.
     """
+    if bins < 1:
+        raise ValueError(f"bins must be >= 1, got {bins}")
     values = np.asarray(values, dtype=float)
     if values.size == 0:
         return np.linspace(0.0, 1.0, bins + 1)

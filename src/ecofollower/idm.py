@@ -11,17 +11,14 @@ states.
 from __future__ import annotations
 
 import itertools
-import json
 import math
-from dataclasses import dataclass, asdict, replace
+from dataclasses import dataclass, fields, replace
 from typing import Sequence
 
 import numpy as np
 
 from .env import Controller, EnvConfig, EnvState, DEFAULT_ENV, RolloutError, rollout_batch
 from .events import CarFollowingEvent
-
-_FIELDS = ("a_max", "v_desired", "beta", "s_jam", "T_headway", "a_comf")
 
 
 class CalibrationError(RuntimeError):
@@ -45,21 +42,6 @@ class IdmParams:
             raise ValueError(f"a_max, v_desired, beta, a_comf must be positive: {self}")
         if self.s_jam < 0 or self.T_headway < 0:
             raise ValueError(f"s_jam and T_headway must be non-negative: {self}")
-
-    def to_json_dict(self) -> dict:
-        return asdict(self)
-
-    @classmethod
-    def from_json_dict(cls, obj: dict) -> "IdmParams":
-        unknown = set(obj) - set(_FIELDS)
-        if unknown:
-            raise ValueError(f"unknown IDM parameters: {sorted(unknown)}")
-        return cls(**{k: float(v) for k, v in obj.items()})
-
-    @classmethod
-    def from_json(cls, path) -> "IdmParams":
-        with open(path) as fh:
-            return cls.from_json_dict(json.load(fh))
 
 
 def desired_spacing(params: IdmParams, v: float, dv_closing: float) -> float:
@@ -129,8 +111,8 @@ def calibrate_idm(train_events: Sequence[CarFollowingEvent],
     """
     if not train_events:
         raise ValueError("calibrate_idm needs at least one event")
-    names = [n for n in _FIELDS if n in search_space]
-    unknown = set(search_space) - set(_FIELDS)
+    names = [f.name for f in fields(IdmParams) if f.name in search_space]
+    unknown = set(search_space) - set(names)
     if unknown:
         raise ValueError(f"unknown IDM parameters in search space: {sorted(unknown)}")
     empty = [n for n in names if not len(search_space[n])]

@@ -6,9 +6,8 @@ represented as None and contribute 0 to the reward.
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import dataclass, field
 
 from .env import EnvState
 from .indicators import SPEED_FLOOR
@@ -62,26 +61,10 @@ class RewardConfig:
     collision_penalty: float = DEFAULT_COLLISION_PENALTY
     ttc_floor: float = DEFAULT_TTC_FLOOR
 
-    def to_json_dict(self) -> dict:
-        return asdict(self)
-
-    @classmethod
-    def from_json_dict(cls, obj: dict) -> "RewardConfig":
-        unknown = set(obj) - {f.name for f in fields(cls)}
-        if unknown:
-            raise ValueError(f"unknown reward config fields: {sorted(unknown)}")
-        kwargs = {key: float(value) for key, value in obj.items()
-                  if key not in ("weights", "headway")}
-        if "weights" in obj:
-            kwargs["weights"] = RewardWeights(**obj["weights"])
-        if "headway" in obj:
-            kwargs["headway"] = HeadwayModel(**obj["headway"])
-        return cls(**kwargs)
-
-    @classmethod
-    def from_json(cls, path) -> "RewardConfig":
-        with open(path) as fh:
-            return cls.from_json_dict(json.load(fh))
+    def __post_init__(self):
+        for name in ("jerk_scale", "fuel_scale"):
+            if not getattr(self, name) > 0:
+                raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
 
 
 @dataclass(frozen=True)

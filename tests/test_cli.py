@@ -1,16 +1,22 @@
 import dataclasses
 import json
 import math
+import re
+import typing
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ecofollower import cli
-from ecofollower.cli import _configs, main
+from ecofollower.cli import _configs, main, read_config
 from ecofollower.ddpg import TrainConfig
 from ecofollower.env import EnvConfig
 from ecofollower.evaluate import EvalConfig
 from ecofollower.events import CANONICAL_FIELDS, CarFollowingEvent, load_events, write_events
+from ecofollower.idm import IdmParams, idm_controller
+from ecofollower.objectives import RewardConfig
 
 from synthetic import constant_event, make_fleet, positions_from_speeds
 
@@ -386,6 +392,10 @@ class TestConfigRoundTrip:
     @staticmethod
     def _bump(value):
         """A valid value different from ``value``, of the same type."""
+        if dataclasses.is_dataclass(value):
+            return dataclasses.replace(value, **{
+                f.name: TestConfigRoundTrip._bump(getattr(value, f.name))
+                for f in dataclasses.fields(value)})
         if isinstance(value, bool):
             return not value
         if isinstance(value, int):
@@ -394,8 +404,8 @@ class TestConfigRoundTrip:
             return value * 0.5 + 0.125
         return tuple(v + 1 for v in value)
 
-    @pytest.mark.parametrize("block, cls", [("train", TrainConfig), ("env", EnvConfig),
-                                            ("eval", EvalConfig)])
+    @pytest.mark.parametrize("block, cls", [("train", TrainConfig), ("reward", RewardConfig),
+                                            ("env", EnvConfig), ("eval", EvalConfig)])
     def test_every_field_roundtrips(self, block, cls):
         default = cls()
         cfg = dataclasses.replace(default, **{f.name: self._bump(getattr(default, f.name))
@@ -405,6 +415,34 @@ class TestConfigRoundTrip:
         blocks = json.loads(json.dumps({block: dataclasses.asdict(cfg)}))
         resolved = dict(zip(("train", "reward", "env", "eval"), _configs(blocks)))
         assert resolved[block] == cfg
+
+    def test_every_idm_param_roundtrips(self, tmp_path, fleet_csv, monkeypatch):
+        default = IdmParams()
+        params = self._bump(default)
+        for f in dataclasses.fields(IdmParams):
+            assert getattr(params, f.name) != getattr(default, f.name), f.name
+        path = tmp_path / "idm.json"
+        path.write_text(json.dumps(dataclasses.asdict(params)))
+        seen = []
+        monkeypatch.setattr(cli, "idm_controller", lambda p: seen.append(p) or idm_controller(p))
+        assert main(["eval", "--events", str(fleet_csv), "--idm-params", str(path),
+                     "--out", str(tmp_path / "o")]) == 0
+        assert seen == [params]
+
+    def test_int_in_a_float_field_is_stored_as_float(self):
+        cfg = read_config(TrainConfig, {"tau": 1, "batch_size": 8}, "train")
+        assert type(cfg.tau) is float and cfg.tau == 1.0
+        assert type(cfg.batch_size) is int
+
+    def test_readme_defaults_block_is_the_dataclass_defaults(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        block = readme.split("### Config file", 1)[1].split("```json\n", 1)[1].split("```", 1)[0]
+        documented = json.loads(block)
+        defaults = {"train": TrainConfig(), "reward": RewardConfig(), "env": EnvConfig(),
+                    "eval": EvalConfig()}
+        assert documented == json.loads(json.dumps(
+            {name: dataclasses.asdict(cfg) for name, cfg in defaults.items()}))
+        assert _configs(documented) == tuple(defaults.values())
 
     def test_seed_and_episodes_flags_override_the_train_block(self, tmp_path, fleet_csv):
         out = tmp_path / "run"
@@ -427,3 +465,137 @@ class TestConfigRoundTrip:
         assert config_hash("one_again", "--episodes", "1") == one
         assert config_hash("two", "--episodes", "2") != one
         assert config_hash("seeded", "--episodes", "1", "--seed", "8") != one
+
+
+CONFIG_BLOCKS = {"train": TrainConfig, "reward": RewardConfig, "env": EnvConfig,
+                 "eval": EvalConfig, "--idm-params": IdmParams}
+
+
+def _config_leaves(cls, path):
+    """(path, type) of every field of ``cls``; a nested dataclass and each of its fields."""
+    hints = typing.get_type_hints(cls)
+    for f in dataclasses.fields(cls):
+        yield (*path, f.name), hints[f.name]
+        if dataclasses.is_dataclass(hints[f.name]):
+            yield from _config_leaves(hints[f.name], (*path, f.name))
+
+
+CONFIG_LEAVES = [leaf for block, cls in CONFIG_BLOCKS.items()
+                 for leaf in _config_leaves(cls, (block,))]
+
+
+def _is_int(value):
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _fits(tp, value):
+    """Whether a JSON value may fill a field of type ``tp``, by the README's rules."""
+    if dataclasses.is_dataclass(tp):
+        return isinstance(value, dict)
+    if tp is float:
+        return _is_int(value) or isinstance(value, float)
+    if tp is int:
+        return _is_int(value)
+    if tp is bool:
+        return isinstance(value, bool)
+    assert tp == tuple[int, ...]
+    return isinstance(value, list) and all(map(_is_int, value))
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False) | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner,
+                                                                 max_size=2),
+    max_leaves=4)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(CONFIG_LEAVES), st.data())
+def test_wrong_typed_value_names_its_field(leaf, data):
+    path, tp = leaf
+    obj = data.draw(JSON_VALUES.filter(lambda v: not _fits(tp, v)), label="value")
+    for name in reversed(path[1:]):
+        obj = {name: obj}
+    with pytest.raises(ValueError, match=re.escape(".".join(path))):
+        read_config(CONFIG_BLOCKS[path[0]], obj, path[0])
+
+
+def _run_with_config(tmp_path, fleet_csv, command, blocks):
+    """Run train or eval with ``blocks`` (train gets a tiny run around them)."""
+    if command == "train":
+        blocks = {**blocks, "train": {"episodes": 1, "warmup_steps": 20, "batch_size": 8,
+                                      "hidden_sizes": [8, 8], **blocks.get("train", {})}}
+        extra = []
+    else:
+        extra = ["--ground-truth", "--idm-params"]
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(blocks))
+    out = tmp_path / "o"
+    code = main([command, "--events", str(fleet_csv), "--config", str(cfg),
+                 "--out", str(out), *extra])
+    return code, sorted(p.name for p in out.glob("*"))
+
+
+class TestConfigTypes:
+    @pytest.mark.parametrize("command, blocks, named", [
+        ("train", {"env": {"a_min": "-3"}}, "env.a_min"),
+        ("train", {"train": {"hidden_sizes": "64"}}, "train.hidden_sizes"),
+        ("train", {"reward": {"jerk_scale": "60"}}, "reward.jerk_scale"),
+        ("train", {"reward": {"weights": {"w_ttc": True}}}, "reward.weights.w_ttc"),
+        ("eval", {"eval": {"bins": "50"}}, "eval.bins"),
+        ("eval", {"eval": {"per_event_means": "no"}}, "eval.per_event_means"),
+    ], ids=lambda v: v if isinstance(v, str) else None)
+    def test_wrong_type_exit_1_without_traceback(self, tmp_path, fleet_csv, capsys,
+                                                  command, blocks, named):
+        code, written = _run_with_config(tmp_path, fleet_csv, command, blocks)
+        err = capsys.readouterr().err
+        assert code == 1
+        assert named in err and "Traceback" not in err
+        assert written == []
+
+    @pytest.mark.parametrize("obj", [["train"], 3])
+    def test_config_not_an_object_exit_1(self, tmp_path, fleet_csv, capsys, obj):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(obj))
+        code = main(["train", "--events", str(fleet_csv), "--config", str(cfg),
+                     "--out", str(tmp_path / "o")])
+        assert code == 1
+        assert "--config must be a JSON object" in capsys.readouterr().err
+
+    def test_wrong_typed_idm_param_exit_1(self, tmp_path, fleet_csv, capsys):
+        params = tmp_path / "idm.json"
+        params.write_text(json.dumps({"T_headway": "1.5"}))
+        code = main(["eval", "--events", str(fleet_csv), "--idm-params", str(params),
+                     "--out", str(tmp_path / "o")])
+        assert code == 1
+        assert "--idm-params.T_headway" in capsys.readouterr().err
+
+
+class TestRangeChecks:
+    @pytest.mark.parametrize("command, blocks, named", [
+        ("train", {"env": {"a_min": 3.0, "a_max": -3.0}}, "a_min"),
+        ("eval", {"env": {"a_min": 1.0, "a_max": 1.0}}, "a_min"),
+        ("eval", {"eval": {"bins": 0}}, "bins"),
+        ("eval", {"eval": {"ttc_cap": -1.0}}, "ttc_cap"),
+        ("train", {"train": {"batch_size": 0}}, "batch_size"),
+        ("train", {"train": {"hidden_sizes": [8, 0]}}, "hidden sizes"),
+        ("train", {"train": {"rolling_window": 0}}, "rolling_window"),
+        ("train", {"train": {"speed_scale": 0.0}}, "speed_scale"),
+        ("train", {"train": {"spacing_scale": 0.0}}, "spacing_scale"),
+        ("train", {"train": {"rel_speed_scale": -10.0}}, "rel_speed_scale"),
+        ("train", {"reward": {"jerk_scale": -1.0}}, "jerk_scale"),
+        ("train", {"reward": {"fuel_scale": 0.0}}, "fuel_scale"),
+    ], ids=lambda v: v if isinstance(v, str) else None)
+    def test_out_of_range_exit_1_before_any_output(self, tmp_path, fleet_csv, capsys,
+                                                    command, blocks, named):
+        code, written = _run_with_config(tmp_path, fleet_csv, command, blocks)
+        assert code == 1
+        assert named in capsys.readouterr().err
+        assert written == []
+
+    @pytest.mark.parametrize("bins", ["0", "-2"])
+    def test_stats_bins_below_one_exit_1(self, tmp_path, fleet_csv, capsys, bins):
+        out = tmp_path / "o"
+        assert main(["stats", "--events", str(fleet_csv), "--bins", bins, "--out", str(out)]) == 1
+        assert "bins" in capsys.readouterr().err
+        assert list(out.glob("hist_*.csv")) == []

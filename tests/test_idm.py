@@ -1,11 +1,13 @@
 import itertools
+import json
 import math
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from ecofollower.cli import read_config
 from ecofollower.env import DEFAULT_ENV, EnvConfig, RolloutError, rollout
 from ecofollower.events import CarFollowingEvent
 from ecofollower.idm import (CalibrationError, IdmParams, _spacing_mse, calibrate_idm,
@@ -120,13 +122,12 @@ class TestJsonRoundTrip:
         params = IdmParams(a_max=1.3, v_desired=20.0, beta=4.0, s_jam=2.5,
                            T_headway=1.0, a_comf=2.2)
         path = tmp_path / "idm.json"
-        import json
-        path.write_text(json.dumps(params.to_json_dict()))
-        assert IdmParams.from_json(path) == params
+        path.write_text(json.dumps(asdict(params)))
+        assert read_config(IdmParams, json.loads(path.read_text()), "--idm-params") == params
 
     def test_unknown_key_rejected(self):
         with pytest.raises(ValueError, match="s_jam_typo"):
-            IdmParams.from_json_dict({"T_headway": 1.5, "s_jam_typo": 4.0})
+            read_config(IdmParams, {"T_headway": 1.5, "s_jam_typo": 4.0}, "--idm-params")
 
     def test_invalid_params_rejected(self):
         with pytest.raises(ValueError):

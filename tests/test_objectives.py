@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from scipy import stats as scipy_stats
 
+from ecofollower.cli import read_config
 from ecofollower.env import EnvState
 from ecofollower.objectives import (HeadwayModel, RewardConfig, RewardWeights,
                                     f_fuel, f_headway, f_jerk, f_ttc, jerk,
@@ -191,8 +192,8 @@ class TestRewardConfigJson:
                            jerk_scale=50.0, fuel_scale=0.9,
                            collision_penalty=-20.0, ttc_floor=0.2)
         path = tmp_path / "reward.json"
-        path.write_text(json.dumps(cfg.to_json_dict()))
-        got = RewardConfig.from_json(path)
+        path.write_text(json.dumps(dataclasses.asdict(cfg)))
+        got = read_config(RewardConfig, json.loads(path.read_text()), "reward")
         assert got.weights == cfg.weights
         assert got.headway == cfg.headway
         assert got.collision_penalty == -20.0
@@ -209,12 +210,19 @@ class TestRewardConfigJson:
         cfg = bump(default)
         for f in dataclasses.fields(RewardConfig):
             assert getattr(cfg, f.name) != getattr(default, f.name), f.name
-        assert RewardConfig.from_json_dict(json.loads(json.dumps(cfg.to_json_dict()))) == cfg
+        obj = json.loads(json.dumps(dataclasses.asdict(cfg)))
+        assert read_config(RewardConfig, obj, "reward") == cfg
 
     def test_unknown_key_rejected(self):
         with pytest.raises(ValueError, match="jerk_scal"):
-            RewardConfig.from_json_dict({"jerk_scal": 30.0})
+            read_config(RewardConfig, {"jerk_scal": 30.0}, "reward")
 
     def test_invalid_sigma_rejected(self):
         with pytest.raises(ValueError):
             HeadwayModel(mu=0.0, sigma=0.0)
+
+    @pytest.mark.parametrize("name", ["jerk_scale", "fuel_scale"])
+    @pytest.mark.parametrize("value", [0.0, -1.0, math.nan])
+    def test_non_positive_scale_rejected(self, name, value):
+        with pytest.raises(ValueError, match=name):
+            RewardConfig(**{name: value})
