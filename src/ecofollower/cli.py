@@ -10,6 +10,7 @@ import argparse
 import dataclasses
 import hashlib
 import json
+import math
 import re
 import sys
 import typing
@@ -78,14 +79,24 @@ def _read_field(tp, value, path: str):
         raise ValueError(f"{path} must be {expected}, got {json.dumps(value)}")
     if json_types is list:
         return tuple(_read_field(int, v, f"{path}[{i}]") for i, v in enumerate(value))
-    return tp(value)
+    if tp is not float:
+        return tp(value)
+    try:
+        number = float(value)
+    except OverflowError:
+        number = math.inf
+    # JSON NaN/Infinity and integers past the float range would silently switch a
+    # check off (a NaN collision_gap never detects a collision)
+    if not math.isfinite(number):
+        raise ValueError(f"{path} must be a finite number, got {json.dumps(value)}")
+    return number
 
 
 def read_config(cls, obj, where: str):
     """Build the config dataclass ``cls`` from the JSON object ``obj``.
 
-    Field types come from ``cls``: a float takes any JSON number (a bool is not
-    one), an int an integer, a bool true/false, a ``tuple[int, ...]`` a list of
+    Field types come from ``cls``: a float takes any finite JSON number (a bool
+    is not one), an int an integer, a bool true/false, a ``tuple[int, ...]`` a list of
     integers and a nested dataclass an object read the same way; absent fields
     keep their defaults. Anything else is a ValueError naming ``where.field``.
     """

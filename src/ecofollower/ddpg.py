@@ -160,6 +160,7 @@ class DdpgAgent:
         self.critic_opt = Adam(critic.theta, lr=config.critic_lr)
         self.gamma = config.gamma
         self.tau = config.tau
+        self._critic_x = np.empty((0, critic.sizes[0]))
 
     @classmethod
     def new(cls, config: TrainConfig, actor_rng: np.random.Generator,
@@ -173,21 +174,30 @@ class DdpgAgent:
         """One critic regression + actor ascent step, then soft target updates."""
         s, a, r, s2, done = batch
         n = len(s)
-        a2 = self.target_actor.forward(s2)
-        q2 = self.target_critic.forward(np.concatenate([s2, a2], axis=1))
+        # one (state, action) buffer serves the three critic passes in turn; the
+        # critic's cache of the second pass holds it only until its backward
+        if len(self._critic_x) != n:
+            self._critic_x = np.empty((n, self.critic.sizes[0]))
+        x, n_s = self._critic_x, s.shape[1]
+        x[:, :n_s] = s2
+        x[:, n_s:] = self.target_actor.forward(s2)
+        q2 = self.target_critic.forward(x)
         target = r[:, None] + self.gamma * (1.0 - done[:, None]) * q2
 
-        q, critic_cache = self.critic.forward_cache(np.concatenate([s, a], axis=1))
+        x[:, :n_s] = s
+        x[:, n_s:] = a
+        q, critic_cache = self.critic.forward_cache(x)
         td = q - target
-        critic_loss = float(np.mean(td * td))
+        critic_loss = float((td * td).sum() / n)
         dtheta, _ = self.critic.backward(critic_cache, 2.0 * td / n)
         self.critic_opt.step(self.critic.theta, dtheta)
 
         a_pi, actor_cache = self.actor.forward_cache(s)
-        q_pi, q_cache = self.critic.forward_cache(np.concatenate([s, a_pi], axis=1))
-        actor_objective = float(np.mean(q_pi))
-        _, dq_dinput = self.critic.backward(q_cache, np.full_like(q_pi, 1.0 / n))
-        dq_da = dq_dinput[:, -1:]
+        x[:, n_s:] = a_pi
+        q_pi, q_cache = self.critic.forward_cache(x)
+        actor_objective = float(q_pi.sum() / n)
+        # only dQ/d(input) is needed here; the critic's parameter gradient is not
+        dq_da = self.critic.input_grad(q_cache, np.full_like(q_pi, 1.0 / n))[:, -1:]
         dtheta, _ = self.actor.backward(actor_cache, -dq_da)  # ascend Q
         self.actor_opt.step(self.actor.theta, dtheta)
 

@@ -41,6 +41,9 @@ class Mlp:
         self.sizes = list(sizes)
         self.output_activation = output_activation
         n_layers = len(self.sizes) - 1
+        # whether each layer's output goes through tanh
+        self._squashed = tuple(l < n_layers - 1 or output_activation == "tanh"
+                               for l in range(n_layers))
         if len(weights) != n_layers or len(biases) != n_layers:
             raise ValueError("parameter count does not match layer sizes")
         for l in range(n_layers):
@@ -76,9 +79,6 @@ class Mlp:
             i += n_out
         return weights, biases
 
-    def _squashed(self, layer: int) -> bool:
-        return layer < len(self.weights) - 1 or self.output_activation == "tanh"
-
     def forward(self, x: np.ndarray) -> np.ndarray:
         return self.forward_cache(x)[0]
 
@@ -86,12 +86,27 @@ class Mlp:
         """Forward pass keeping per-layer outputs for backward()."""
         h = np.atleast_2d(np.asarray(x, dtype=float))
         outs = [h]
-        for l, (w, b) in enumerate(zip(self.weights, self.biases)):
-            h = h @ w + b
-            if self._squashed(l):
-                h = np.tanh(h)
+        # h @ w is a fresh array, so the bias and the squash can write into it;
+        # tanh's out is passed by position, as the keyword costs more than a
+        # one-row call saves by skipping the allocation
+        for w, b, squashed in zip(self.weights, self.biases, self._squashed):
+            h = h @ w
+            h += b
+            if squashed:
+                np.tanh(h, h)
             outs.append(h)
         return h, outs
+
+    def _pre_activation_grad(self, cache: list[np.ndarray], grad: np.ndarray,
+                             layer: int) -> np.ndarray:
+        """dL/dz of ``layer`` from dL/d(its output): grad * (1 - out^2) through a tanh."""
+        if not self._squashed[layer]:
+            return grad
+        out = cache[layer + 1]
+        dz = np.multiply(out, out)
+        np.subtract(1.0, dz, out=dz)
+        dz *= grad
+        return dz
 
     def backward(self, cache: list[np.ndarray], dy: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Backprop dL/dy through the cached pass.
@@ -103,12 +118,19 @@ class Mlp:
         dw, db = self._layer_views(dtheta)
         grad = np.asarray(dy, dtype=float)
         for l in range(len(self.weights) - 1, -1, -1):
-            out = cache[l + 1]
-            dz = grad * (1.0 - out * out) if self._squashed(l) else grad
-            dw[l][...] = cache[l].T @ dz
-            db[l][...] = dz.sum(axis=0)
+            dz = self._pre_activation_grad(cache, grad, l)
+            np.matmul(cache[l].T, dz, out=dw[l])
+            dz.sum(axis=0, out=db[l])
             grad = dz @ self.weights[l].T
         return dtheta, grad
+
+    def input_grad(self, cache: list[np.ndarray], dy: np.ndarray) -> np.ndarray:
+        """The gradient with respect to the net's input alone: ``backward(cache, dy)[1]``
+        without the parameter gradient."""
+        grad = np.asarray(dy, dtype=float)
+        for l in range(len(self.weights) - 1, -1, -1):
+            grad = self._pre_activation_grad(cache, grad, l) @ self.weights[l].T
+        return grad
 
     def copy(self) -> "Mlp":
         return Mlp(self.sizes, self.weights, self.biases, self.output_activation)
@@ -128,17 +150,34 @@ class Adam:
         self.t = 0
         self.m = np.zeros_like(theta)
         self.v = np.zeros_like(theta)
+        self._num = np.empty_like(theta)
+        self._den = np.empty_like(theta)
 
     def step(self, theta: np.ndarray, grad: np.ndarray) -> None:
-        """Update ``theta`` in place from its gradient."""
+        """Update ``theta`` in place from its gradient.
+
+        Computes ``lr * (m / b1c) / (sqrt(v / b2c) + eps)`` into two preallocated
+        temporaries, one float operation at a time in the order of that expression,
+        so the result is bit-identical to evaluating it directly.
+        """
         self.t += 1
         b1c = 1.0 - ADAM_BETA1 ** self.t
         b2c = 1.0 - ADAM_BETA2 ** self.t
+        num, den = self._num, self._den
         self.m *= ADAM_BETA1
-        self.m += (1.0 - ADAM_BETA1) * grad
+        np.multiply(1.0 - ADAM_BETA1, grad, out=num)
+        self.m += num
         self.v *= ADAM_BETA2
-        self.v += (1.0 - ADAM_BETA2) * grad * grad
-        theta -= self.lr * (self.m / b1c) / (np.sqrt(self.v / b2c) + ADAM_EPS)
+        np.multiply(1.0 - ADAM_BETA2, grad, out=num)
+        num *= grad
+        self.v += num
+        np.divide(self.m, b1c, out=num)
+        num *= self.lr
+        np.divide(self.v, b2c, out=den)
+        np.sqrt(den, out=den)
+        den += ADAM_EPS
+        num /= den
+        theta -= num
 
 
 def save_policy(net: Mlp, path) -> None:

@@ -502,6 +502,13 @@ def _fits(tp, value):
     return isinstance(value, list) and all(map(_is_int, value))
 
 
+def _nest(path, value):
+    """``value`` at ``path[1:]`` inside the block ``path[0]`` names."""
+    for name in reversed(path[1:]):
+        value = {name: value}
+    return value
+
+
 JSON_VALUES = st.recursive(
     st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False) | st.text(max_size=4),
     lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner,
@@ -513,10 +520,22 @@ JSON_VALUES = st.recursive(
 @given(st.sampled_from(CONFIG_LEAVES), st.data())
 def test_wrong_typed_value_names_its_field(leaf, data):
     path, tp = leaf
-    obj = data.draw(JSON_VALUES.filter(lambda v: not _fits(tp, v)), label="value")
-    for name in reversed(path[1:]):
-        obj = {name: obj}
+    obj = _nest(path, data.draw(JSON_VALUES.filter(lambda v: not _fits(tp, v)), label="value"))
     with pytest.raises(ValueError, match=re.escape(".".join(path))):
+        read_config(CONFIG_BLOCKS[path[0]], obj, path[0])
+
+
+FLOAT_LEAVES = [path for path, tp in CONFIG_LEAVES if tp is float]
+# JSON numbers a float field must refuse: NaN/Infinity parse to non-finite
+# floats, and an integer of 401 digits overflows float()
+NON_FINITE = [math.nan, math.inf, -math.inf, 10**400]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(FLOAT_LEAVES), st.sampled_from(NON_FINITE))
+def test_non_finite_float_names_its_field(path, value):
+    obj = json.loads(json.dumps(_nest(path, value)))
+    with pytest.raises(ValueError, match=re.escape(".".join(path)) + " must be a finite number"):
         read_config(CONFIG_BLOCKS[path[0]], obj, path[0])
 
 
@@ -561,6 +580,27 @@ class TestConfigTypes:
                      "--out", str(tmp_path / "o")])
         assert code == 1
         assert "--config must be a JSON object" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("path", FLOAT_LEAVES, ids=".".join)
+    def test_non_finite_float_exit_1_before_any_output(self, tmp_path, fleet_csv, capsys,
+                                                        path):
+        for i, value in enumerate(NON_FINITE):
+            run = tmp_path / str(i)
+            run.mkdir()
+            if path[0] == "--idm-params":
+                params = run / "idm.json"
+                params.write_text(json.dumps(_nest(path, value)))
+                out = run / "o"
+                code = main(["eval", "--events", str(fleet_csv), "--idm-params", str(params),
+                             "--out", str(out)])
+                written = sorted(p.name for p in out.glob("*"))
+            else:
+                code, written = _run_with_config(run, fleet_csv, "train",
+                                                 {path[0]: _nest(path, value)})
+            err = capsys.readouterr().err
+            assert code == 1, value
+            assert ".".join(path) in err and "Traceback" not in err
+            assert written == []
 
     def test_wrong_typed_idm_param_exit_1(self, tmp_path, fleet_csv, capsys):
         params = tmp_path / "idm.json"

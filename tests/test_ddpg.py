@@ -129,6 +129,90 @@ class TestAgentUpdate:
         assert last < first
 
 
+def _ref_squashed(net, layer):
+    return layer < len(net.weights) - 1 or net.output_activation == "tanh"
+
+
+def _ref_forward_cache(net, x):
+    h = np.atleast_2d(np.asarray(x, dtype=float))
+    outs = [h]
+    for l, (w, b) in enumerate(zip(net.weights, net.biases)):
+        h = h @ w + b
+        if _ref_squashed(net, l):
+            h = np.tanh(h)
+        outs.append(h)
+    return h, outs
+
+
+def _ref_backward(net, cache, dy):
+    dws, dbs, grad = [], [], dy
+    for l in range(len(net.weights) - 1, -1, -1):
+        out = cache[l + 1]
+        dz = grad * (1.0 - out * out) if _ref_squashed(net, l) else grad
+        dws.insert(0, cache[l].T @ dz)
+        dbs.insert(0, dz.sum(axis=0))
+        grad = dz @ net.weights[l].T
+    return np.concatenate([d.ravel() for d in dws + dbs]), grad
+
+
+class _RefAdam:
+    def __init__(self, theta, lr):
+        self.lr, self.t = lr, 0
+        self.m, self.v = np.zeros_like(theta), np.zeros_like(theta)
+
+    def step(self, theta, grad):
+        self.t += 1
+        b1c, b2c = 1.0 - 0.9 ** self.t, 1.0 - 0.999 ** self.t
+        self.m *= 0.9
+        self.m += (1.0 - 0.9) * grad
+        self.v *= 0.999
+        self.v += (1.0 - 0.999) * grad * grad
+        theta -= self.lr * (self.m / b1c) / (np.sqrt(self.v / b2c) + 1e-8)
+
+
+def _ref_update(nets, opts, batch, gamma, tau):
+    """One DDPG update as plain array expressions: np.concatenate for the critic
+    inputs, the full backward pass through the critic, np.mean, the Adam formula."""
+    actor, critic, target_actor, target_critic = nets
+    s, a, r, s2, done = batch
+    n = len(s)
+    a2 = _ref_forward_cache(target_actor, s2)[0]
+    q2 = _ref_forward_cache(target_critic, np.concatenate([s2, a2], axis=1))[0]
+    target = r[:, None] + gamma * (1.0 - done[:, None]) * q2
+    q, critic_cache = _ref_forward_cache(critic, np.concatenate([s, a], axis=1))
+    td = q - target
+    critic_loss = float(np.mean(td * td))
+    opts[1].step(critic.theta, _ref_backward(critic, critic_cache, 2.0 * td / n)[0])
+    a_pi, actor_cache = _ref_forward_cache(actor, s)
+    q_pi, q_cache = _ref_forward_cache(critic, np.concatenate([s, a_pi], axis=1))
+    actor_objective = float(np.mean(q_pi))
+    _, dq_dinput = _ref_backward(critic, q_cache, np.full_like(q_pi, 1.0 / n))
+    opts[0].step(actor.theta, _ref_backward(actor, actor_cache, -dq_dinput[:, -1:])[0])
+    for target_net, online in ((target_actor, actor), (target_critic, critic)):
+        target_net.theta *= 1.0 - tau
+        target_net.theta += tau * online.theta
+    return critic_loss, actor_objective
+
+
+def test_updates_equal_the_plain_expressions_bit_for_bit():
+    cfg = TrainConfig(seed=5)  # the default 64x64 nets and batch of 64
+    agent = DdpgAgent.new(cfg, np.random.default_rng(8), np.random.default_rng(9))
+    names = ("actor", "critic", "target_actor", "target_critic")
+    ref_nets = [getattr(agent, name).copy() for name in names]
+    ref_opts = (_RefAdam(ref_nets[0].theta, cfg.actor_lr),
+                _RefAdam(ref_nets[1].theta, cfg.critic_lr))
+    rng = np.random.default_rng(10)
+    for i in range(240):
+        n = 17 if i % 60 == 59 else cfg.batch_size  # another batch size now and then
+        batch = (rng.normal(size=(n, 3)), rng.uniform(-1, 1, size=(n, 1)),
+                 rng.normal(size=n), rng.normal(size=(n, 3)),
+                 (rng.uniform(size=n) < 0.1).astype(float))
+        assert agent.update(batch) == _ref_update(ref_nets, ref_opts, batch,
+                                                  cfg.gamma, cfg.tau), f"update {i}"
+    for name, ref in zip(names, ref_nets):
+        assert getattr(agent, name).theta.tobytes() == ref.theta.tobytes(), name
+
+
 class TestForwardHelpers:
     def test_actor_forward_scalar(self):
         net = Mlp.init([3, 8, 1], np.random.default_rng(0), output_activation="tanh")

@@ -2,6 +2,7 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ecofollower.nets import (Adam, Mlp, PolicyLoadError, load_policy,
                               save_policy, soft_update)
@@ -67,6 +68,29 @@ class TestForward:
     def test_unknown_output_activation_rejected(self):
         with pytest.raises(ValueError, match="relu"):
             Mlp([3, 4], [np.zeros((3, 4))], [np.zeros(4)], output_activation="relu")
+
+
+def reference_forward(net, x):
+    """The forward chain written out: h = tanh(h @ w + b), linear last layer for a critic."""
+    h = np.atleast_2d(np.asarray(x, dtype=float))
+    for l, (w, b) in enumerate(zip(net.weights, net.biases)):
+        h = h @ w + b
+        if l < len(net.weights) - 1 or net.output_activation == "tanh":
+            h = np.tanh(h)
+    return h
+
+
+class TestInPlaceForward:
+    @pytest.mark.parametrize("activation", ["tanh", "linear"])
+    @pytest.mark.parametrize("shape", [(3,), (1, 3), (64, 3), (1000, 3)])
+    def test_equals_the_reference_chain_bit_for_bit(self, activation, shape):
+        rng = np.random.default_rng(73)
+        net = Mlp.init([3, 64, 64, 1], rng, output_activation=activation)
+        net.theta += rng.normal(scale=0.1, size=net.theta.shape)  # nonzero biases
+        x = rng.normal(size=shape)
+        out = net.forward(x)
+        assert out.tobytes() == reference_forward(net, x).tobytes()
+        assert net.forward_cache(x)[0].tobytes() == out.tobytes()
 
 
 class TestFlatLayout:
@@ -145,6 +169,20 @@ class TestGradients:
         q1 = net.forward(x)[0, 0]
         w[2, 3] -= eps
         assert (q1 - q0[0, 0]) / eps == pytest.approx(dw0[2, 3], rel=1e-4)
+
+
+@settings(max_examples=100, deadline=None)
+@given(sizes=st.lists(st.integers(1, 40), min_size=2, max_size=5),
+       batch=st.integers(1, 70), activation=st.sampled_from(["tanh", "linear"]),
+       seed=st.integers(0, 2**32 - 1))
+def test_input_grad_is_backward_dinput_bit_for_bit(sizes, batch, activation, seed):
+    rng = np.random.default_rng(seed)
+    net = Mlp.init(sizes, rng, output_activation=activation)
+    net.theta += rng.normal(scale=0.1, size=net.theta.shape)
+    _, cache = net.forward_cache(rng.normal(size=(batch, sizes[0])))
+    dy = rng.normal(size=(batch, sizes[-1]))
+    _, dinput = net.backward(cache, dy)
+    assert net.input_grad(cache, dy).tobytes() == dinput.tobytes()
 
 
 class TestSoftUpdate:
