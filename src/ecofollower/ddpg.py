@@ -63,6 +63,9 @@ class TrainConfig:
         for name in ("batch_size", "rolling_window"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
+        if self.buffer_capacity < self.batch_size:
+            raise ValueError(f"buffer_capacity must be >= batch_size ({self.batch_size}), "
+                             f"got {self.buffer_capacity}")
         if any(n < 1 for n in self.hidden_sizes):
             raise ValueError(f"hidden sizes must be >= 1, got {self.hidden_sizes}")
         for name in ("speed_scale", "spacing_scale", "rel_speed_scale"):

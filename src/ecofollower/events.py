@@ -9,8 +9,11 @@ Raw sources with other column names/units are adapted through a
 from __future__ import annotations
 
 import csv
+import io
+import itertools
 import json
 import math
+import operator
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Sequence
@@ -25,6 +28,7 @@ NUMERIC_FIELDS = CANONICAL_FIELDS[1:]
 
 DT_TOLERANCE = 1e-9            # max deviation of a time delta from the event dt, s
 DEFAULT_MIN_DURATION = 15.0    # shortest event kept at extraction, s
+READ_CHUNK_ROWS = 1024         # records parsed at a time; bounds the Python objects alive
 
 
 class SchemaError(ValueError):
@@ -163,38 +167,44 @@ def extract_events(path, mapping: ColumnMapping | None = None,
     rejected with a reason; structural problems raise SchemaError/DataError.
     When ``expected_dt`` is given, events whose inferred dt deviates from it
     by more than the uniformity tolerance raise DataError.
+
+    Events come in order of first appearance, each one's rows stably sorted
+    by scaled ``t``. Blank lines are skipped, unmapped columns are ignored,
+    and of two columns with the same name the last one is read.
     """
     mapping = mapping or ColumnMapping.identity()
-    rows_by_event: dict[str, list[tuple[float, ...]]] = {}
     path = Path(path)
     with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header is None:
             raise SchemaError(f"{path}: empty file")
         missing = [mapping.columns[f] for f in CANONICAL_FIELDS
-                   if mapping.columns[f] not in reader.fieldnames]
+                   if mapping.columns[f] not in header]
         if missing:
             raise SchemaError(f"{path}: missing columns {missing}")
-        for lineno, row in enumerate(reader, start=2):
-            eid = row[mapping.columns["event_id"]]
-            try:
-                values = tuple(
-                    float(row[mapping.columns[f]]) * mapping.scale.get(f, 1.0)
-                    for f in NUMERIC_FIELDS
-                )
-            except (TypeError, ValueError) as exc:
-                raise DataError(f"{path}:{lineno}: unparsable numeric value") from exc
-            rows_by_event.setdefault(eid, []).append(values)
+        position = {name: i for i, name in enumerate(header)}
+        where = [position[mapping.columns[f]] for f in CANONICAL_FIELDS]
+        code_of, codes, columns = _read_columns(reader, where, path)
 
     events: list[CarFollowingEvent] = []
     rejected: list[tuple[str, str]] = []
-    for eid, rows in rows_by_event.items():
-        rows.sort(key=lambda r: r[0])
-        cols = list(zip(*rows))
-        if len(rows) < 2:
+    if not codes:
+        return ExtractionResult(events=events, rejected=rejected)
+    codes = np.concatenate(codes)
+    columns = [np.concatenate(chunks) for chunks in columns]
+    # an overflow gives inf and inf * 0 nan without a warning, as float * float does
+    with np.errstate(over="ignore", invalid="ignore"):
+        columns = [col * mapping.scale[f] if f in mapping.scale else col
+                   for f, col in zip(NUMERIC_FIELDS, columns)]
+    order = np.lexsort((columns[0], codes))
+    columns = [col[order] for col in columns]
+    ends = np.cumsum(np.bincount(codes, minlength=len(code_of))).tolist()
+    for eid, start, end in zip(code_of, [0, *ends], ends):
+        if end - start < 2:
             rejected.append((eid, "too_few_samples"))
             continue
-        ev = CarFollowingEvent.from_arrays(eid, *cols)
+        ev = CarFollowingEvent.from_arrays(eid, *(col[start:end] for col in columns))
         if expected_dt is not None and abs(ev.dt - expected_dt) > DT_TOLERANCE:
             raise DataError(f"event {eid}: dt {ev.dt:g} does not match expected {expected_dt:g}")
         if ev.duration < min_duration:
@@ -202,6 +212,53 @@ def extract_events(path, mapping: ColumnMapping | None = None,
             continue
         events.append(ev)
     return ExtractionResult(events=events, rejected=rejected)
+
+
+def _read_columns(reader, where: list[int], path):
+    """Parse the records of ``reader`` in chunks of ``READ_CHUNK_ROWS``.
+
+    ``where`` holds the positions of the canonical fields. Each numeric
+    column of a chunk is parsed with ``float()``, cell by cell; a chunk that
+    fails is scanned again record by record for the line to name. Returns the
+    event ids, each mapped to its code in order of first appearance, and the
+    per-chunk arrays of the codes and of each numeric column.
+    """
+    pick = operator.itemgetter(*where)
+    code_of: dict[str, int] = {}
+    codes: list[np.ndarray] = []
+    columns: list[list[np.ndarray]] = [[] for _ in NUMERIC_FIELDS]
+    lineno = 2  # of the chunk's first record; blank lines are not records
+    while rows := list(itertools.islice(reader, READ_CHUNK_ROWS)):
+        if [] in rows:
+            rows = [row for row in rows if row]
+        if not rows:
+            continue
+        try:
+            eids, *cells = zip(*map(pick, rows))
+            parsed = [np.fromiter(map(float, col), float, len(col)) for col in cells]
+        except (IndexError, ValueError):
+            _check_rows(path, rows, where, lineno)
+            raise
+        for eid in dict.fromkeys(eids):
+            code_of.setdefault(eid, len(code_of))
+        codes.append(np.fromiter(map(code_of.__getitem__, eids), np.intp, len(eids)))
+        for chunks, col in zip(columns, parsed):
+            chunks.append(col)
+        lineno += len(rows)
+    return code_of, codes, columns
+
+
+def _check_rows(path, rows, where: list[int], lineno: int) -> None:
+    """Raise the DataError of the first record in ``rows`` that lacks a
+    mapped cell or holds a numeric cell ``float()`` rejects."""
+    for offset, row in enumerate(rows):
+        try:
+            for i in where[1:]:
+                float(row[i])
+        except (IndexError, ValueError) as exc:
+            raise DataError(f"{path}:{lineno + offset}: unparsable numeric value") from exc
+        if where[0] >= len(row):
+            raise DataError(f"{path}:{lineno + offset}: missing event id")
 
 
 def load_events(path, mapping: ColumnMapping | None = None,
@@ -217,12 +274,40 @@ def write_csv(path, header: Sequence[str], *blocks) -> None:
     column is converted to Python scalars once, so floats are written as their
     ``repr`` (and round-trip exactly) and integers as integers. Lines end in
     CRLF and a cell holding a comma or a quote is quoted.
+
+    Each block goes out in one write. Its numeric cells are their ``repr``;
+    its string cells come from the csv module, once per distinct string.
     """
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
         for columns in blocks:
-            writer.writerows(zip(*(np.asarray(col).tolist() for col in columns)))
+            arrays = [np.asarray(col) for col in columns]
+            if len(arrays) < 2 or any(a.ndim != 1 or a.dtype.kind not in "biufU" for a in arrays):
+                # row by row: the csv module quotes a row's lone empty cell, and
+                # writes str(), not repr(), of objects
+                writer.writerows(zip(*(a.tolist() for a in arrays)))
+                continue
+            lines = list(map(",".join, zip(*(_cells(a) for a in arrays))))
+            if lines:
+                lines.append("")  # so the join ends the last line too
+                fh.write("\r\n".join(lines))
+
+
+def _cells(column: np.ndarray):
+    """The CSV text of each cell of a 1-D numeric or string column."""
+    values = column.tolist()
+    if column.dtype.kind != "U":
+        return map(repr, values)
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    text = {}
+    for value in dict.fromkeys(values):
+        buf.seek(0)
+        buf.truncate()
+        writer.writerow((value, "x"))  # not alone in its row, so "" stays unquoted
+        text[value] = buf.getvalue()[:-len(",x\r\n")]
+    return map(text.__getitem__, values)
 
 
 def write_events(events: Sequence[CarFollowingEvent], path) -> None:

@@ -618,6 +618,8 @@ class TestRangeChecks:
         ("eval", {"eval": {"bins": 0}}, "bins"),
         ("eval", {"eval": {"ttc_cap": -1.0}}, "ttc_cap"),
         ("train", {"train": {"batch_size": 0}}, "batch_size"),
+        ("train", {"train": {"buffer_capacity": 0}}, "buffer_capacity"),
+        ("train", {"train": {"buffer_capacity": 7}}, "buffer_capacity"),
         ("train", {"train": {"hidden_sizes": [8, 0]}}, "hidden sizes"),
         ("train", {"train": {"rolling_window": 0}}, "rolling_window"),
         ("train", {"train": {"speed_scale": 0.0}}, "speed_scale"),
@@ -632,6 +634,11 @@ class TestRangeChecks:
         assert code == 1
         assert named in capsys.readouterr().err
         assert written == []
+
+    def test_warmup_beyond_buffer_capacity_is_accepted(self):
+        # the buffer never holds warmup_steps transitions, so no update runs
+        cfg = read_config(TrainConfig, {"buffer_capacity": 64, "warmup_steps": 10**9}, "train")
+        assert (cfg.buffer_capacity, cfg.warmup_steps) == (64, 10**9)
 
     @pytest.mark.parametrize("bins", ["0", "-2"])
     def test_stats_bins_below_one_exit_1(self, tmp_path, fleet_csv, capsys, bins):

@@ -1,4 +1,5 @@
-"""The bytes of every CSV table the pipeline writes, and float round-trips."""
+"""The bytes of every CSV table the pipeline writes, float round-trips, and the
+reader and writer against the csv module's row-at-a-time forms."""
 
 import csv
 
@@ -8,7 +9,11 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from ecofollower.ddpg import TrainLog, TrainLogRow
 from ecofollower.env import SimulatedTrace
 from ecofollower.evaluate import INDICATOR_FILES, EvalConfig, TraceValues, export_distributions
-from ecofollower.events import CarFollowingEvent, Histogram, write_csv, write_events
+from ecofollower.events import (CANONICAL_FIELDS, NUMERIC_FIELDS, CarFollowingEvent,
+                                ColumnMapping, Histogram, extract_events, load_events,
+                                write_csv, write_events)
+
+from reference_reader import extract_events_rowwise
 
 
 class TestGoldenBytes:
@@ -26,6 +31,16 @@ class TestGoldenBytes:
             b'"a,b",0.1,12.5,5.0,0.25,5e-324\r\n'
             b"e2,0.0,1e+300,1.5,3.0,1.5\r\n"
             b"e2,0.5,1e+300,2.0,3.75,1.5\r\n")
+
+    def test_event_id_with_a_quote(self, tmp_path):
+        events = [CarFollowingEvent.from_arrays('say "hi"', [0.0, 0.1], [12.0, 12.5],
+                                                [5.0, 5.0], [0.0, 0.5], [5.0, 5.0])]
+        write_events(events, tmp_path / "events.csv")
+        assert (tmp_path / "events.csv").read_bytes() == (
+            b"event_id,t,x_lead,v_lead,x_follow,v_follow\r\n"
+            b'"say ""hi""",0.0,12.0,5.0,0.0,5.0\r\n'
+            b'"say ""hi""",0.1,12.5,5.0,0.5,5.0\r\n')
+        assert load_events(tmp_path / "events.csv", min_duration=0.0)[0].event_id == 'say "hi"'
 
     def test_trace(self, tmp_path):
         trace = SimulatedTrace(
@@ -97,3 +112,109 @@ class TestRoundTrip:
         assert got_header == header
         assert (np.array([[float(cell) for cell in row] for row in rows]).tobytes()
                 == np.array(want).tobytes())
+
+
+# cells the reader must treat exactly as float() does: accepted with an
+# underscore or surrounding spaces, non-finite, subnormal; refused as hex or empty
+SPELLINGS = ["1_0", " 1.5 ", "inf", "-Infinity", "nan", "1e-320", "0x1p3", ""]
+
+
+def one_in(n):
+    """True with probability 1/n; shrinks to False."""
+    return st.sampled_from([False] * (n - 1) + [True])
+
+
+@st.composite
+def event_tables(draw):
+    """A trajectory table: mostly well-formed events, shuffled and interleaved,
+    with some cells respelled, some records cut short and blank lines."""
+    extras = draw(st.lists(st.sampled_from(["lane", "t", "x_lead", "note"]), max_size=2))
+    header = draw(st.permutations([*CANONICAL_FIELDS, *extras]))
+    if draw(one_in(20)):
+        del header[draw(st.integers(0, len(header) - 1))]
+    column = {name: i for i, name in enumerate(header)}  # the last of a repeated name
+    rows = []
+    for e in range(draw(st.sampled_from(range(1, 5)))):
+        eid = draw(st.sampled_from(["a", "b,c", 'q"', ""])) + str(e)
+        dt = draw(st.sampled_from([0.1, 0.5]))
+        for k in range(draw(st.sampled_from(range(1, 9)))):
+            values = {"event_id": eid, "t": repr(3.0 + k * dt), "x_lead": repr(20.0 + k),
+                      "v_lead": "5.0", "x_follow": repr(10.0 + k), "v_follow": "4.0"}
+            row = [values.get(name, "x") for name in header]
+            for name, i in column.items():
+                if name in values:
+                    row[i] = values[name]
+            rows.append(row)
+    rows = draw(st.permutations(rows))
+    for row in rows:
+        if draw(one_in(10)):
+            row[draw(st.integers(0, len(row) - 1))] = draw(st.sampled_from(SPELLINGS))
+        if draw(one_in(10)):
+            del row[draw(st.integers(0, len(row) - 1)):]
+    for _ in range(draw(st.integers(0, 2))):
+        rows.insert(draw(st.integers(0, len(rows))), [])
+    return header, rows
+
+
+def _outcome(read, path, mapping, min_duration):
+    try:
+        result = read(path, mapping, min_duration=min_duration)
+    except Exception as exc:  # noqa: BLE001 -- the exception is the outcome compared
+        return type(exc), str(exc)
+    return ([(ev.event_id, ev.dt, *(getattr(ev, name).tobytes() for name in NUMERIC_FIELDS))
+             for ev in result.events], result.rejected)
+
+
+class TestReaderMatchesRowLoop:
+    @given(event_tables(), st.sampled_from([{}, {"t": -0.5}, {"t": 1e308, "x_lead": 0.3048}]),
+           st.sampled_from([0.0, 0.3]), one_in(10))
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_same_events_rejections_and_errors(self, tmp_path, table, scale, min_duration,
+                                               empty):
+        header, rows = table
+        path = tmp_path / "raw.csv"
+        with open(path, "w", newline="") as fh:
+            if not empty:
+                csv.writer(fh).writerows([header, *rows])
+        mapping = ColumnMapping(columns={f: f for f in CANONICAL_FIELDS}, scale=scale)
+        assert (_outcome(extract_events, path, mapping, min_duration)
+                == _outcome(extract_events_rowwise, path, mapping, min_duration))
+
+
+# cells the csv module quotes (comma, quote, CR, LF), empty, leading spaces, non-ASCII
+TEXT = st.text(st.characters(blacklist_categories=["Cs"], blacklist_characters="\x00"),
+               max_size=5) | st.sampled_from(["", " a", "a,b", 'say "hi"', "\r", "x\r\ny", "é€"])
+CELLS = {"float": st.floats(), "int": st.integers(-2**63, 2**63 - 1), "bool": st.booleans(),
+         "str": TEXT}
+
+
+@st.composite
+def tables(draw):
+    """A header and blocks of columns typed float, int, bool or str, each
+    given as a list or as a numpy array."""
+    width = draw(st.sampled_from(range(1, 6)))
+    kinds = draw(st.lists(st.sampled_from(sorted(CELLS)), min_size=width, max_size=width))
+    header = draw(st.lists(TEXT, min_size=1, max_size=4))
+    blocks = []
+    for _ in range(draw(st.sampled_from(range(1, 4)))):
+        n = draw(st.sampled_from(range(6)))
+        block = [draw(st.lists(CELLS[kind], min_size=n, max_size=n)) for kind in kinds]
+        blocks.append([np.array(col) if col and draw(st.booleans()) else col for col in block])
+    return header, blocks
+
+
+class TestWriterMatchesCsvModule:
+    @given(tables())
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_same_bytes_as_writerows(self, tmp_path, table):
+        header, blocks = table
+        write_csv(tmp_path / "fast.csv", header, *blocks)
+        with open(tmp_path / "rows.csv", "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(header)
+            for block in blocks:
+                writer.writerows(zip(*(list(col) if isinstance(col, list) else col.tolist()
+                                       for col in block)))
+        assert (tmp_path / "fast.csv").read_bytes() == (tmp_path / "rows.csv").read_bytes()

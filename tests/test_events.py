@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -136,6 +137,89 @@ class TestLoadEvents:
             got = by_id[orig.event_id]
             for name in ("t", "x_lead", "v_lead", "x_follow", "v_follow"):
                 assert np.array_equal(getattr(orig, name), getattr(got, name)), name
+
+
+def ev_row(event_id, k, dt=0.1, v=8.0, gap=12.0):
+    """Row ``k`` of the simple_rows event ``event_id``."""
+    return simple_rows(event_id, k + 1, dt, v, gap)[k]
+
+
+class TestReaderSemantics:
+    def test_blank_lines_skipped_and_not_counted(self, tmp_path):
+        path = tmp_path / "raw.csv"
+        rows = simple_rows("e", 3)
+        write_raw(path, ["", rows[0], "", "", rows[1], rows[2], "", "e,0.3,x,8,2.4,8"])
+        # the bad record is physically on line 9, but the fourth record: line 2 + 3
+        with pytest.raises(DataError, match=rf"^{re.escape(str(path))}:5: unparsable"):
+            extract_events(path, min_duration=0.0)
+        write_raw(path, ["", rows[0], "", "", rows[1], rows[2], ""])
+        (ev,) = load_events(path, min_duration=0.0)
+        assert len(ev) == 3
+
+    def test_interleaved_out_of_order_events(self, tmp_path):
+        path = tmp_path / "raw.csv"
+        b, a, c = simple_rows("b", 4, v=6.0), simple_rows("a", 3), simple_rows("c", 2)
+        write_raw(path, [b[2], a[1], b[0], c[1], a[0], b[3], a[2], c[0], b[1]])
+        events = load_events(path, min_duration=0.0)
+        assert [ev.event_id for ev in events] == ["b", "a", "c"]
+        for ev, n, v in zip(events, (4, 3, 2), (6.0, 8.0, 8.0)):
+            assert ev.t.tolist() == [k * 0.1 for k in range(n)]
+            assert ev.x_follow.tolist() == [v * (k * 0.1) for k in range(n)]
+
+    def test_duplicated_header_name_reads_the_last_column(self, tmp_path):
+        path = tmp_path / "raw.csv"
+        rows = [f"{row},{row.split(',')[5]}".replace(",8.0,", ",-1,", 1)
+                for row in simple_rows("e", 3)]
+        write_raw(path, rows, header="event_id,t,x_lead,v_lead,x_follow,v_follow,v_lead")
+        (ev,) = load_events(path, min_duration=0.0)
+        assert ev.v_lead.tolist() == [8.0, 8.0, 8.0]
+
+    def test_extra_columns_ignored(self, tmp_path):
+        path = tmp_path / "raw.csv"
+        rows = [f"lane-{k},{row},x" for k, row in enumerate(simple_rows("e", 3))]
+        write_raw(path, rows, header="lane,event_id,t,x_lead,v_lead,x_follow,v_follow,note")
+        (ev,) = load_events(path, min_duration=0.0)
+        assert ev.event_id == "e" and len(ev) == 3
+
+    @pytest.mark.parametrize("bad", ["e,0.2,13.6,8.0,1.6,fast", "e,0.2,13.6,8.0,1.6",
+                                     "e,0.2,13.6,8.0,1.6,"],
+                             ids=["unparsable", "short", "empty"])
+    def test_bad_record_names_its_line(self, tmp_path, bad):
+        path = tmp_path / "raw.csv"
+        rows = simple_rows("e", 4)
+        rows[2] = bad
+        write_raw(path, rows)
+        with pytest.raises(DataError, match=rf"^{re.escape(str(path))}:4: unparsable numeric"):
+            extract_events(path)
+
+    def test_record_without_event_id_names_its_line(self, tmp_path):
+        path = tmp_path / "raw.csv"
+        rows = [f"{row.split(',', 1)[1]},{row.split(',', 1)[0]}" for row in simple_rows("e", 4)]
+        rows[1] = rows[1].rsplit(",", 1)[0]
+        write_raw(path, rows, header="t,x_lead,v_lead,x_follow,v_follow,event_id")
+        with pytest.raises(DataError, match=rf"^{re.escape(str(path))}:3: missing event id"):
+            extract_events(path)
+
+    def test_empty_file_is_schema_error(self, tmp_path):
+        path = tmp_path / "raw.csv"
+        path.write_text("")
+        with pytest.raises(SchemaError, match="empty file"):
+            extract_events(path)
+
+    def test_header_only_gives_no_events(self, tmp_path):
+        path = tmp_path / "raw.csv"
+        path.write_text(",".join(CANONICAL_FIELDS) + "\r\n")
+        result = extract_events(path)
+        assert (result.events, result.rejected) == ([], [])
+
+    def test_negative_scale_on_t_sorts_after_scaling(self, tmp_path):
+        path = tmp_path / "raw.csv"
+        rows = [f"e,{-k},{12 + 0.8 * k},8.0,{0.8 * k},8.0" for k in range(4)]
+        write_raw(path, rows[::-1])
+        mapping = ColumnMapping(columns={f: f for f in CANONICAL_FIELDS}, scale={"t": -0.1})
+        (ev,) = load_events(path, mapping, min_duration=0.0)
+        assert ev.t.tolist() == [0.0, 0.1, 0.2, 0.30000000000000004]
+        assert ev.x_follow.tolist() == [0.8 * k for k in range(4)]
 
 
 @st.composite
