@@ -618,8 +618,6 @@ class TestRangeChecks:
         ("eval", {"eval": {"bins": 0}}, "bins"),
         ("eval", {"eval": {"ttc_cap": -1.0}}, "ttc_cap"),
         ("train", {"train": {"batch_size": 0}}, "batch_size"),
-        ("train", {"train": {"buffer_capacity": 0}}, "buffer_capacity"),
-        ("train", {"train": {"buffer_capacity": 7}}, "buffer_capacity"),
         ("train", {"train": {"hidden_sizes": [8, 0]}}, "hidden sizes"),
         ("train", {"train": {"rolling_window": 0}}, "rolling_window"),
         ("train", {"train": {"speed_scale": 0.0}}, "speed_scale"),
@@ -627,6 +625,8 @@ class TestRangeChecks:
         ("train", {"train": {"rel_speed_scale": -10.0}}, "rel_speed_scale"),
         ("train", {"reward": {"jerk_scale": -1.0}}, "jerk_scale"),
         ("train", {"reward": {"fuel_scale": 0.0}}, "fuel_scale"),
+        ("train", {"train": {"buffer_capacity": 0}}, "buffer_capacity"),
+        ("train", {"train": {"buffer_capacity": 7}}, "buffer_capacity"),
     ], ids=lambda v: v if isinstance(v, str) else None)
     def test_out_of_range_exit_1_before_any_output(self, tmp_path, fleet_csv, capsys,
                                                     command, blocks, named):
