@@ -218,15 +218,16 @@ def cmd_train(args) -> int:
         train_cfg, **{k: v for k, v in overrides.items() if v is not None})
     fuel = _fuel_model(args.vt_micro)
     split = split_dataset(events, args.split, train_cfg.seed)
-    write_events(split.train, out / "events_train.csv")
-    write_events(split.test, out / "events_test.csv")
 
     def progress(row):
         if row.episode % 10 == 0:
             print(f"episode {row.episode:5d}  rolling reward {row.rolling_reward:9.4f}  "
                   f"collisions {row.collisions_cum}")
 
+    # every file is written after training, so a run that fails leaves none
     policy, log = train(split, env_cfg, reward_cfg, train_cfg, fuel, progress=progress)
+    write_events(split.train, out / "events_train.csv")
+    write_events(split.test, out / "events_test.csv")
     save_policy(policy, out / "policy.json")
     log.write_csv(out / "trainlog.csv")
     # the train block as resolved, --seed and --episodes included

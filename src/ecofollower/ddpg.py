@@ -254,7 +254,11 @@ def train(split: DatasetSplit | Sequence[CarFollowingEvent],
         actor_rng=np.random.default_rng(derive_seed(cfg.seed, "ddpg.init.actor")),
         critic_rng=np.random.default_rng(derive_seed(cfg.seed, "ddpg.init.critic")),
     )
-    buffer = ReplayBuffer(cfg.buffer_capacity)
+    try:
+        buffer = ReplayBuffer(cfg.buffer_capacity)
+    except MemoryError as exc:
+        raise ValueError(f"train.buffer_capacity {cfg.buffer_capacity} is too large: "
+                         f"cannot allocate the replay buffer ({exc})") from exc
     rng_events = np.random.default_rng(derive_seed(cfg.seed, "ddpg.events"))
     rng_replay = np.random.default_rng(derive_seed(cfg.seed, "ddpg.replay"))
     noise = OuNoise(cfg.ou_theta, cfg.ou_sigma,
@@ -264,9 +268,11 @@ def train(split: DatasetSplit | Sequence[CarFollowingEvent],
     s_norm, y = None, 0.0
 
     def explore(state: EnvState, k: int) -> float:
-        # keeps the normalized state and the squashed action for the replay buffer
+        # keeps the normalized state and the squashed action for the replay buffer;
+        # past step 0, s_norm is already the state, normalized as the last next_state
         nonlocal s_norm, y
-        s_norm = normalize_state(state, cfg)
+        if k == 0:
+            s_norm = normalize_state(state, cfg)
         y = min(1.0, max(-1.0, actor_forward(agent.actor, s_norm) + noise.sample()))
         return action_to_accel(y, env_config)
 
@@ -286,9 +292,10 @@ def train(split: DatasetSplit | Sequence[CarFollowingEvent],
             r = reward(state, accel, accel_prev, outcome.next_state, event.dt,
                        outcome.collided, reward_config, fuel_model)
             # timeouts are not stored as terminal so the TD target keeps bootstrapping
-            buffer.push(Transition(s_norm, y, r.total,
-                                   normalize_state(outcome.next_state, cfg),
-                                   outcome.collided))
+            s_next = normalize_state(outcome.next_state, cfg)
+            buffer.push(Transition(s_norm, y, r.total, s_next, outcome.collided))
+            # simulate continues from outcome.next_state, so this is step k + 1's state
+            s_norm = s_next
             fuel_ml += r.fuel_rate * event.dt
             ep_reward += r.total
             steps += 1

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -57,8 +57,9 @@ DEFAULT_ENV = EnvConfig()
 UNBOUNDED_ENV = EnvConfig(a_min=-math.inf, a_max=math.inf)
 
 
-@dataclass(frozen=True)
-class StepOutcome:
+class StepOutcome(NamedTuple):
+    """One step's result; a named tuple, as it is built once per env step."""
+
     next_state: EnvState
     collided: bool
     follow_position: float
@@ -94,11 +95,7 @@ def step(state: EnvState, accel: float, lead_speed_next: float, dt: float,
     s_next = state.spacing + (state.rel_speed + dv_next) / 2.0 * dt
     x_next = follow_position + (state.follow_speed + v_next) / 2.0 * dt
     collided = s_next <= config.collision_gap
-    return StepOutcome(
-        next_state=EnvState(v_next, s_next, dv_next),
-        collided=collided,
-        follow_position=x_next,
-    )
+    return StepOutcome(EnvState(v_next, s_next, dv_next), collided, x_next)
 
 
 @dataclass

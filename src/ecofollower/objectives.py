@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .env import EnvState
 from .indicators import SPEED_FLOOR
@@ -19,6 +20,7 @@ DEFAULT_JERK_SCALE = 60.0    # m/s^3; full action swing (6 m/s^2) over one 0.1 s
 DEFAULT_FUEL_SCALE = 1.0     # mL/s
 DEFAULT_FUEL_CLIP = -5.0
 DEFAULT_COLLISION_PENALTY = -10.0
+_SQRT_2PI = math.sqrt(2.0 * math.pi)
 
 
 @dataclass(frozen=True)
@@ -49,7 +51,7 @@ class HeadwayModel:
         if x <= 0:
             return 0.0
         z = (math.log(x) - self.mu) / self.sigma
-        return math.exp(-0.5 * z * z) / (x * self.sigma * math.sqrt(2.0 * math.pi))
+        return math.exp(-0.5 * z * z) / (x * self.sigma * _SQRT_2PI)
 
 
 @dataclass(frozen=True)
@@ -67,8 +69,9 @@ class RewardConfig:
                 raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
 
 
-@dataclass(frozen=True)
-class RewardBreakdown:
+class RewardBreakdown(NamedTuple):
+    """One step's reward terms; a named tuple, as it is built once per env step."""
+
     f_ttc: float
     f_headway: float
     f_fuel: float
@@ -162,7 +165,5 @@ def reward(state: EnvState, accel: float, accel_prev: float, next_state: EnvStat
     total = w.w_ttc * ft + w.w_headway * fh + w.w_fuel * ff + w.w_jerk * fj
     if collided:
         total += config.collision_penalty
-    return RewardBreakdown(
-        f_ttc=ft, f_headway=fh, f_fuel=ff, f_jerk=fj,
-        total=total, fuel_rate=rate, collision_penalty_applied=collided,
-    )
+    # positional: keyword arguments double the cost of building the tuple
+    return RewardBreakdown(ft, fh, ff, fj, total, rate, collided)

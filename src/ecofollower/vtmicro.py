@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from importlib import resources
 
 import numpy as np
@@ -28,10 +28,17 @@ _OUTPUT_SCALE = {"mL/s": 1.0, "L/s": 1000.0, "gal/s": 3785411.784}
 
 @dataclass(frozen=True)
 class VtMicroCoefficients:
-    """4x4 regression matrix in canonical units; k[i][j] scales v^i * a^j."""
+    """4x4 regression matrix in canonical units; k[i][j] scales v^i * a^j.
+
+    ``rows`` holds the same coefficients as Python floats, row 3 first, for
+    ``moe_exponent``: float arithmetic on them costs a fraction of indexing
+    ``k`` and gives the same bits.
+    """
 
     k: np.ndarray
     regime: str
+    rows: tuple[tuple[float, float, float, float], ...] = field(
+        init=False, repr=False, compare=False)
 
     def __post_init__(self):
         k = np.array(self.k, dtype=float)
@@ -43,6 +50,7 @@ class VtMicroCoefficients:
             raise ValueError(f"regime must be one of {REGIMES}, got {self.regime!r}")
         k.setflags(write=False)
         object.__setattr__(self, "k", k)
+        object.__setattr__(self, "rows", tuple(map(tuple, k[::-1].tolist())))
 
 
 @dataclass(frozen=True)
@@ -62,12 +70,14 @@ class VtMicroModel:
 
 def moe_exponent(coeffs: VtMicroCoefficients, v: float, a: float) -> float:
     """Evaluate P(v, a) with Horner nesting in both variables, of scalars or
-    elementwise of arrays."""
-    k = coeffs.k
+    elementwise of arrays.
+
+    Row i contributes ((k[i, 3] * a + k[i, 2]) * a + k[i, 1]) * a + k[i, 0],
+    for i = 3, 2, 1, 0, into p = p * v + row.
+    """
     p = 0.0
-    for i in (3, 2, 1, 0):
-        ci = ((k[i, 3] * a + k[i, 2]) * a + k[i, 1]) * a + k[i, 0]
-        p = p * v + ci
+    for k0, k1, k2, k3 in coeffs.rows:
+        p = p * v + (((k3 * a + k2) * a + k1) * a + k0)
     return p
 
 

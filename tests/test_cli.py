@@ -640,6 +640,17 @@ class TestRangeChecks:
         cfg = read_config(TrainConfig, {"buffer_capacity": 64, "warmup_steps": 10**9}, "train")
         assert (cfg.buffer_capacity, cfg.warmup_steps) == (64, 10**9)
 
+    def test_unallocatable_buffer_capacity_exit_1_before_any_output(self, tmp_path, fleet_csv,
+                                                                    capsys):
+        # 72 PB of replay arrays: past any 47-bit address space, so the
+        # allocation fails whatever the overcommit policy
+        code, written = _run_with_config(tmp_path, fleet_csv, "train",
+                                         {"train": {"buffer_capacity": 10**15, "episodes": 1}})
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error: train.buffer_capacity") and err.count("\n") == 1
+        assert written == []
+
     @pytest.mark.parametrize("bins", ["0", "-2"])
     def test_stats_bins_below_one_exit_1(self, tmp_path, fleet_csv, capsys, bins):
         out = tmp_path / "o"

@@ -11,9 +11,10 @@ from ecofollower.ddpg import (DdpgAgent, OuNoise, ReplayBuffer, TrainConfig,
                               policy_controller, train)
 from ecofollower.env import DEFAULT_ENV, EnvConfig, EnvState, rollout, simulate
 from ecofollower.nets import Mlp
-from ecofollower.objectives import RewardConfig
+from ecofollower.objectives import RewardConfig, reward
 from ecofollower.vtmicro import reference_model
 
+from reference_vtmicro import NumpyHornerModel
 from synthetic import make_fleet
 
 FUEL = reference_model()
@@ -306,3 +307,52 @@ class TestTrainStepLoop:
             np.testing.assert_array_equal(trace.rel_speed, [s.rel_speed for s in states])
             np.testing.assert_array_equal(trace.x_follow, positions)
             assert trace.collided == outcomes[-1].collided
+
+
+class TestCollectionLoopBits:
+    """Every transition that collection pushes, pinned bit for bit against the
+    states, commands and outcomes of the step loop."""
+
+    def test_pushed_transitions(self, monkeypatch):
+        pushed, episodes = [], []
+        push = ReplayBuffer.push
+
+        def recording_push(buffer, t):
+            pushed.append(t._replace(state=t.state.copy(), next_state=t.next_state.copy()))
+            push(buffer, t)
+
+        def recording_simulate(event, controller, config):
+            seen = []
+            episodes.append((event, seen))
+            for item in simulate(event, controller, config):
+                seen.append(item)
+                yield item
+
+        def no_update(agent, batch):
+            raise AssertionError("collection must not update")
+
+        monkeypatch.setattr(ReplayBuffer, "push", recording_push)
+        monkeypatch.setattr(ddpg, "simulate", recording_simulate)
+        monkeypatch.setattr(DdpgAgent, "update", no_update)
+        events = make_fleet(3, seed=41, duration_range=(16.0, 20.0))
+        cfg = small_cfg(episodes=5, warmup_steps=10**9)
+        _, log = train(events, DEFAULT_ENV, RewardConfig(), cfg, FUEL)
+
+        assert [len(seen) for _, seen in episodes] == [r.steps for r in log.rows]
+        assert len(pushed) == sum(r.steps for r in log.rows)
+        fuel = NumpyHornerModel(FUEL)
+        rows = iter(pushed)
+        for event, seen in episodes:
+            accel_prev, previous = 0.0, None
+            for (_, state, _, accel, outcome), t in zip(seen, rows):
+                assert t.state.tobytes() == normalize_state(state, cfg).tobytes()
+                assert t.next_state.tobytes() == \
+                    normalize_state(outcome.next_state, cfg).tobytes()
+                if previous is not None:
+                    assert previous.next_state.tobytes() == t.state.tobytes()
+                assert DEFAULT_ENV.clamp(action_to_accel(t.action, DEFAULT_ENV)) == accel
+                want = reward(state, accel, accel_prev, outcome.next_state, event.dt,
+                              outcome.collided, RewardConfig(), fuel)
+                assert float(t.reward).hex() == want.total.hex()
+                assert t.done == outcome.collided
+                accel_prev, previous = accel, t

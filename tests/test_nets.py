@@ -93,6 +93,42 @@ class TestInPlaceForward:
         assert net.forward_cache(x)[0].tobytes() == out.tobytes()
 
 
+def _column_slice(rng):
+    return rng.normal(size=(64, 5))[:, 1:4]   # (64, 3), not contiguous
+
+
+FORWARD_INPUTS = {
+    "row": lambda rng: rng.normal(size=3),
+    "one_row_2d": lambda rng: rng.normal(size=(1, 3)),
+    "batch": lambda rng: rng.normal(size=(64, 3)),
+    "column_slice": _column_slice,
+    "int": lambda rng: rng.integers(-3, 4, size=(64, 3)),
+    "float32": lambda rng: rng.normal(size=(64, 3)).astype(np.float32),
+    "list": lambda rng: rng.normal(size=3).tolist(),
+}
+
+
+class TestForwardCacheInputs:
+    """forward_cache takes a float64 array as given and converts anything else."""
+
+    @pytest.mark.parametrize("kind", FORWARD_INPUTS)
+    def test_same_bits_as_the_converted_input(self, kind):
+        rng = np.random.default_rng(89)
+        net = Mlp.init([3, 16, 16, 1], rng, output_activation="tanh")
+        net.theta += rng.normal(scale=0.1, size=net.theta.shape)
+        x = FORWARD_INPUTS[kind](rng)
+        before = np.array(x, copy=True)
+        converted = np.atleast_2d(np.asarray(x, dtype=float))
+        out, cache = net.forward_cache(x)
+        assert out.tobytes() == reference_forward(net, converted).tobytes()
+        assert cache[0].shape == converted.shape and cache[0].dtype == np.float64
+        assert cache[0].tobytes() == converted.tobytes()
+        net.backward(cache, np.ones_like(out))
+        net.input_grad(cache, np.ones_like(out))
+        assert np.array(x).tobytes() == before.tobytes()   # the caller's input is never written
+        assert np.array(x).dtype == before.dtype
+
+
 class TestFlatLayout:
     def test_views_share_memory_with_theta(self):
         net = Mlp.init([3, 6, 5, 1], np.random.default_rng(61), output_activation="tanh")

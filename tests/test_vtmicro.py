@@ -1,14 +1,19 @@
+import dataclasses
 import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
+from ecofollower import vtmicro
 from ecofollower.env import SimulatedTrace
 from ecofollower.evaluate import evaluate_ground_truth, summarize_traces, trace_values
 from ecofollower.events import CarFollowingEvent
 from ecofollower.vtmicro import (VtMicroCoefficients, VtMicroModel, fuel_rate,
                                  load_coefficients, moe_exponent, reference_model)
+
+from reference_vtmicro import numpy_horner_exponent, numpy_horner_fuel_rate
 
 
 def table(k, regime="acceleration"):
@@ -80,6 +85,80 @@ class TestFuelRate:
             rate = fuel_rate(coeffs, coeffs, v, a)
             assert rate > 0
             assert math.log(rate) == pytest.approx(moe_exponent(coeffs, v, a), rel=1e-12, abs=1e-15)
+
+
+def bits(x) -> str:
+    return float(x).hex()
+
+
+_ROW = st.lists(st.floats(-2.0, 2.0), min_size=4, max_size=4)
+# small scales keep most exponents in exp's range, large ones overflow to inf
+_TABLE = st.builds(lambda rows, scale: [[c * scale for c in row] for row in rows],
+                   st.lists(_ROW, min_size=4, max_size=4), st.sampled_from([1e-5, 1e-3, 1.0]))
+_UNITS = st.sampled_from([
+    {}, {"speed": "km/h"}, {"speed": "mph", "acceleration": "mph/s"},
+    {"output": "L/s"}, {"speed": "km/h", "acceleration": "km/h/s", "output": "L/s"},
+])
+_SPEED = st.floats(0.0, 60.0) | st.sampled_from([0.0, -0.0])
+_ACCEL = st.floats(-6.0, 6.0) | st.sampled_from([0.0, -0.0])
+
+
+@st.composite
+def models(draw):
+    """A two-table or single-table model, each table in published units or canonical."""
+    units = draw(_UNITS)
+    if draw(st.booleans()):
+        return vtmicro._model_from_json({"regime": "acceleration", "k": draw(_TABLE),
+                                         "units": units})
+    return vtmicro._model_from_json([
+        {"regime": regime, "k": draw(_TABLE), "units": units} for regime in vtmicro.REGIMES])
+
+
+class TestScalarPathBits:
+    """The Python-float Horner path gives the bits of the numpy-indexed one."""
+
+    @given(model=models(), v=_SPEED, a=_ACCEL)
+    @example(model=reference_model(), v=12.5, a=0.0)
+    @example(model=reference_model(), v=12.5, a=-0.0)
+    @settings(max_examples=300, deadline=None)
+    def test_exponent_and_rate_equal_the_numpy_indexed_form(self, model, v, a):
+        for coeffs in (model.accel, model.decel):
+            assert bits(moe_exponent(coeffs, v, a)) == bits(numpy_horner_exponent(coeffs, v, a))
+        got = fuel_rate(model.accel, model.decel, v, a)
+        assert bits(got) == bits(numpy_horner_fuel_rate(model.accel, model.decel, v, a))
+        assert bits(model.rate(v, a)) == bits(got)
+
+    @given(v=_SPEED, a=_ACCEL)
+    @settings(max_examples=200, deadline=None)
+    def test_reference_table(self, v, a):
+        model = reference_model()
+        assert bits(model.rate(v, a)) == bits(numpy_horner_fuel_rate(model.accel, model.decel, v, a))
+
+    def test_overflowing_exponent_is_inf(self):
+        k = np.zeros((4, 4))
+        k[0, 0], k[1, 0] = 700.0, 10.0
+        coeffs = table(k)
+        assert numpy_horner_fuel_rate(coeffs, coeffs, 1.0, 0.5) == math.inf
+        assert fuel_rate(coeffs, coeffs, 1.0, 0.5) == math.inf
+
+    @given(model=models(), v=st.lists(_SPEED, min_size=1, max_size=20),
+           a=st.lists(_ACCEL, min_size=1, max_size=20))
+    @settings(max_examples=100, deadline=None)
+    def test_array_exponent_equals_the_numpy_indexed_form(self, model, v, a):
+        n = min(len(v), len(a))
+        v, a = np.array(v[:n]), np.array(a[:n])
+        for coeffs in (model.accel, model.decel):
+            got = moe_exponent(coeffs, v, a)
+            assert got.tobytes() == numpy_horner_exponent(coeffs, v, a).tobytes()
+
+    def test_rows_are_k_as_floats_highest_power_first(self):
+        k = np.arange(16.0).reshape(4, 4)
+        assert table(k).rows == tuple(tuple(r) for r in k[::-1].tolist())
+
+    def test_rows_stay_out_of_repr_and_follow_replace(self):
+        coeffs = table(np.eye(4))
+        assert "rows" not in repr(coeffs)
+        assert dataclasses.replace(coeffs, k=np.zeros((4, 4))).rows == ((0.0,) * 4,) * 4
 
 
 class TestLoader:
