@@ -10,7 +10,7 @@ __version__ = "0.1.0"
 from .ddpg import (DdpgAgent, ReplayBuffer, TrainConfig, TrainLog, Transition,
                    TrainingError, policy_controller, train)
 from .env import (EnvConfig, EnvState, RolloutError, SimulatedTrace, StepOutcome,
-                  recorded_accel_controller, reset, rollout_batch, simulate, step)
+                  reset, rollout_batch, simulate, step)
 from .evaluate import (ComparisonReport, EvalConfig, IndicatorSummary, NonFiniteFuelError,
                        compare, evaluate_controller, evaluate_ground_truth,
                        export_distributions, trace_from_event)
@@ -21,7 +21,6 @@ from .events import (CarFollowingEvent, ColumnMapping, DataError, DatasetSplit,
 from .idm import CalibrationError, IdmParams, calibrate_idm, desired_spacing, idm_accel, idm_controller
 from .nets import Adam, Mlp, PolicyLoadError, load_policy, save_policy, soft_update
 from .objectives import (HeadwayModel, RewardBreakdown, RewardConfig, RewardWeights,
-                         f_fuel, f_headway, f_jerk, f_ttc, jerk, reward, time_headway,
-                         ttc, ttc_signed)
+                         f_fuel, f_headway, f_jerk, f_ttc, jerk, reward, time_headway, ttc)
 from .vtmicro import (VtMicroCoefficients, VtMicroModel, fuel_rate, load_coefficients,
                       moe_exponent, reference_model)

@@ -21,7 +21,7 @@ from . import __version__
 from .ddpg import TrainConfig, TrainingError, policy_controller, train
 from .env import EnvConfig
 from .evaluate import (EmptyResultError, EvalConfig, EvaluationResult,
-                       GROUND_TRUTH, NonFiniteFuelError, compare, evaluate_controller,
+                       NonFiniteFuelError, compare, evaluate_controller,
                        evaluate_ground_truth, export_distributions)
 from .events import (ColumnMapping, DataError, FitError, SchemaError,
                      descriptive_stats, extract_events, fit_lognormal_headway,
@@ -148,11 +148,12 @@ def _safe_name(event_id: str) -> str:
 
 
 def cmd_prepare(args) -> int:
+    if not 0.0 <= args.dt < math.inf:
+        raise ValueError(f"--dt must be a finite number >= 0 (0 disables the check), got {args.dt}")
     out = _out_dir(args)
     mapping = ColumnMapping.from_json(args.mapping) if args.mapping else None
-    expected_dt = args.dt if args.dt and args.dt > 0 else None
     result = extract_events(args.input, mapping, min_duration=args.min_duration,
-                            expected_dt=expected_dt)
+                            expected_dt=args.dt or None)
     summary = {
         "events": len(result.events),
         "samples": sum(len(ev) for ev in result.events),
@@ -225,7 +226,7 @@ def cmd_train(args) -> int:
                   f"collisions {row.collisions_cum}")
 
     # every file is written after training, so a run that fails leaves none
-    policy, log = train(split, env_cfg, reward_cfg, train_cfg, fuel, progress=progress)
+    policy, log = train(split.train, env_cfg, reward_cfg, train_cfg, fuel, progress=progress)
     write_events(split.train, out / "events_train.csv")
     write_events(split.test, out / "events_test.csv")
     save_policy(policy, out / "policy.json")
@@ -240,23 +241,9 @@ def cmd_train(args) -> int:
     return EXIT_OK
 
 
-def _build_controllers(args, train_cfg, env_cfg) -> list[tuple[str, object]]:
-    """(name, controller factory or GROUND_TRUTH sentinel) in report order."""
-    controllers = []
-    if args.policy:
-        net = load_policy(args.policy, expect_sizes=[3, *train_cfg.hidden_sizes, 1])
-        ctrl = policy_controller(net, train_cfg, env_cfg)
-        controllers.append(("policy", lambda ev, c=ctrl: c))
-    if args.idm_params is not None:
-        obj = {} if args.idm_params == "default" else json.loads(Path(args.idm_params).read_text())
-        ctrl = idm_controller(read_config(IdmParams, obj, "--idm-params"))
-        controllers.append(("idm", lambda ev, c=ctrl: c))
-    if args.ground_truth:
-        controllers.append((GROUND_TRUTH, None))
-    return controllers
-
-
-def _run_evaluations(args, include_ground_truth=False) -> tuple[list[EvaluationResult], Path, dict]:
+def _run_evaluations(args) -> tuple[list[EvaluationResult], Path, dict]:
+    if not (args.policy or args.idm_params is not None or args.ground_truth):
+        raise ValueError("eval needs at least one of --policy, --idm-params, --ground-truth")
     out = _out_dir(args)
     events = load_events(args.events, min_duration=0.0)
     if not events:
@@ -264,18 +251,19 @@ def _run_evaluations(args, include_ground_truth=False) -> tuple[list[EvaluationR
     blocks = _load_config_blocks(args.config)
     train_cfg, _, env_cfg, eval_cfg = _configs(blocks)
     fuel = _fuel_model(args.vt_micro)
-    if include_ground_truth:
-        args.ground_truth = True
-    controllers = _build_controllers(args, train_cfg, env_cfg)
-    if not controllers:
-        raise SystemExit(EXIT_USAGE)
+    controllers = []   # (name, controller) in report order; the ground truth comes last
+    if args.policy:
+        net = load_policy(args.policy, expect_sizes=[3, *train_cfg.hidden_sizes, 1])
+        controllers.append(("policy", policy_controller(net, train_cfg, env_cfg)))
+    if args.idm_params is not None:
+        obj = {} if args.idm_params == "default" else json.loads(Path(args.idm_params).read_text())
+        controllers.append(("idm", idm_controller(read_config(IdmParams, obj, "--idm-params"))))
 
-    results = []
-    for name, factory in controllers:
-        if name == GROUND_TRUTH:
-            results.append(evaluate_ground_truth(events, fuel, eval_cfg))
-        else:
-            results.append(evaluate_controller(factory, name, events, fuel, env_cfg, eval_cfg))
+    # a factory returning one shared controller, so all events roll out as one batch
+    results = [evaluate_controller(lambda ev, c=ctrl: c, name, events, fuel, env_cfg, eval_cfg)
+               for name, ctrl in controllers]
+    if args.ground_truth:
+        results.append(evaluate_ground_truth(events, fuel, eval_cfg))
     for res in results:
         _write_json(out / f"summary_{res.summary.name}.json", res.summary.to_json_dict())
         trace_dir = out / "traces" / res.summary.name
@@ -304,9 +292,8 @@ def cmd_eval(args) -> int:
 
 
 def cmd_compare(args) -> int:
-    results, out, config_echo = _run_evaluations(args, include_ground_truth=True)
-    report = compare([r.summary for r in results], baseline=GROUND_TRUTH,
-                     config_echo=config_echo)
+    results, out, config_echo = _run_evaluations(args)
+    report = compare([r.summary for r in results], config_echo=config_echo)
     _write_json(out / "report.json", report.to_json_dict())
     text = report.render_text()
     (out / "report.txt").write_text(text)
@@ -360,40 +347,35 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--idm-params", nargs="?", const="default",
                        help="IDM parameter JSON; bare flag uses defaults")
         p.add_argument("--ground-truth", action="store_true",
-                       help="include the recorded behavior as a controller")
+                       help="include the recorded behavior (compare always does)")
         p.add_argument("--vt-micro", help="fuel coefficient JSON (default: bundled table)")
         p.add_argument("--config", help="JSON with train/reward/env/eval blocks")
         p.add_argument("--out", required=True)
-        p.set_defaults(func=fn)
+        p.set_defaults(func=fn, ground_truth=name == "compare")
 
     return parser
 
 
+# exit code of each error main reports; an error takes the code of the first
+# class of its MRO listed here, so a SchemaError (a ValueError) exits 2, not 1
+EXIT_CODES = {
+    EmptyResultError: EXIT_EMPTY,
+    SchemaError: EXIT_INPUT, DataError: EXIT_INPUT, PolicyLoadError: EXIT_INPUT,
+    FileNotFoundError: EXIT_INPUT, json.JSONDecodeError: EXIT_INPUT,
+    TrainingError: EXIT_NUMERIC, NonFiniteFuelError: EXIT_NUMERIC,
+    ValueError: EXIT_USAGE,
+}
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return int(exc.code or 0)
-    try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except SystemExit as exc:
         return int(exc.code or 0)
-    except EmptyResultError as exc:
+    except tuple(EXIT_CODES) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_EMPTY
-    except (SchemaError, DataError, PolicyLoadError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except (FileNotFoundError, json.JSONDecodeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except (TrainingError, NonFiniteFuelError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NUMERIC
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        return next(EXIT_CODES[cls] for cls in type(exc).__mro__ if cls in EXIT_CODES)
 
 
 if __name__ == "__main__":

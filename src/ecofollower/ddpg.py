@@ -21,7 +21,7 @@ from .env import Controller, EnvConfig, EnvState, DEFAULT_ENV, simulate
 # train never calls step; the binding stays because benchmarks/test_bench_smoke.py
 # checks that the benchmark tracer wraps ddpg.step along with env.step
 from .env import step  # noqa: F401
-from .events import CarFollowingEvent, DatasetSplit, write_csv
+from .events import CarFollowingEvent, write_csv
 from .nets import Adam, Mlp, soft_update
 from .objectives import RewardConfig, reward
 from .rng import derive_seed
@@ -144,10 +144,6 @@ def action_to_accel(y: float, env_cfg: EnvConfig) -> float:
     return env_cfg.a_min + (y + 1.0) / 2.0 * (env_cfg.a_max - env_cfg.a_min)
 
 
-def accel_to_action(a: float, env_cfg: EnvConfig) -> float:
-    return 2.0 * (a - env_cfg.a_min) / (env_cfg.a_max - env_cfg.a_min) - 1.0
-
-
 def actor_forward(net: Mlp, state_norm: np.ndarray) -> float:
     """Deterministic policy output in [-1, 1] for a single normalized state."""
     return float(net.forward(state_norm)[0, 0])
@@ -234,7 +230,7 @@ class TrainLog:
 ProgressFn = Callable[[TrainLogRow], None]
 
 
-def train(split: DatasetSplit | Sequence[CarFollowingEvent],
+def train(events: Sequence[CarFollowingEvent],
           env_config: EnvConfig,
           reward_config: RewardConfig,
           train_config: TrainConfig,
@@ -242,10 +238,9 @@ def train(split: DatasetSplit | Sequence[CarFollowingEvent],
           progress: ProgressFn | None = None) -> tuple[Mlp, TrainLog]:
     """Train a policy over randomly drawn training events.
 
-    Accepts a DatasetSplit (trains on .train) or a bare event sequence.
     Returns the trained actor and a per-episode log.
     """
-    events = tuple(split.train) if isinstance(split, DatasetSplit) else tuple(split)
+    events = tuple(events)
     if not events:
         raise ValueError("training set is empty")
     cfg = train_config

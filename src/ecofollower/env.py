@@ -52,10 +52,6 @@ class EnvConfig:
 
 DEFAULT_ENV = EnvConfig()
 
-# Ground-truth replay must reproduce recorded accelerations even when they
-# exceed the normal actuator limits.
-UNBOUNDED_ENV = EnvConfig(a_min=-math.inf, a_max=math.inf)
-
 
 class StepOutcome(NamedTuple):
     """One step's result; a named tuple, as it is built once per env step."""
@@ -267,24 +263,3 @@ def rollout_batch(events: Sequence[CarFollowingEvent], controller: Controller,
             if not len(cols):
                 break
     return results
-
-
-def recorded_accel_controller(event: CarFollowingEvent) -> Controller:
-    """Controller replaying the event's recorded follower accelerations.
-
-    Accelerations are the finite differences of recorded follower speed, so
-    a rollout under UNBOUNDED_ENV reproduces the recorded speed profile.
-    """
-    accels = np.diff(event.v_follow) / event.dt
-
-    def control(state: EnvState, k: int) -> float:
-        return float(accels[k])
-
-    return control
-
-
-def constant_controller(accel: float) -> Controller:
-    def control(state: EnvState, k: int) -> float:
-        return accel
-
-    return control

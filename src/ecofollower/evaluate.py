@@ -191,6 +191,20 @@ def summarize_traces(name: str, values: Sequence[TraceValues],
     )
 
 
+def _result(name: str, outcomes: dict[str, SimulatedTrace | Exception],
+            fuel_model: VtMicroModel, cfg: EvalConfig) -> EvaluationResult:
+    """Score the traces among event_id-ordered outcomes and list the events that failed."""
+    traces = [o for o in outcomes.values() if isinstance(o, SimulatedTrace)]
+    errors = [(eid, str(o)) for eid, o in outcomes.items() if not isinstance(o, SimulatedTrace)]
+    if not traces:
+        first = "; ".join(f"{eid}: {msg}" for eid, msg in errors[:3])
+        raise EmptyResultError(f"controller {name!r} failed on every event; first errors: {first}")
+    values = [trace_values(tr, fuel_model, cfg) for tr in traces]
+    _check_fuel(name, values)
+    return EvaluationResult(summary=summarize_traces(name, values, cfg, errors=len(errors)),
+                            values=values, errors=errors)
+
+
 def evaluate_controller(controller_factory: ControllerFactory, name: str,
                         events: Sequence[CarFollowingEvent],
                         fuel_model: VtMicroModel,
@@ -220,15 +234,7 @@ def evaluate_controller(controller_factory: ControllerFactory, name: str,
     for controller, group in groups.values():
         for ev, outcome in zip(group, rollout_batch(group, controller, env_config)):
             outcomes[ev.event_id] = outcome
-    traces = {eid: o for eid, o in outcomes.items() if isinstance(o, SimulatedTrace)}
-    errors = [(eid, str(o)) for eid, o in outcomes.items() if not isinstance(o, SimulatedTrace)]
-    if not traces:
-        first = "; ".join(f"{eid}: {msg}" for eid, msg in errors[:3])
-        raise EmptyResultError(f"controller {name!r} failed on every event; first errors: {first}")
-    values = [trace_values(tr, fuel_model, cfg) for tr in traces.values()]
-    _check_fuel(name, values)
-    summary = summarize_traces(name, values, cfg, errors=len(errors))
-    return EvaluationResult(summary=summary, values=values, errors=errors)
+    return _result(name, outcomes, fuel_model, cfg)
 
 
 def evaluate_ground_truth(events: Sequence[CarFollowingEvent],
@@ -239,11 +245,8 @@ def evaluate_ground_truth(events: Sequence[CarFollowingEvent],
     if not events:
         raise ValueError("evaluate_ground_truth needs a non-empty test set")
     ordered = sorted(events, key=lambda e: e.event_id)
-    traces = {ev.event_id: trace_from_event(ev) for ev in ordered}
-    values = [trace_values(tr, fuel_model, cfg) for tr in traces.values()]
-    _check_fuel(GROUND_TRUTH, values)
-    return EvaluationResult(summary=summarize_traces(GROUND_TRUTH, values, cfg),
-                            values=values, errors=[])
+    return _result(GROUND_TRUTH, {ev.event_id: trace_from_event(ev) for ev in ordered},
+                   fuel_model, cfg)
 
 
 @dataclass
@@ -302,7 +305,9 @@ def compare(summaries: Sequence[IndicatorSummary],
     )
 
 
-INDICATOR_FILES = ("ttc", "jerk", "headway", "fuel_rate")
+# each distribution file and the TraceValues field it pools
+INDICATOR_FILES = {"ttc": "ttc_signed", "jerk": "jerk", "headway": "headway",
+                   "fuel_rate": "fuel_rate"}
 
 
 def export_distributions(values_by_controller: dict[str, Sequence[TraceValues]],
@@ -314,24 +319,18 @@ def export_distributions(values_by_controller: dict[str, Sequence[TraceValues]],
     """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    pooled: dict[str, dict[str, np.ndarray]] = {name: {} for name in INDICATOR_FILES}
-    for ctrl, values in values_by_controller.items():
-        pooled["ttc"][ctrl] = np.concatenate([v.ttc_signed for v in values]) if values else np.array([])
-        pooled["jerk"][ctrl] = np.concatenate([v.jerk for v in values]) if values else np.array([])
-        pooled["headway"][ctrl] = np.concatenate([v.headway for v in values]) if values else np.array([])
-        pooled["fuel_rate"][ctrl] = np.concatenate([v.fuel_rate for v in values]) if values else np.array([])
-
-    written = []
     controllers = list(values_by_controller)
-    for indicator in INDICATOR_FILES:
-        per_ctrl = pooled[indicator]
-        everything = np.concatenate([per_ctrl[c] for c in controllers]) if controllers else np.array([])
+    written = []
+    for indicator, attr in INDICATOR_FILES.items():
+        per_ctrl = [np.concatenate([getattr(v, attr) for v in values]) if values else np.array([])
+                    for values in values_by_controller.values()]
+        everything = np.concatenate(per_ctrl) if per_ctrl else np.array([])
         path = out_dir / f"{indicator}.csv"
         blocks = []
         if everything.size:
             edges = histogram_edges(everything, cfg.bins)
             blocks.append((edges[:-1], edges[1:],
-                           *(np.histogram(per_ctrl[c], bins=edges)[0] for c in controllers)))
+                           *(np.histogram(pooled, bins=edges)[0] for pooled in per_ctrl)))
         write_csv(path, ("bin_left", "bin_right", *controllers), *blocks)
         written.append(path)
     return written

@@ -90,13 +90,6 @@ def ttc(spacing: float, rel_speed: float) -> float | None:
     return -spacing / rel_speed
 
 
-def ttc_signed(spacing: float, rel_speed: float) -> float | None:
-    """Raw signed -spacing/rel_speed (negative while opening); None at rel_speed 0."""
-    if rel_speed == 0:
-        return None
-    return -spacing / rel_speed
-
-
 def f_ttc(ttc_value: float | None, ttc_floor: float = DEFAULT_TTC_FLOOR) -> float:
     """ln(TTC/4) inside the risky band (0, 4]; 0 otherwise.
 

@@ -19,8 +19,11 @@ from importlib import resources
 
 import numpy as np
 
+from .events import SchemaError
+
 REGIMES = ("acceleration", "deceleration")
 
+# factor of each unit name; the first name of each table is the default
 _SPEED_SCALE = {"m/s": 1.0, "km/h": 3.6, "mph": 2.2369362920544025}
 _ACCEL_SCALE = {"m/s^2": 1.0, "km/h/s": 3.6, "mph/s": 2.2369362920544025}
 _OUTPUT_SCALE = {"mL/s": 1.0, "L/s": 1000.0, "gal/s": 3785411.784}
@@ -91,22 +94,41 @@ def fuel_rate(coeffs_accel: VtMicroCoefficients, coeffs_decel: VtMicroCoefficien
         return math.inf
 
 
-def _fold_units(k: np.ndarray, units: dict) -> np.ndarray:
-    cv = float(units.get("speed_scale", _SPEED_SCALE[units.get("speed", "m/s")]))
-    ca = float(units.get("accel_scale", _ACCEL_SCALE[units.get("acceleration", "m/s^2")]))
-    cout = float(units.get("output_scale", _OUTPUT_SCALE[units.get("output", "mL/s")]))
+def _scale(units: dict, key: str, unit_key: str, named: dict[str, float]) -> float:
+    """The number ``units[key]``, else the factor of the unit named ``units[unit_key]``."""
+    if key in units:
+        value = units[key]
+        if type(value) not in (int, float) or not 0 < value < math.inf:   # a bool is no number
+            raise ValueError(f"units.{key} must be a positive number, got {json.dumps(value)}")
+        return float(value)
+    unit = units.get(unit_key, next(iter(named)))
+    if not isinstance(unit, str) or unit not in named:
+        raise ValueError(f"units.{unit_key} must be one of {list(named)}, got {json.dumps(unit)}")
+    return named[unit]
+
+
+def _fold_units(k: np.ndarray, units) -> np.ndarray:
+    if not isinstance(units, dict):
+        raise ValueError(f"'units' must be a JSON object, got {json.dumps(units)}")
+    cv = _scale(units, "speed_scale", "speed", _SPEED_SCALE)
+    ca = _scale(units, "accel_scale", "acceleration", _ACCEL_SCALE)
+    cout = _scale(units, "output_scale", "output", _OUTPUT_SCALE)
     powers = np.outer(cv ** np.arange(4), ca ** np.arange(4))
     folded = k * powers
     folded[0, 0] += math.log(cout)
     return folded
 
 
-def _parse_table(obj: dict) -> VtMicroCoefficients:
+def _parse_table(obj) -> VtMicroCoefficients:
+    if not isinstance(obj, dict):
+        raise ValueError(f"a coefficient table must be a JSON object, got {json.dumps(obj)}")
     try:
         regime = obj["regime"]
         k = np.asarray(obj["k"], dtype=float)
     except KeyError as exc:
         raise ValueError(f"coefficient table missing key {exc}") from exc
+    except (TypeError, ValueError) as exc:  # a ragged or non-numeric 'k'
+        raise ValueError(f"coefficient table 'k' must be 4x4 numbers: {exc}") from exc
     if k.shape != (4, 4):
         raise ValueError(f"coefficient table 'k' must be 4x4, got {k.shape}")
     k = _fold_units(k, obj.get("units", {}))
@@ -118,10 +140,13 @@ def load_coefficients(path) -> VtMicroModel:
 
     An array of two regime objects gives the standard two-table model; a
     single object is applied to both regimes (single-table parity mode).
+    A file that is not such JSON raises SchemaError naming the file.
     """
     with open(path) as fh:
-        obj = json.load(fh)
-    return _model_from_json(obj)
+        try:
+            return _model_from_json(json.load(fh))
+        except (ValueError, OverflowError) as exc:   # OverflowError: an integer past float range
+            raise SchemaError(f"VT-Micro coefficient file {path}: {exc}") from exc
 
 
 def _model_from_json(obj) -> VtMicroModel:
@@ -129,7 +154,7 @@ def _model_from_json(obj) -> VtMicroModel:
         k = _parse_table(obj).k
         return VtMicroModel(accel=VtMicroCoefficients(k=k, regime="acceleration"),
                             decel=VtMicroCoefficients(k=k, regime="deceleration"))
-    tables = {t.regime: t for t in (_parse_table(o) for o in obj)}
+    tables = {t.regime: t for t in map(_parse_table, obj if isinstance(obj, list) else [obj])}
     missing = [r for r in REGIMES if r not in tables]
     if missing:
         raise ValueError(f"coefficient file missing regimes: {missing}")

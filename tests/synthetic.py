@@ -1,4 +1,4 @@
-"""Synthetic car-following events for tests.
+"""Synthetic car-following events and simple controllers for tests.
 
 All events are built by trapezoid-integrating speed profiles, so they are
 kinematically consistent with the environment's update rule: replaying the
@@ -7,9 +7,11 @@ recorded accelerations reproduces recorded positions to float precision.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
-from ecofollower.env import DEFAULT_ENV, EnvConfig, EnvState, step
+from ecofollower.env import DEFAULT_ENV, Controller, EnvConfig, EnvState, step
 from ecofollower.events import CarFollowingEvent
 from ecofollower.idm import IdmParams, idm_accel
 from ecofollower.rng import derive_seed
@@ -94,3 +96,29 @@ def make_fleet(count: int, seed: int, dt: float = 0.1,
         gap0 = rng.uniform(10.0, 16.0)
         events.append(idm_follower_event(f"synth-{i:03d}", v_lead, dt, gap0=gap0))
     return events
+
+
+# Ground-truth replay must reproduce recorded accelerations even when they
+# exceed the normal actuator limits.
+UNBOUNDED_ENV = EnvConfig(a_min=-math.inf, a_max=math.inf)
+
+
+def recorded_accel_controller(event: CarFollowingEvent) -> Controller:
+    """Controller replaying the event's recorded follower accelerations.
+
+    Accelerations are the finite differences of recorded follower speed, so
+    a rollout under UNBOUNDED_ENV reproduces the recorded speed profile.
+    """
+    accels = np.diff(event.v_follow) / event.dt
+
+    def control(state: EnvState, k: int) -> float:
+        return float(accels[k])
+
+    return control
+
+
+def constant_controller(accel: float) -> Controller:
+    def control(state: EnvState, k: int) -> float:
+        return accel
+
+    return control

@@ -16,8 +16,7 @@ import pytest
 
 from ecofollower.cli import main as cli_main
 from ecofollower.ddpg import TrainConfig, train
-from ecofollower.env import (DEFAULT_ENV, UNBOUNDED_ENV, recorded_accel_controller,
-                             rollout, constant_controller)
+from ecofollower.env import DEFAULT_ENV, rollout
 from ecofollower.evaluate import compare, evaluate_controller, evaluate_ground_truth
 from ecofollower.events import (CarFollowingEvent, ColumnMapping, extract_events,
                                 descriptive_stats, fit_lognormal_headway,
@@ -28,7 +27,8 @@ from ecofollower.objectives import (HeadwayModel, RewardConfig, f_fuel,
                                     f_headway, f_jerk, f_ttc)
 from ecofollower.vtmicro import VtMicroCoefficients, fuel_rate, moe_exponent, reference_model
 
-from synthetic import make_fleet
+from synthetic import (UNBOUNDED_ENV, constant_controller, make_fleet,
+                       recorded_accel_controller)
 from test_env import linear_leader_event
 
 

@@ -11,16 +11,20 @@ from hypothesis import given, settings, strategies as st
 
 from ecofollower import cli
 from ecofollower.cli import _configs, main, read_config
-from ecofollower.ddpg import TrainConfig
+from ecofollower.ddpg import TrainConfig, TrainingError
 from ecofollower.env import EnvConfig
-from ecofollower.evaluate import EvalConfig
-from ecofollower.events import CANONICAL_FIELDS, CarFollowingEvent, load_events, write_events
+from ecofollower.evaluate import EmptyResultError, EvalConfig, NonFiniteFuelError
+from ecofollower.events import (CANONICAL_FIELDS, CarFollowingEvent, DataError, SchemaError,
+                                load_events, write_events)
 from ecofollower.idm import IdmParams, idm_controller
+from ecofollower.nets import PolicyLoadError
 from ecofollower.objectives import RewardConfig
+from ecofollower.vtmicro import load_coefficients
 
 from synthetic import constant_event, make_fleet, positions_from_speeds
 
 CANONICAL = {f: f for f in CANONICAL_FIELDS}
+ZERO_K = [[0] * 4] * 4
 
 
 def strict_json(path):
@@ -96,6 +100,15 @@ class TestPrepare:
         assert code == 2
         assert named in capsys.readouterr().err
         assert not (tmp_path / "o" / "events.csv").exists()
+
+    @pytest.mark.parametrize("dt", ["-0.2", "nan"])
+    def test_negative_or_nan_dt_exit_1(self, tmp_path, fleet_csv, capsys, dt):
+        # the file is sampled at 0.1 s; only --dt 0 switches the check off
+        out = tmp_path / "o"
+        assert main(["prepare", "--input", str(fleet_csv), f"--dt={dt}", "--out", str(out)]) == 1
+        assert "--dt" in capsys.readouterr().err
+        assert not out.exists()
+        assert main(["prepare", "--input", str(fleet_csv), "--dt=0", "--out", str(out)]) == 0
 
     def test_min_duration_filter(self, tmp_path):
         src = tmp_path / "mix.csv"
@@ -201,9 +214,11 @@ class TestEvalCompare:
         assert (out / "distributions" / "ttc.csv").exists()
         assert (out / "traces" / "ground_truth").is_dir()
 
-    def test_no_controllers_usage_error(self, tmp_path, trained):
+    def test_no_controllers_usage_error(self, tmp_path, trained, capsys):
         code = main(["eval", "--events", str(trained["events"]), "--out", str(tmp_path / "o")])
         assert code == 1
+        assert "--ground-truth" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
     def test_unreadable_policy_exit_2(self, tmp_path, trained):
         bad = tmp_path / "bad_policy.json"
@@ -334,6 +349,28 @@ class TestEvalCompare:
         assert "'ground_truth'" in err and "step 0 of event synth-000" in err
         assert not any(p.is_file() for p in out.rglob("*"))
 
+    @pytest.mark.parametrize("obj", [
+        pytest.param({"regime": "acceleration", "k": ZERO_K, "units": {"speed": "furlong/s"}},
+                     id="unknown-unit"),
+        pytest.param([{"regime": "acceleration", "k": ZERO_K}, ZERO_K], id="table-not-an-object"),
+        pytest.param({"regime": "acceleration", "k": ZERO_K, "units": "km/h"},
+                     id="units-not-an-object"),
+        pytest.param({"regime": "acceleration", "k": [[0] * 4, [0] * 3, [0] * 4, [0] * 4]},
+                     id="ragged-k"),
+        pytest.param({"regime": "acceleration", "k": ZERO_K, "units": {"speed_scale": "fast"}},
+                     id="non-numeric-speed_scale"),
+        pytest.param({"regime": "acceleration", "k": ZERO_K, "units": {"output_scale": 0}},
+                     id="output_scale-0"),
+    ])
+    def test_malformed_vt_micro_exit_2(self, tmp_path, trained, capsys, obj):
+        path = tmp_path / "bad_vt_micro.json"
+        path.write_text(json.dumps(obj))
+        code = main(["eval", "--events", str(trained["events"]), "--idm-params",
+                     "--vt-micro", str(path), "--out", str(tmp_path / "o")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "bad_vt_micro.json" in err and "Traceback" not in err
+
     def test_policy_with_wrong_sizes_exit_2(self, tmp_path, trained):
         # trained with [8, 8] hidden; default config expects [64, 64]
         code = main(["eval", "--events", str(trained["events"]),
@@ -386,6 +423,39 @@ class TestUsage:
         code = main(["train", "--events", str(fleet_csv), "--config", str(cfg),
                      "--episodes", "1", "--out", str(tmp_path / "o")])
         assert code == 1
+
+
+def _vt_micro_error(tmp_path):
+    path = tmp_path / "vt_micro.json"
+    path.write_text(json.dumps({"regime": "acceleration", "k": "none"}))
+    with pytest.raises(ValueError) as info:
+        load_coefficients(path)
+    return info.value
+
+
+@pytest.mark.parametrize("make_error, code", [
+    pytest.param(lambda tmp: EmptyResultError("nothing left"), 3, id="EmptyResultError"),
+    pytest.param(lambda tmp: SchemaError("no column t"), 2, id="SchemaError"),
+    pytest.param(lambda tmp: DataError("bad row"), 2, id="DataError"),
+    pytest.param(lambda tmp: PolicyLoadError("bad policy"), 2, id="PolicyLoadError"),
+    pytest.param(lambda tmp: FileNotFoundError(2, "No such file or directory", "e.csv"), 2,
+                 id="FileNotFoundError"),
+    pytest.param(lambda tmp: json.JSONDecodeError("Expecting value", "{", 1), 2,
+                 id="JSONDecodeError"),
+    pytest.param(_vt_micro_error, 2, id="vt-micro"),
+    pytest.param(lambda tmp: TrainingError("diverged"), 4, id="TrainingError"),
+    pytest.param(lambda tmp: NonFiniteFuelError("inf"), 4, id="NonFiniteFuelError"),
+    pytest.param(lambda tmp: ValueError("bad value"), 1, id="ValueError"),
+])
+def test_exit_code_table(tmp_path, monkeypatch, capsys, make_error, code):
+    error = make_error(tmp_path)
+
+    def fail(args):
+        raise error
+
+    monkeypatch.setattr(cli, "cmd_stats", fail)
+    assert main(["stats", "--events", "e.csv", "--out", str(tmp_path / "o")]) == code
+    assert capsys.readouterr().err.splitlines() == [f"error: {error}"]
 
 
 class TestConfigRoundTrip:

@@ -6,14 +6,14 @@ import pytest
 
 from ecofollower import ddpg
 from ecofollower.ddpg import (DdpgAgent, OuNoise, ReplayBuffer, TrainConfig,
-                              TrainLogRow, Transition, accel_to_action,
-                              action_to_accel, actor_forward, normalize_state,
-                              policy_controller, train)
+                              TrainLogRow, Transition, action_to_accel,
+                              actor_forward, normalize_state, policy_controller, train)
 from ecofollower.env import DEFAULT_ENV, EnvConfig, EnvState, rollout, simulate
 from ecofollower.nets import Mlp
 from ecofollower.objectives import RewardConfig, reward
 from ecofollower.vtmicro import reference_model
 
+from reference_scalar import accel_to_action
 from reference_vtmicro import NumpyHornerModel
 from synthetic import make_fleet
 

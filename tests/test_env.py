@@ -4,12 +4,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ecofollower.env import (UNBOUNDED_ENV, EnvState, RolloutError,
-                             constant_controller, recorded_accel_controller,
-                             reset, rollout, step)
+from ecofollower.env import EnvState, RolloutError, reset, rollout, step
 from ecofollower.events import CarFollowingEvent
 
-from synthetic import constant_event, make_fleet, positions_from_speeds
+from synthetic import (UNBOUNDED_ENV, constant_controller, constant_event, make_fleet,
+                       positions_from_speeds, recorded_accel_controller)
 
 
 def linear_leader_event(event_id="lin", v0=8.0, accel=0.5, gap=30.0, n=1001, dt=0.1):

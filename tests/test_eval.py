@@ -64,7 +64,7 @@ class TestGroundTruthReplayIdentity:
 
     def test_recorded_accel_rollout_agrees_with_direct_trace(self):
         # env-integrated replay matches the direct read-off on consistent fixtures
-        from ecofollower.env import UNBOUNDED_ENV, recorded_accel_controller
+        from synthetic import UNBOUNDED_ENV, recorded_accel_controller
         ev = make_fleet(1, seed=37)[0]
         sim = rollout(ev, recorded_accel_controller(ev), UNBOUNDED_ENV)
         direct = trace_from_event(ev)

@@ -7,8 +7,9 @@ from ecofollower import indicators
 from ecofollower.env import DEFAULT_ENV, rollout
 from ecofollower.evaluate import trace_from_event
 from ecofollower.idm import IdmParams, idm_controller
-from ecofollower.objectives import jerk, time_headway, ttc, ttc_signed
+from ecofollower.objectives import jerk, time_headway, ttc
 
+from reference_scalar import ttc_signed
 from synthetic import make_fleet
 
 

@@ -7,9 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ecofollower.ddpg import TrainConfig, policy_controller
-from ecofollower.env import (DEFAULT_ENV, UNBOUNDED_ENV, EnvConfig, RolloutError,
-                             constant_controller, recorded_accel_controller, rollout,
-                             rollout_batch)
+from ecofollower.env import DEFAULT_ENV, EnvConfig, RolloutError, rollout, rollout_batch
 from ecofollower.evaluate import evaluate_controller
 from ecofollower.events import CarFollowingEvent
 from ecofollower.idm import IdmParams, idm_controller
@@ -17,7 +15,8 @@ from ecofollower.nets import Mlp
 from ecofollower.vtmicro import (VtMicroCoefficients, VtMicroModel, fuel_rate,
                                  reference_model)
 
-from synthetic import constant_event, make_fleet
+from synthetic import (UNBOUNDED_ENV, constant_controller, constant_event, make_fleet,
+                       recorded_accel_controller)
 
 FIELDS = ("t", "accel", "v_follow", "spacing", "rel_speed", "x_follow")
 

@@ -10,8 +10,10 @@ from ecofollower.cli import read_config
 from ecofollower.env import EnvState
 from ecofollower.objectives import (HeadwayModel, RewardConfig, RewardWeights,
                                     f_fuel, f_headway, f_jerk, f_ttc, jerk,
-                                    reward, time_headway, ttc, ttc_signed)
+                                    reward, time_headway, ttc)
 from ecofollower.vtmicro import VtMicroCoefficients, VtMicroModel
+
+from reference_scalar import ttc_signed
 
 ZERO_FUEL = VtMicroModel(
     accel=VtMicroCoefficients(k=np.zeros((4, 4)), regime="acceleration"),
