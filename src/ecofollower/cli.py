@@ -25,7 +25,7 @@ from .evaluate import (EmptyResultError, EvalConfig, EvaluationResult,
                        evaluate_ground_truth, export_distributions)
 from .events import (ColumnMapping, DataError, FitError, SchemaError,
                      descriptive_stats, extract_events, fit_lognormal_headway,
-                     load_events, split_dataset, write_events)
+                     load_events, split_dataset, write_csv, write_events)
 from .idm import IdmParams, idm_controller
 from .nets import PolicyLoadError, load_policy, save_policy
 from .objectives import RewardConfig
@@ -113,12 +113,19 @@ def read_config(cls, obj, where: str):
         raise ValueError(f"{where}: {exc}") from exc
 
 
+def _read_json(path, flag: str):
+    try:
+        return json.loads(Path(path).read_text())
+    except json.JSONDecodeError as exc:
+        raise SchemaError(f"{flag} {path} is not valid JSON: {exc}") from exc
+
+
 def _load_config_blocks(path) -> dict:
     if path is None:
         return {}
-    obj = json.loads(Path(path).read_text())
+    obj = _read_json(path, "--config")
     if not isinstance(obj, dict):
-        raise ValueError(f"--config must be a JSON object, got {json.dumps(obj)}")
+        raise ValueError(f"--config must be a JSON object, got {json.dumps(obj)} in {path}")
     known = {"train", "reward", "env", "eval"}
     unknown = set(obj) - known
     if unknown:
@@ -131,10 +138,6 @@ def _configs(blocks: dict) -> tuple[TrainConfig, RewardConfig, EnvConfig, EvalCo
             read_config(RewardConfig, blocks.get("reward", {}), "reward"),
             read_config(EnvConfig, blocks.get("env", {}), "env"),
             read_config(EvalConfig, blocks.get("eval", {}), "eval"))
-
-
-def _fuel_model(path):
-    return load_coefficients(path) if path else reference_model()
 
 
 def _out_dir(args) -> Path:
@@ -174,22 +177,20 @@ def cmd_prepare(args) -> int:
     return EXIT_OK
 
 
-def _select_subset(events, subset, ratio, seed):
-    if subset == "all":
-        return events
-    split = split_dataset(events, ratio, seed)
-    return list(split.train if subset == "train" else split.test)
+def _nonempty(events, what: str):
+    if not events:
+        raise EmptyResultError(f"{what} is empty")
+    return events
 
 
 def cmd_stats(args) -> int:
     out = _out_dir(args)
-    events = load_events(args.events, min_duration=0.0)
-    if not events:
-        print("events file is empty", file=sys.stderr)
-        return EXIT_EMPTY
-    subset = _select_subset(events, args.subset, args.ratio, args.seed)
-    report = descriptive_stats(subset, bins=args.bins)
-    obj = report.to_json_dict()
+    events = _nonempty(load_events(args.events, min_duration=0.0), f"events file {args.events}")
+    subset = events
+    if args.subset != "all":   # train or test: that field of the split
+        subset = _nonempty(getattr(split_dataset(events, args.ratio, args.seed), args.subset),
+                           f"--subset {args.subset} of {len(events)} events at --ratio {args.ratio}")
+    obj = descriptive_stats(subset, bins=args.bins)
     obj["subset"] = args.subset
     try:
         mu, sigma = fit_lognormal_headway(subset)
@@ -197,8 +198,8 @@ def cmd_stats(args) -> int:
     except FitError as exc:
         obj["headway_lognormal"] = {"error": str(exc)}
     _write_json(out / "stats.json", obj)
-    for name, hist in report.histograms.items():
-        hist.write_csv(out / f"hist_{name}.csv")
+    for name, hist in obj["histograms"].items():
+        write_csv(out / f"hist_{name}.csv", ("bin_left", "bin_right", "count"), hist.values())
     write_manifest(out, "stats", args.seed,
                    {"bins": args.bins, "subset": args.subset, "ratio": args.ratio},
                    [args.events])
@@ -208,17 +209,15 @@ def cmd_stats(args) -> int:
 
 def cmd_train(args) -> int:
     out = _out_dir(args)
-    events = load_events(args.events, min_duration=0.0)
-    if not events:
-        print("events file is empty", file=sys.stderr)
-        return EXIT_EMPTY
+    events = _nonempty(load_events(args.events, min_duration=0.0), f"events file {args.events}")
     blocks = _load_config_blocks(args.config)
     train_cfg, reward_cfg, env_cfg, _ = _configs(blocks)
     overrides = {"seed": args.seed, "episodes": args.episodes}
     train_cfg = dataclasses.replace(
         train_cfg, **{k: v for k, v in overrides.items() if v is not None})
-    fuel = _fuel_model(args.vt_micro)
+    fuel = load_coefficients(args.vt_micro) if args.vt_micro else reference_model()
     split = split_dataset(events, args.split, train_cfg.seed)
+    _nonempty(split.train, f"the training set of {len(events)} events at --split {args.split}")
 
     def progress(row):
         if row.episode % 10 == 0:
@@ -245,18 +244,16 @@ def _run_evaluations(args) -> tuple[list[EvaluationResult], Path, dict]:
     if not (args.policy or args.idm_params is not None or args.ground_truth):
         raise ValueError("eval needs at least one of --policy, --idm-params, --ground-truth")
     out = _out_dir(args)
-    events = load_events(args.events, min_duration=0.0)
-    if not events:
-        raise EmptyResultError("events file is empty")
+    events = _nonempty(load_events(args.events, min_duration=0.0), f"events file {args.events}")
     blocks = _load_config_blocks(args.config)
     train_cfg, _, env_cfg, eval_cfg = _configs(blocks)
-    fuel = _fuel_model(args.vt_micro)
+    fuel = load_coefficients(args.vt_micro) if args.vt_micro else reference_model()
     controllers = []   # (name, controller) in report order; the ground truth comes last
     if args.policy:
         net = load_policy(args.policy, expect_sizes=[3, *train_cfg.hidden_sizes, 1])
         controllers.append(("policy", policy_controller(net, train_cfg, env_cfg)))
     if args.idm_params is not None:
-        obj = {} if args.idm_params == "default" else json.loads(Path(args.idm_params).read_text())
+        obj = {} if args.idm_params == "default" else _read_json(args.idm_params, "--idm-params")
         controllers.append(("idm", idm_controller(read_config(IdmParams, obj, "--idm-params"))))
 
     # a factory returning one shared controller, so all events roll out as one batch
@@ -361,7 +358,7 @@ def build_parser() -> argparse.ArgumentParser:
 EXIT_CODES = {
     EmptyResultError: EXIT_EMPTY,
     SchemaError: EXIT_INPUT, DataError: EXIT_INPUT, PolicyLoadError: EXIT_INPUT,
-    FileNotFoundError: EXIT_INPUT, json.JSONDecodeError: EXIT_INPUT,
+    FileNotFoundError: EXIT_INPUT,
     TrainingError: EXIT_NUMERIC, NonFiniteFuelError: EXIT_NUMERIC,
     ValueError: EXIT_USAGE,
 }

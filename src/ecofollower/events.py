@@ -126,7 +126,10 @@ class ColumnMapping:
     @classmethod
     def from_json(cls, path) -> "ColumnMapping":
         with open(path) as fh:
-            obj = json.load(fh)
+            try:
+                obj = json.load(fh)
+            except json.JSONDecodeError as exc:
+                raise SchemaError(f"{path}: mapping is not valid JSON: {exc}") from exc
         if not isinstance(obj, dict):
             raise SchemaError(f"{path}: mapping must be a JSON object, got {type(obj).__name__}")
         unknown = sorted(set(obj) - {"columns", "scale"})
@@ -352,58 +355,19 @@ def histogram_edges(values: np.ndarray, bins: int) -> np.ndarray:
     return np.linspace(lo, hi, bins + 1)
 
 
-@dataclass(frozen=True)
-class Histogram:
-    bin_left: np.ndarray
-    bin_right: np.ndarray
-    count: np.ndarray
-
-    @classmethod
-    def of(cls, values: np.ndarray, bins: int) -> "Histogram":
-        values = np.asarray(values, dtype=float)
-        edges = histogram_edges(values, bins)
-        count, _ = np.histogram(values, bins=edges)
-        return cls(edges[:-1], edges[1:], count)
-
-    def write_csv(self, path) -> None:
-        write_csv(path, ("bin_left", "bin_right", "count"),
-                  (self.bin_left, self.bin_right, self.count))
-
-
-@dataclass(frozen=True)
-class StatsReport:
-    events: int
-    samples: int
-    lead_speed: dict[str, float]
-    follow_speed: dict[str, float]
-    gap: dict[str, float]
-    histograms: dict[str, Histogram]
-
-    def to_json_dict(self) -> dict:
-        out = {
-            "events": self.events,
-            "samples": self.samples,
-            "lead_speed": self.lead_speed,
-            "follow_speed": self.follow_speed,
-            "gap": self.gap,
-        }
-        out["histograms"] = {
-            name: {
-                "bin_left": [float(x) for x in h.bin_left],
-                "bin_right": [float(x) for x in h.bin_right],
-                "count": [int(n) for n in h.count],
-            }
-            for name, h in self.histograms.items()
-        }
-        return out
-
-
 def _summary(values: np.ndarray) -> dict[str, float]:
     return {"mean": float(np.mean(values)), "min": float(np.min(values)), "max": float(np.max(values))}
 
 
-def descriptive_stats(events: Sequence[CarFollowingEvent], bins: int = 50) -> StatsReport:
-    """Means/min/max of speeds and gap plus histograms of the derived metrics.
+def _histogram(values: np.ndarray, bins: int) -> dict[str, list]:
+    edges = histogram_edges(values, bins)
+    count, _ = np.histogram(values, bins=edges)
+    return {"bin_left": edges[:-1].tolist(), "bin_right": edges[1:].tolist(), "count": count.tolist()}
+
+
+def descriptive_stats(events: Sequence[CarFollowingEvent], bins: int = 50) -> dict:
+    """The ``stats.json`` body: means/min/max of speeds and gap plus histograms
+    (``bin_left``/``bin_right``/``count`` lists) of them and the derived metrics.
 
     The TTC histogram uses the signed raw value -gap/rel_speed (rel_speed =
     lead - follow), clipped to the TTC cap; jerk is the second difference of
@@ -425,22 +389,21 @@ def descriptive_stats(events: Sequence[CarFollowingEvent], bins: int = 50) -> St
     lead = np.concatenate(lead)
     follow = np.concatenate(follow)
     gap = np.concatenate(gap)
-    histograms = {
-        "lead_speed": Histogram.of(lead, bins),
-        "follow_speed": Histogram.of(follow, bins),
-        "gap": Histogram.of(gap, bins),
-        "ttc": Histogram.of(np.concatenate(ttc_vals), bins),
-        "jerk": Histogram.of(np.concatenate(jerk_vals), bins),
-        "headway": Histogram.of(np.concatenate(headway_vals), bins),
+    return {
+        "events": len(events),
+        "samples": len(lead),
+        "lead_speed": _summary(lead),
+        "follow_speed": _summary(follow),
+        "gap": _summary(gap),
+        "histograms": {
+            "lead_speed": _histogram(lead, bins),
+            "follow_speed": _histogram(follow, bins),
+            "gap": _histogram(gap, bins),
+            "ttc": _histogram(np.concatenate(ttc_vals), bins),
+            "jerk": _histogram(np.concatenate(jerk_vals), bins),
+            "headway": _histogram(np.concatenate(headway_vals), bins),
+        },
     }
-    return StatsReport(
-        events=len(events),
-        samples=len(lead),
-        lead_speed=_summary(lead),
-        follow_speed=_summary(follow),
-        gap=_summary(gap),
-        histograms=histograms,
-    )
 
 
 def fit_lognormal_headway(events: Sequence[CarFollowingEvent]) -> tuple[float, float]:

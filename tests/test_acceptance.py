@@ -2,14 +2,18 @@
 
 Run with ``pytest tests/test_acceptance.py -v -s``. Criteria 9-12 need real
 reconstructed NGSIM I-80 data and run only when the corresponding environment
-variables point at it (see README); they report rather than block CI.
+variables point at it (see README); they report rather than block CI. The
+calls of criteria 9-11 also run on an NGSIM-shaped file from the benchmark's
+generator, without the paper's thresholds, so their code runs in every suite.
 """
 
 import json
 import math
 import os
+import sys
 import time
 from contextlib import contextmanager
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -30,6 +34,12 @@ from ecofollower.vtmicro import VtMicroCoefficients, fuel_rate, moe_exponent, re
 from synthetic import (UNBOUNDED_ENV, constant_controller, make_fleet,
                        recorded_accel_controller)
 from test_env import linear_leader_event
+
+# the benchmark's NGSIM-shaped generator and its numpy references, which share
+# no code with ecofollower
+sys.path.append(str(Path(__file__).resolve().parents[1] / "benchmarks"))
+import bench_checks  # noqa: E402
+import bench_inputs  # noqa: E402
 
 
 @contextmanager
@@ -280,13 +290,51 @@ def test_criterion_11_descriptive_means():
     with criterion(11, "mean speeds 8.14/8.07 m/s and gap 12.12 m reproduced", 1e9):
         events = load_events(NGSIM_EVENTS, min_duration=0.0)
         report = descriptive_stats(events)
-        lead, follow = report.lead_speed["mean"], report.follow_speed["mean"]
-        gap = report.gap["mean"]
+        lead, follow = report["lead_speed"]["mean"], report["follow_speed"]["mean"]
+        gap = report["gap"]["mean"]
         print(f"  lead {lead:.3f} (8.14 +/- 0.2), follow {follow:.3f} (8.07 +/- 0.2), "
               f"gap {gap:.3f} (12.12 +/- 0.5)")
         assert abs(lead - 8.14) <= 0.2
         assert abs(follow - 8.07) <= 0.2
         assert abs(gap - 12.12) <= 0.5
+
+
+# criteria 9-11's calls on an NGSIM-shaped file (feet, ft/s and ms; about a
+# tenth of the events too short), so their code runs without the real data
+
+
+@pytest.fixture(scope="module")
+def ngsim_shaped(tmp_path_factory):
+    base = tmp_path_factory.mktemp("ngsim_shaped")
+    source = bench_inputs.write_raw_ngsim(11, 20, base / "raw.csv", min_duration=15.0)
+    bench_inputs.write_mapping(base / "mapping.json")
+    result = extract_events(base / "raw.csv", ColumnMapping.from_json(base / "mapping.json"),
+                            min_duration=15.0)
+    return base, source, result
+
+
+def test_criterion_9_calls_keep_the_long_events(ngsim_shaped):
+    _, source, result = ngsim_shaped
+    assert sorted(ev.event_id for ev in result.events) == sorted(ev.event_id for ev in source.kept)
+    assert sorted(eid for eid, _ in result.rejected) == sorted(source.rejected)
+    assert {reason for _, reason in result.rejected} == {"too_short"}
+    by_id = {ev.event_id: ev for ev in source.kept}
+    for ev in result.events:  # feet, ft/s and ms scaled back to m, m/s and s
+        want = by_id[ev.event_id]
+        np.testing.assert_allclose(ev.t, want.t, rtol=0, atol=1e-9)
+        for name in ("x_lead", "v_lead", "x_follow", "v_follow"):
+            np.testing.assert_allclose(getattr(ev, name), getattr(want, name), rtol=1e-12)
+
+
+def test_criteria_10_11_calls_match_the_numpy_reference(ngsim_shaped):
+    base, _, result = ngsim_shaped
+    write_events(result.events, base / "events.csv")
+    events = load_events(base / "events.csv", min_duration=0.0)
+    got = descriptive_stats(events)
+    mu, sigma = fit_lognormal_headway(events)
+    got["headway_lognormal"] = {"mu": mu, "sigma": sigma}
+    want = bench_checks.stats_reference(bench_inputs.read_events_csv(base / "events.csv"))
+    assert bench_checks.stats_mismatches(got, want) == []
 
 
 @pytest.mark.skipif(NGSIM_EVENTS is None or POLICY is None,

@@ -146,6 +146,15 @@ class TestStats:
         assert (out1 / "stats.json").read_bytes() == (out2 / "stats.json").read_bytes()
         assert (out1 / "hist_gap.csv").read_bytes() == (out2 / "hist_gap.csv").read_bytes()
 
+    def test_empty_subset_exit_3(self, tmp_path, capsys):
+        # at --ratio 0.7 a one-event file has no training event
+        events = tmp_path / "one.csv"
+        write_events([constant_event("only", duration=20.0)], events)
+        out = tmp_path / "o"
+        assert main(["stats", "--events", str(events), "--subset", "train", "--out", str(out)]) == 3
+        assert capsys.readouterr().err.startswith("error: --subset train of 1 events")
+        assert not any(p.is_file() for p in out.rglob("*"))
+
 
 class TestTrain:
     def test_train_writes_artifacts(self, tmp_path, fleet_csv):
@@ -187,6 +196,16 @@ class TestTrain:
         empty.write_text("event_id,t,x_lead,v_lead,x_follow,v_follow\n")
         code = main(["train", "--events", str(empty), "--out", str(tmp_path / "o")])
         assert code == 3
+
+    def test_empty_training_split_exit_3(self, tmp_path, capsys):
+        # --split 0.7 of one event leaves floor(0.7) = 0 to train on
+        events = tmp_path / "one.csv"
+        write_events([constant_event("only", duration=20.0)], events)
+        out = tmp_path / "o"
+        assert main(["train", "--events", str(events), "--episodes", "1", "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: the training set of 1 events at --split 0.7")
+        assert not any(p.is_file() for p in out.rglob("*"))
 
 
 @pytest.fixture(scope="module")
@@ -425,6 +444,25 @@ class TestUsage:
         assert code == 1
 
 
+@pytest.mark.parametrize("flag, argv", [
+    pytest.param("--config", ["train", "--episodes", "1"], id="train-config"),
+    pytest.param("--config", ["eval", "--ground-truth"], id="eval-config"),
+    pytest.param("--idm-params", ["eval"], id="idm-params"),
+    pytest.param("--mapping", ["prepare"], id="mapping"),
+    pytest.param("--vt-micro", ["eval", "--idm-params"], id="vt-micro"),
+    pytest.param("--policy", ["eval"], id="policy"),
+])
+def test_malformed_json_names_its_file(tmp_path, fleet_csv, capsys, flag, argv):
+    bad = tmp_path / "malformed_input.json"
+    bad.write_text("{x")
+    source = "--input" if argv[0] == "prepare" else "--events"
+    code = main([*argv, source, str(fleet_csv), flag, str(bad), "--out", str(tmp_path / "o")])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "malformed_input.json" in err and "Traceback" not in err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def _vt_micro_error(tmp_path):
     path = tmp_path / "vt_micro.json"
     path.write_text(json.dumps({"regime": "acceleration", "k": "none"}))
@@ -440,7 +478,9 @@ def _vt_micro_error(tmp_path):
     pytest.param(lambda tmp: PolicyLoadError("bad policy"), 2, id="PolicyLoadError"),
     pytest.param(lambda tmp: FileNotFoundError(2, "No such file or directory", "e.csv"), 2,
                  id="FileNotFoundError"),
-    pytest.param(lambda tmp: json.JSONDecodeError("Expecting value", "{", 1), 2,
+    # every JSON reader names its file in a SchemaError, so a bare decode
+    # error is no input error of its own: it exits 1 like any ValueError
+    pytest.param(lambda tmp: json.JSONDecodeError("Expecting value", "{", 1), 1,
                  id="JSONDecodeError"),
     pytest.param(_vt_micro_error, 2, id="vt-micro"),
     pytest.param(lambda tmp: TrainingError("diverged"), 4, id="TrainingError"),

@@ -10,7 +10,7 @@ from ecofollower.ddpg import TrainLog, TrainLogRow
 from ecofollower.env import SimulatedTrace
 from ecofollower.evaluate import INDICATOR_FILES, EvalConfig, TraceValues, export_distributions
 from ecofollower.events import (CANONICAL_FIELDS, NUMERIC_FIELDS, CarFollowingEvent,
-                                ColumnMapping, Histogram, extract_events, load_events,
+                                ColumnMapping, extract_events, load_events,
                                 write_csv, write_events)
 
 from reference_reader import extract_events_rowwise
@@ -54,8 +54,9 @@ class TestGoldenBytes:
             b"0.1,-3.0,1.2,1e-300,0.0,0.135\r\n")
 
     def test_stats_histogram(self, tmp_path):
-        hist = Histogram(np.array([-0.5, -0.0]), np.array([-0.0, 0.5]), np.array([3, 0]))
-        hist.write_csv(tmp_path / "hist.csv")
+        # as cmd_stats writes a histogram of descriptive_stats
+        hist = {"bin_left": [-0.5, -0.0], "bin_right": [-0.0, 0.5], "count": [3, 0]}
+        write_csv(tmp_path / "hist.csv", ("bin_left", "bin_right", "count"), hist.values())
         assert (tmp_path / "hist.csv").read_bytes() == (
             b"bin_left,bin_right,count\r\n"
             b"-0.5,-0.0,3\r\n"

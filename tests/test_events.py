@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from ecofollower.cli import main
 from ecofollower.events import (CANONICAL_FIELDS, CarFollowingEvent, ColumnMapping,
                                 DataError, FitError, SchemaError, descriptive_stats,
                                 extract_events, fit_lognormal_headway,
@@ -300,15 +301,15 @@ class TestSplitDataset:
 class TestDescriptiveStats:
     def test_constant_trace_means_exact(self):
         report = descriptive_stats([constant_event(v=8.0, gap=12.0)])
-        assert report.lead_speed["mean"] == 8.0
-        assert report.follow_speed["mean"] == 8.0
-        assert report.gap["mean"] == pytest.approx(12.0, abs=1e-9)
+        assert report["lead_speed"]["mean"] == 8.0
+        assert report["follow_speed"]["mean"] == 8.0
+        assert report["gap"]["mean"] == pytest.approx(12.0, abs=1e-9)
 
     def test_symmetric_two_event_mean(self):
         a = constant_event("a", v=4.0)
         b = constant_event("b", v=12.0)
         report = descriptive_stats([a, b])
-        assert report.follow_speed["mean"] == 8.0
+        assert report["follow_speed"]["mean"] == 8.0
 
     def test_empty_input_rejected(self):
         with pytest.raises(ValueError):
@@ -318,13 +319,23 @@ class TestDescriptiveStats:
         events = make_fleet(4, seed=2)
         report = descriptive_stats(events, bins=20)
         for name in ("lead_speed", "follow_speed", "gap", "ttc", "jerk", "headway"):
-            assert name in report.histograms
-        assert report.histograms["lead_speed"].count.sum() == report.samples
+            assert name in report["histograms"]
+        assert sum(report["histograms"]["lead_speed"]["count"]) == report["samples"]
+
+    def test_plain_json_ready_data(self):
+        report = descriptive_stats(make_fleet(2, seed=2), bins=5)
+        assert json.loads(json.dumps(report, allow_nan=False)) == report
+        assert type(report["samples"]) is int and type(report["gap"]["mean"]) is float
+        for hist in report["histograms"].values():
+            assert list(hist) == ["bin_left", "bin_right", "count"]
+            assert {type(x) for x in hist["bin_left"] + hist["bin_right"]} == {float}
+            assert {type(n) for n in hist["count"]} == {int}
 
     def test_histogram_csv(self, tmp_path):
-        report = descriptive_stats(make_fleet(2, seed=2), bins=10)
-        path = tmp_path / "hist.csv"
-        report.histograms["gap"].write_csv(path)
+        write_events(make_fleet(2, seed=2), tmp_path / "events.csv")
+        assert main(["stats", "--events", str(tmp_path / "events.csv"), "--bins", "10",
+                     "--out", str(tmp_path)]) == 0
+        path = tmp_path / "hist_gap.csv"
         lines = path.read_text().strip().splitlines()
         assert lines[0] == "bin_left,bin_right,count"
         assert len(lines) == 11
