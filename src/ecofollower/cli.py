@@ -25,7 +25,8 @@ from .evaluate import (EmptyResultError, EvalConfig, EvaluationResult,
                        evaluate_ground_truth, export_distributions)
 from .events import (ColumnMapping, DataError, FitError, SchemaError,
                      descriptive_stats, extract_events, fit_lognormal_headway,
-                     load_events, split_dataset, write_csv, write_events)
+                     json_object, load_events, read_json, split_dataset, write_csv,
+                     write_events)
 from .idm import IdmParams, idm_controller
 from .nets import PolicyLoadError, load_policy, save_policy
 from .objectives import RewardConfig
@@ -68,14 +69,14 @@ def write_manifest(out_dir: Path, command: str, seed, config_obj, inputs) -> Non
 
 # config field type -> (the JSON value types it takes, what an error says it expects)
 _JSON_TYPES = {float: ((int, float), "a number"), int: (int, "an integer"),
-               bool: (bool, "true or false"), tuple[int, ...]: (list, "a list of integers")}
+               tuple[int, ...]: (list, "a list of integers")}
 
 
 def _read_field(tp, value, path: str):
     if dataclasses.is_dataclass(tp):
         return read_config(tp, value, path)
     json_types, expected = _JSON_TYPES[tp]
-    if not isinstance(value, json_types) or isinstance(value, bool) != (tp is bool):
+    if not isinstance(value, json_types) or isinstance(value, bool):
         raise ValueError(f"{path} must be {expected}, got {json.dumps(value)}")
     if json_types is list:
         return tuple(_read_field(int, v, f"{path}[{i}]") for i, v in enumerate(value))
@@ -96,41 +97,33 @@ def read_config(cls, obj, where: str):
     """Build the config dataclass ``cls`` from the JSON object ``obj``.
 
     Field types come from ``cls``: a float takes any finite JSON number (a bool
-    is not one), an int an integer, a bool true/false, a ``tuple[int, ...]`` a list of
-    integers and a nested dataclass an object read the same way; absent fields
-    keep their defaults. Anything else is a ValueError naming ``where.field``.
+    is not one), an int an integer, a ``tuple[int, ...]`` a list of integers and
+    a nested dataclass an object read the same way; absent fields keep their
+    defaults. Anything else is a ValueError naming ``where.field``.
     """
-    if not isinstance(obj, dict):
-        raise ValueError(f"{where} must be a JSON object, got {json.dumps(obj)}")
-    unknown = sorted(set(obj) - {f.name for f in dataclasses.fields(cls)})
-    if unknown:
-        raise ValueError(f"unknown config fields: {', '.join(f'{where}.{k}' for k in unknown)}")
     hints = typing.get_type_hints(cls)
-    kwargs = {k: _read_field(hints[k], v, f"{where}.{k}") for k, v in obj.items()}
+    kwargs = {k: _read_field(hints[k], v, f"{where}.{k}")
+              for k, v in json_object(obj, where, hints).items()}
     try:
         return cls(**kwargs)
     except ValueError as exc:
         raise ValueError(f"{where}: {exc}") from exc
 
 
-def _read_json(path, flag: str):
+def _read_object(path, flag: str, read):
+    """``read`` of the JSON in the file ``path``; a ValueError it raises names the file."""
+    obj = read_json(path, flag)
     try:
-        return json.loads(Path(path).read_text())
-    except json.JSONDecodeError as exc:
-        raise SchemaError(f"{flag} {path} is not valid JSON: {exc}") from exc
+        return read(obj)
+    except ValueError as exc:
+        raise ValueError(f"{exc} in {path}") from exc
 
 
 def _load_config_blocks(path) -> dict:
     if path is None:
         return {}
-    obj = _read_json(path, "--config")
-    if not isinstance(obj, dict):
-        raise ValueError(f"--config must be a JSON object, got {json.dumps(obj)} in {path}")
-    known = {"train", "reward", "env", "eval"}
-    unknown = set(obj) - known
-    if unknown:
-        raise ValueError(f"unknown config blocks: {sorted(unknown)} (expected {sorted(known)})")
-    return obj
+    return _read_object(path, "--config",
+                        lambda obj: json_object(obj, "--config", ("train", "reward", "env", "eval")))
 
 
 def _configs(blocks: dict) -> tuple[TrainConfig, RewardConfig, EnvConfig, EvalConfig]:
@@ -253,8 +246,9 @@ def _run_evaluations(args) -> tuple[list[EvaluationResult], Path, dict]:
         net = load_policy(args.policy, expect_sizes=[3, *train_cfg.hidden_sizes, 1])
         controllers.append(("policy", policy_controller(net, train_cfg, env_cfg)))
     if args.idm_params is not None:
-        obj = {} if args.idm_params == "default" else _read_json(args.idm_params, "--idm-params")
-        controllers.append(("idm", idm_controller(read_config(IdmParams, obj, "--idm-params"))))
+        params = (IdmParams() if args.idm_params == "default" else _read_object(
+            args.idm_params, "--idm-params", lambda obj: read_config(IdmParams, obj, "--idm-params")))
+        controllers.append(("idm", idm_controller(params)))
 
     # a factory returning one shared controller, so all events roll out as one batch
     results = [evaluate_controller(lambda ev, c=ctrl: c, name, events, fuel, env_cfg, eval_cfg)
@@ -358,7 +352,7 @@ def build_parser() -> argparse.ArgumentParser:
 EXIT_CODES = {
     EmptyResultError: EXIT_EMPTY,
     SchemaError: EXIT_INPUT, DataError: EXIT_INPUT, PolicyLoadError: EXIT_INPUT,
-    FileNotFoundError: EXIT_INPUT,
+    OSError: EXIT_INPUT,
     TrainingError: EXIT_NUMERIC, NonFiniteFuelError: EXIT_NUMERIC,
     ValueError: EXIT_USAGE,
 }

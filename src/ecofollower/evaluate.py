@@ -36,7 +36,6 @@ class NonFiniteFuelError(ArithmeticError):
 @dataclass(frozen=True)
 class EvalConfig:
     ttc_cap: float = indicators.TTC_CAP   # s; closing-gap TTC is capped before averaging
-    per_event_means: bool = False  # False: pool steps across events
     bins: int = 50
 
     def __post_init__(self):
@@ -143,17 +142,14 @@ class EvaluationResult:
         return {v.trace.event_id: v.trace for v in self.values}
 
 
-def _mean(chunks: list[np.ndarray], per_event: bool) -> float:
-    if per_event:
-        means = [float(np.mean(c)) for c in chunks if c.size]
-        return float(np.mean(means)) if means else float("nan")
+def _mean(chunks: list[np.ndarray]) -> float:
     pooled = np.concatenate(chunks) if chunks else np.array([])
     return float(np.mean(pooled)) if pooled.size else float("nan")
 
 
 def summarize_traces(name: str, values: Sequence[TraceValues],
                      cfg: EvalConfig = EvalConfig(), errors: int = 0) -> IndicatorSummary:
-    """Aggregate the four indicators over traces (step-pooled by default)."""
+    """Aggregate the four indicators over traces, pooling the steps of all events."""
     if not values:
         raise ValueError("summarize_traces needs at least one trace")
     traces = [v.trace for v in values]
@@ -162,18 +158,13 @@ def summarize_traces(name: str, values: Sequence[TraceValues],
     headway_chunks = [v.headway for v in values]
     total_fuel = sum(float(np.sum(v.fuel_rate)) * tr.dt for v, tr in zip(values, traces))
     total_time = sum(tr.duration for tr in traces)
-    if cfg.per_event_means:
-        fuel_means = [float(np.mean(v.fuel_rate)) for v in values if v.fuel_rate.size]
-        mean_fuel = float(np.mean(fuel_means)) if fuel_means else float("nan")
-    else:
-        mean_fuel = total_fuel / total_time
     all_jerk = np.concatenate([v.jerk for v in values])
     return IndicatorSummary(
         name=name,
-        mean_ttc=_mean(ttc_chunks, cfg.per_event_means),
-        mean_abs_jerk=_mean(jerk_chunks, cfg.per_event_means),
-        mean_headway=_mean(headway_chunks, cfg.per_event_means),
-        mean_fuel_rate=mean_fuel,
+        mean_ttc=_mean(ttc_chunks),
+        mean_abs_jerk=_mean(jerk_chunks),
+        mean_headway=_mean(headway_chunks),
+        mean_fuel_rate=total_fuel / total_time,
         events_evaluated=len(traces),
         collisions=sum(tr.collided for tr in traces),
         errors=errors,
@@ -184,7 +175,7 @@ def summarize_traces(name: str, values: Sequence[TraceValues],
             "total_steps": int(sum(len(tr) for tr in traces)),
             "total_time_s": total_time,
             "total_fuel_ml": total_fuel,
-            "aggregation": "per_event_means" if cfg.per_event_means else "step_pooled",
+            "aggregation": "step_pooled",
             "ttc_cap_s": cfg.ttc_cap,
             "speed_floor_m_s": indicators.SPEED_FLOOR,
         },

@@ -35,6 +35,28 @@ class SchemaError(ValueError):
     """Input file lacks an expected column or is structurally unreadable."""
 
 
+def read_json(path, what: str):
+    """The value in the JSON file ``path``, decoded by JSON's own UTF-8/16/32
+    rules rather than the locale's. A file that does not decode or parse, or
+    nests too deep to, raises SchemaError naming ``what`` and the path; an
+    OSError passes through."""
+    try:
+        return json.loads(Path(path).read_bytes())
+    except (ValueError, RecursionError) as exc:
+        raise SchemaError(f"{what} {path} is not valid JSON: {exc}") from exc
+
+
+def json_object(value, where: str, known, error=ValueError) -> dict:
+    """``value`` if it is a JSON object whose keys are all in ``known``, else
+    ``error`` naming ``where`` (and ``where.key`` of each unknown key)."""
+    if not isinstance(value, dict):
+        raise error(f"{where} must be a JSON object, got {type(value).__name__}")
+    unknown = [f"{where}.{k}" for k in sorted(set(value) - set(known))]
+    if unknown:
+        raise error(f"unknown keys {', '.join(unknown)}; expected some of {list(known)}")
+    return value
+
+
 class DataError(ValueError):
     """Row values violate trajectory invariants."""
 
@@ -109,15 +131,15 @@ class ColumnMapping:
     scale: dict[str, float] = field(default_factory=dict)
 
     def __post_init__(self):
+        json_object(self.columns, "mapping.columns", CANONICAL_FIELDS, SchemaError)
+        json_object(self.scale, "mapping.scale", NUMERIC_FIELDS, SchemaError)
         missing = [f for f in CANONICAL_FIELDS if f not in self.columns]
         if missing:
             raise SchemaError(f"mapping missing canonical fields: {missing}")
-        for block, keys, known in (("columns", self.columns, CANONICAL_FIELDS),
-                                   ("scale", self.scale, NUMERIC_FIELDS)):
-            unknown = sorted(set(keys) - set(known))
-            if unknown:
-                raise SchemaError(f"mapping {block} has unknown fields {unknown}; "
-                                  f"expected some of {list(known)}")
+        try:
+            object.__setattr__(self, "scale", {k: float(v) for k, v in self.scale.items()})
+        except (TypeError, ValueError) as exc:
+            raise SchemaError(f"mapping scale factor is not a number: {exc}") from exc
 
     @classmethod
     def identity(cls) -> "ColumnMapping":
@@ -125,27 +147,16 @@ class ColumnMapping:
 
     @classmethod
     def from_json(cls, path) -> "ColumnMapping":
-        with open(path) as fh:
-            try:
-                obj = json.load(fh)
-            except json.JSONDecodeError as exc:
-                raise SchemaError(f"{path}: mapping is not valid JSON: {exc}") from exc
-        if not isinstance(obj, dict):
-            raise SchemaError(f"{path}: mapping must be a JSON object, got {type(obj).__name__}")
-        unknown = sorted(set(obj) - {"columns", "scale"})
-        if unknown:
-            raise SchemaError(f"{path}: mapping has unknown blocks {unknown}; "
-                              "expected 'columns' and optionally 'scale'")
-        if "columns" not in obj:
-            raise SchemaError(f"{path}: mapping has no 'columns' block")
-        columns, scale = obj["columns"], obj.get("scale", {})
-        if not isinstance(columns, dict) or not isinstance(scale, dict):
-            raise SchemaError(f"{path}: mapping 'columns' and 'scale' must be JSON objects")
+        """The mapping in the JSON file ``path``; any fault raises SchemaError naming it."""
+        obj = read_json(path, "mapping")
         try:
-            factors = {k: float(v) for k, v in scale.items()}
-        except (TypeError, ValueError) as exc:
-            raise SchemaError(f"{path}: mapping scale factor is not a number: {exc}") from exc
-        return cls(columns=columns, scale=factors)
+            obj = json_object(obj, "mapping", ("columns", "scale"), SchemaError)
+            if "columns" not in obj:
+                raise SchemaError("mapping has no 'columns' block")
+            return cls(columns=obj["columns"], scale=obj.get("scale", {}))
+        except SchemaError as exc:
+            raise SchemaError(f"{path}: {exc} (a mapping is a JSON object of JSON objects "
+                              "'columns' and optionally 'scale')") from exc
 
 
 @dataclass(frozen=True)

@@ -14,7 +14,10 @@ import math
 
 import numpy as np
 
+from .events import SchemaError, json_object, read_json
+
 POLICY_FORMAT_VERSION = 1
+POLICY_KEYS = ("version", "sizes", "hidden_activation", "output_activation", "weights", "biases")
 OUTPUT_ACTIVATIONS = ("tanh", "linear")
 
 # Adam moment decay rates and denominator guard (Kingma & Ba defaults)
@@ -207,14 +210,11 @@ def save_policy(net: Mlp, path) -> None:
 
 def load_policy(path, expect_sizes=None) -> Mlp:
     try:
-        with open(path) as fh:
-            obj = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+        obj = json_object(read_json(path, "policy"), "policy", POLICY_KEYS, SchemaError)
+    except (OSError, SchemaError) as exc:
         raise PolicyLoadError(f"cannot read policy file {path}: {exc}") from exc
-    if not isinstance(obj, dict) or "version" not in obj:
-        raise PolicyLoadError(f"{path}: not a policy file (missing version field)")
-    if obj["version"] != POLICY_FORMAT_VERSION:
-        raise PolicyLoadError(f"{path}: unsupported policy version {obj['version']}")
+    if obj.get("version") != POLICY_FORMAT_VERSION:
+        raise PolicyLoadError(f"{path}: unsupported policy version {obj.get('version')}")
     try:
         if obj["hidden_activation"] != "tanh":
             raise ValueError(f"unsupported hidden activation {obj['hidden_activation']!r}")

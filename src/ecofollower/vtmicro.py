@@ -19,7 +19,7 @@ from importlib import resources
 
 import numpy as np
 
-from .events import SchemaError
+from .events import SchemaError, json_object, read_json
 
 REGIMES = ("acceleration", "deceleration")
 
@@ -108,8 +108,8 @@ def _scale(units: dict, key: str, unit_key: str, named: dict[str, float]) -> flo
 
 
 def _fold_units(k: np.ndarray, units) -> np.ndarray:
-    if not isinstance(units, dict):
-        raise ValueError(f"'units' must be a JSON object, got {json.dumps(units)}")
+    units = json_object(units, "units", ("speed", "acceleration", "output",
+                                         "speed_scale", "accel_scale", "output_scale"))
     cv = _scale(units, "speed_scale", "speed", _SPEED_SCALE)
     ca = _scale(units, "accel_scale", "acceleration", _ACCEL_SCALE)
     cout = _scale(units, "output_scale", "output", _OUTPUT_SCALE)
@@ -120,8 +120,7 @@ def _fold_units(k: np.ndarray, units) -> np.ndarray:
 
 
 def _parse_table(obj) -> VtMicroCoefficients:
-    if not isinstance(obj, dict):
-        raise ValueError(f"a coefficient table must be a JSON object, got {json.dumps(obj)}")
+    obj = json_object(obj, "table", ("source", "regime", "units", "k"))
     try:
         regime = obj["regime"]
         k = np.asarray(obj["k"], dtype=float)
@@ -142,11 +141,11 @@ def load_coefficients(path) -> VtMicroModel:
     single object is applied to both regimes (single-table parity mode).
     A file that is not such JSON raises SchemaError naming the file.
     """
-    with open(path) as fh:
-        try:
-            return _model_from_json(json.load(fh))
-        except (ValueError, OverflowError) as exc:   # OverflowError: an integer past float range
-            raise SchemaError(f"VT-Micro coefficient file {path}: {exc}") from exc
+    obj = read_json(path, "VT-Micro coefficient file")
+    try:
+        return _model_from_json(obj)
+    except (ValueError, OverflowError) as exc:   # OverflowError: an integer past float range
+        raise SchemaError(f"VT-Micro coefficient file {path}: {exc}") from exc
 
 
 def _model_from_json(obj) -> VtMicroModel:

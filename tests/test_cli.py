@@ -368,27 +368,33 @@ class TestEvalCompare:
         assert "'ground_truth'" in err and "step 0 of event synth-000" in err
         assert not any(p.is_file() for p in out.rglob("*"))
 
-    @pytest.mark.parametrize("obj", [
+    @pytest.mark.parametrize("obj, named", [
         pytest.param({"regime": "acceleration", "k": ZERO_K, "units": {"speed": "furlong/s"}},
-                     id="unknown-unit"),
-        pytest.param([{"regime": "acceleration", "k": ZERO_K}, ZERO_K], id="table-not-an-object"),
-        pytest.param({"regime": "acceleration", "k": ZERO_K, "units": "km/h"},
+                     "furlong/s", id="unknown-unit"),
+        pytest.param([{"regime": "acceleration", "k": ZERO_K}, ZERO_K], "JSON object",
+                     id="table-not-an-object"),
+        pytest.param({"regime": "acceleration", "k": ZERO_K, "units": "km/h"}, "units",
                      id="units-not-an-object"),
         pytest.param({"regime": "acceleration", "k": [[0] * 4, [0] * 3, [0] * 4, [0] * 4]},
-                     id="ragged-k"),
+                     "4x4", id="ragged-k"),
         pytest.param({"regime": "acceleration", "k": ZERO_K, "units": {"speed_scale": "fast"}},
-                     id="non-numeric-speed_scale"),
+                     "speed_scale", id="non-numeric-speed_scale"),
         pytest.param({"regime": "acceleration", "k": ZERO_K, "units": {"output_scale": 0}},
-                     id="output_scale-0"),
+                     "output_scale", id="output_scale-0"),
+        # an unknown key would read the table in the wrong units
+        pytest.param({"regime": "acceleration", "k": ZERO_K, "unit": {"speed": "km/h"}},
+                     "table.unit", id="table-key-unit"),
+        pytest.param({"regime": "acceleration", "k": ZERO_K, "units": {"sped": "km/h"}},
+                     "units.sped", id="units-key-sped"),
     ])
-    def test_malformed_vt_micro_exit_2(self, tmp_path, trained, capsys, obj):
+    def test_malformed_vt_micro_exit_2(self, tmp_path, trained, capsys, obj, named):
         path = tmp_path / "bad_vt_micro.json"
         path.write_text(json.dumps(obj))
         code = main(["eval", "--events", str(trained["events"]), "--idm-params",
                      "--vt-micro", str(path), "--out", str(tmp_path / "o")])
         assert code == 2
         err = capsys.readouterr().err
-        assert "bad_vt_micro.json" in err and "Traceback" not in err
+        assert "bad_vt_micro.json" in err and named in err and "Traceback" not in err
 
     def test_policy_with_wrong_sizes_exit_2(self, tmp_path, trained):
         # trained with [8, 8] hidden; default config expects [64, 64]
@@ -453,14 +459,21 @@ class TestUsage:
     pytest.param("--policy", ["eval"], id="policy"),
 ])
 def test_malformed_json_names_its_file(tmp_path, fleet_csv, capsys, flag, argv):
-    bad = tmp_path / "malformed_input.json"
-    bad.write_text("{x")
     source = "--input" if argv[0] == "prepare" else "--events"
-    code = main([*argv, source, str(fleet_csv), flag, str(bad), "--out", str(tmp_path / "o")])
-    err = capsys.readouterr().err
-    assert code == 2
-    assert "malformed_input.json" in err and "Traceback" not in err
-    assert err.startswith("error: ") and err.count("\n") == 1
+    # not JSON, not UTF-8 (a UTF-16 byte order mark, then an odd byte), nested
+    # past the recursion limit, and a directory
+    for i, content in enumerate(["{x", b"\xff\xfe{", "[" * 100_000, None]):
+        bad = tmp_path / str(i) / "malformed_input.json"
+        if content is None:
+            bad.mkdir(parents=True)
+        else:
+            bad.parent.mkdir()
+            bad.write_bytes(content if isinstance(content, bytes) else content.encode())
+        code = main([*argv, source, str(fleet_csv), flag, str(bad), "--out", str(tmp_path / "o")])
+        err = capsys.readouterr().err
+        assert code == 2, (content, err)
+        assert "malformed_input.json" in err and "Traceback" not in err
+        assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def _vt_micro_error(tmp_path):
@@ -486,6 +499,8 @@ def _vt_micro_error(tmp_path):
     pytest.param(lambda tmp: TrainingError("diverged"), 4, id="TrainingError"),
     pytest.param(lambda tmp: NonFiniteFuelError("inf"), 4, id="NonFiniteFuelError"),
     pytest.param(lambda tmp: ValueError("bad value"), 1, id="ValueError"),
+    pytest.param(lambda tmp: IsADirectoryError(21, "Is a directory", "e.csv"), 2,
+                 id="IsADirectoryError"),
 ])
 def test_exit_code_table(tmp_path, monkeypatch, capsys, make_error, code):
     error = make_error(tmp_path)

@@ -220,15 +220,11 @@ class TestExportDistributions:
 
 
 class TestAggregationModes:
-    def test_per_event_means_flag_changes_weighting(self):
+    def test_means_pool_steps_across_events(self):
         # one long event and one short event with different headways
         long_ev = constant_event("long", v=8.0, gap=8.0, duration=40.0)
         short_ev = constant_event("short", v=8.0, gap=16.0, duration=16.0)
-        pooled = evaluate_ground_truth([long_ev, short_ev], UNIT_FUEL,
-                                       EvalConfig(per_event_means=False)).summary
-        per_event = evaluate_ground_truth([long_ev, short_ev], UNIT_FUEL,
-                                          EvalConfig(per_event_means=True)).summary
-        assert per_event.mean_headway == pytest.approx((1.0 + 2.0) / 2, abs=1e-9)
+        pooled = evaluate_ground_truth([long_ev, short_ev], UNIT_FUEL).summary
         n_long, n_short = 400, 160
         want_pooled = (1.0 * n_long + 2.0 * n_short) / (n_long + n_short)
         assert pooled.mean_headway == pytest.approx(want_pooled, abs=1e-9)
