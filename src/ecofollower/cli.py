@@ -143,6 +143,16 @@ def _safe_name(event_id: str) -> str:
     return re.sub(r"[^\w.-]", "_", event_id)
 
 
+def _check_trace_names(events, path) -> None:
+    """SchemaError naming two events whose trace files would have the same name."""
+    seen: dict[str, str] = {}
+    for ev in events:
+        other = seen.setdefault(_safe_name(ev.event_id), ev.event_id)
+        if other != ev.event_id:
+            raise SchemaError(f"{path}: events {other!r} and {ev.event_id!r} would share the "
+                              f"trace file {_safe_name(ev.event_id)}.csv")
+
+
 def cmd_prepare(args) -> int:
     if not 0.0 <= args.dt < math.inf:
         raise ValueError(f"--dt must be a finite number >= 0 (0 disables the check), got {args.dt}")
@@ -236,8 +246,9 @@ def cmd_train(args) -> int:
 def _run_evaluations(args) -> tuple[list[EvaluationResult], Path, dict]:
     if not (args.policy or args.idm_params is not None or args.ground_truth):
         raise ValueError("eval needs at least one of --policy, --idm-params, --ground-truth")
-    out = _out_dir(args)
     events = _nonempty(load_events(args.events, min_duration=0.0), f"events file {args.events}")
+    _check_trace_names(events, args.events)
+    out = _out_dir(args)
     blocks = _load_config_blocks(args.config)
     train_cfg, _, env_cfg, eval_cfg = _configs(blocks)
     fuel = load_coefficients(args.vt_micro) if args.vt_micro else reference_model()

@@ -176,13 +176,13 @@ def rollout(event: CarFollowingEvent, controller: Controller,
     )
 
 
-def _commands(controller: Controller, state: EnvState, k: int) -> tuple[np.ndarray, dict[int, str]]:
-    """One command per running event, and the reason of each event whose command failed.
+def _commands(controller: Controller, state: EnvState, k: int, a: np.ndarray) -> dict[int, str]:
+    """Write one command per running event into ``a``; return the reason of
+    each event whose command failed, whose entry of ``a`` is then 0.
 
     If the lockstep call raises, the step is asked again one event at a time,
     with plain floats, so only the events whose own call raises fail.
     """
-    a = np.empty(len(state.follow_speed))
     failures = {}
     try:
         a[...] = controller(state, k)
@@ -195,10 +195,20 @@ def _commands(controller: Controller, state: EnvState, k: int) -> tuple[np.ndarr
             except Exception as exc:
                 failures[j] = str(exc)
                 a[j] = 0.0
-    for j in np.flatnonzero(~np.isfinite(a)).tolist():
-        failures[j] = f"non-finite command {a[j]}"
-        a[j] = 0.0
-    return a, failures
+    finite = np.isfinite(a)
+    if np.count_nonzero(finite) < len(a):
+        for j in np.flatnonzero(~finite).tolist():
+            failures[j] = f"non-finite command {a[j]}"
+            a[j] = 0.0
+    return failures
+
+
+def _trace(event: CarFollowingEvent, record: np.ndarray, n_rows: int,
+           collided: bool) -> SimulatedTrace:
+    """The trace of the first ``n_rows`` columns of an event's record."""
+    accel, v, dv, x, s = record[:, :n_rows]
+    return SimulatedTrace(event_id=event.event_id, dt=event.dt, t=event.t[:n_rows], accel=accel,
+                          v_follow=v, spacing=s, rel_speed=dv, x_follow=x, collided=collided)
 
 
 def rollout_batch(events: Sequence[CarFollowingEvent], controller: Controller,
@@ -210,56 +220,73 @@ def rollout_batch(events: Sequence[CarFollowingEvent], controller: Controller,
     of them with the operations of ``step`` in its order. An event leaves the
     running set after its last step, on collision, or when its command is
     non-finite or its own call raises. Returns, in the order of ``events``,
-    each event's trace as ``rollout`` gives it, or the RolloutError it failed
-    with.
+    each event's trace or the RolloutError it failed with. A trace equals
+    ``rollout``'s bit for bit when the controller gives each event the same
+    command in a batch as alone (a constant, an elementwise formula); IDM and
+    the policy do up to rounding, since array and scalar arithmetic may round
+    differently.
+
+    Between two retirements the running set is fixed, so each such run of
+    steps lives in one buffer of shape (steps + 1, 5, running events): row i
+    holds the command taken at the run's step i and the state it was taken
+    in, as (accel, v_follow, rel_speed, x_follow, spacing), and each step
+    writes the next state into row i + 1 in place. The controller sees views
+    of a row that is never written again. At each retirement the run's rows
+    go to the records of its events.
     """
     results: list[SimulatedTrace | RolloutError | None] = [None] * len(events)
-    width = max((len(ev) - 1 for ev in events), default=0)
-    lead = np.zeros((width + 1, len(events)))   # leader speed at each step, padded
-    for j, ev in enumerate(events):
-        lead[:len(ev), j] = ev.v_lead
-    rows = np.empty((width, 5, len(events)))    # accel, v_follow, spacing, rel_speed, x_follow
-    # running event j is events[cols[j]], with column cols[j] of lead and rows
-    cols = np.arange(len(events))
-    n_steps = np.array([len(ev) - 1 for ev in events], dtype=int)
-    first = [reset(ev) for ev in events]
-    v = np.array([st.follow_speed for st in first])
-    s = np.array([st.spacing for st in first])
-    dv = np.array([st.rel_speed for st in first])
-    x = np.array([float(ev.x_follow[0]) for ev in events])
-    dt = np.array([ev.dt for ev in events])
-
-    def retire(stop: np.ndarray, n_rows: int, collided: np.ndarray, failures: dict[int, str]):
-        nonlocal cols, n_steps, v, s, dv, x, dt
-        for j in np.flatnonzero(stop).tolist():
-            c = cols[j]
-            ev = events[c]
-            if j in failures:
-                results[c] = _command_error(ev, n_rows - 1, failures[j])
-                continue
-            accel, v_j, s_j, dv_j, x_j = rows[:n_rows, :, c].T.copy()
-            results[c] = SimulatedTrace(
-                event_id=ev.event_id, dt=ev.dt, t=ev.t[:n_rows], accel=accel, v_follow=v_j,
-                spacing=s_j, rel_speed=dv_j, x_follow=x_j, collided=bool(collided[j]))
-        keep = ~stop
-        cols, n_steps, v, s, dv, x, dt = (arr[keep] for arr in (cols, n_steps, v, s, dv, x, dt))
-
-    retire(n_steps == 0, 0, np.zeros(len(events), dtype=bool), {})
-    for k in range(width):
-        a, failures = _commands(controller, EnvState(v, s, dv), k)
-        a = np.minimum(config.a_max, np.maximum(config.a_min, a))
-        v_next = np.maximum(0.0, v + a * dt)
-        dv_next = lead[k + 1, cols] - v_next
-        s_next = s + (dv + dv_next) / 2.0 * dt
-        x_next = x + (v + v_next) / 2.0 * dt
-        collided = s_next <= config.collision_gap
-        rows[k][:, cols] = a, v, s, dv, x
-        v, s, dv, x = v_next, s_next, dv_next, x_next
-        stop = collided | (n_steps == k + 1)
-        if failures:
-            stop[list(failures)] = True
-        if stop.any():
-            retire(stop, k + 1, collided, failures)
-            if not len(cols):
+    n_steps = [len(ev) - 1 for ev in events]
+    records = [np.empty((5, n)) for n in n_steps]   # rows of every step, in buffer order
+    for c, n in enumerate(n_steps):
+        if n == 0:
+            results[c] = _trace(events[c], records[c], 0, False)
+    cols = [c for c, n in enumerate(n_steps) if n]   # running event j is events[cols[j]]
+    first = [reset(events[c]) for c in cols]
+    state = np.array([(st.follow_speed, st.rel_speed, float(events[c].x_follow[0]), st.spacing)
+                      for c, st in zip(cols, first)]).T
+    # 0-d arrays: a ufunc takes them faster than Python floats, and computes the same
+    a_min, a_max, gap, zero, two = (np.array(float(x)) for x in (
+        config.a_min, config.a_max, config.collision_gap, 0.0, 2.0))
+    k = 0   # the run's first step
+    while cols:
+        end = min(n_steps[c] for c in cols)   # the next step at which an event ends
+        dt = np.array([[events[c].dt for c in cols]] * 2)   # one row per term of a pair
+        dt1 = dt[0]
+        lead = np.stack([events[c].v_lead[k + 1:end + 1] for c in cols], axis=1)
+        buf = np.empty((end - k + 1, 5, len(cols)))
+        buf[0, 1:] = state
+        collided = np.empty(len(cols), dtype=bool)
+        for i in range(end - k):
+            row, nxt = buf[i], buf[i + 1]
+            a, v, v_next = row[0], row[1], nxt[1]
+            failures = _commands(controller, EnvState(v, row[4], row[2]), k + i, a)
+            np.maximum(a_min, a, out=a)
+            np.minimum(a_max, a, out=a)
+            np.multiply(a, dt1, out=v_next)
+            np.add(v, v_next, out=v_next)
+            np.maximum(zero, v_next, out=v_next)
+            np.subtract(lead[i], v_next, out=nxt[2])
+            # (x, s) + ((v, dv) + (v_next, dv_next)) / 2 * dt, one operation per term
+            xs = nxt[3:]
+            np.add(row[1:3], nxt[1:3], out=xs)
+            np.divide(xs, two, out=xs)
+            np.multiply(xs, dt, out=xs)
+            np.add(row[3:], xs, out=xs)
+            np.less_equal(nxt[4], gap, out=collided)
+            if failures or np.count_nonzero(collided):
                 break
+        n_rows = i + 1
+        k += n_rows
+        keep = []
+        for j, c in enumerate(cols):
+            if j in failures:
+                results[c] = _command_error(events[c], k - 1, failures[j])
+                continue
+            records[c][:, k - n_rows:k] = buf[:n_rows, :, j].T
+            if collided[j] or n_steps[c] == k:
+                results[c] = _trace(events[c], records[c], k, bool(collided[j]))
+            else:
+                keep.append(j)
+        state = buf[n_rows, 1:][:, keep]
+        cols = [cols[j] for j in keep]
     return results

@@ -107,17 +107,24 @@ class TraceValues:
     fuel_rate: np.ndarray     # every step
 
 
-def trace_values(trace: SimulatedTrace, fuel_model: VtMicroModel,
-                 cfg: EvalConfig = EvalConfig()) -> TraceValues:
-    """Indicator arrays and VT-Micro rates of every step of the trace."""
-    return TraceValues(
-        trace=trace,
-        ttc_closing=indicators.ttc_closing(trace.spacing, trace.rel_speed, cfg.ttc_cap),
-        ttc_signed=indicators.ttc_signed(trace.spacing, trace.rel_speed, cfg.ttc_cap),
-        jerk=indicators.jerk(trace.accel, trace.dt),
-        headway=indicators.headway(trace.spacing, trace.v_follow),
-        fuel_rate=fuel_model.rates(trace.v_follow, trace.accel),
-    )
+def trace_values(traces: Sequence[SimulatedTrace], fuel_model: VtMicroModel,
+                 cfg: EvalConfig = EvalConfig()) -> list[TraceValues]:
+    """Indicator arrays and VT-Micro rates of every step of each trace.
+
+    The rates are computed in one call over the steps of all traces, in
+    order; each TraceValues holds its slice of them.
+    """
+    rates = fuel_model.rates(np.concatenate([tr.v_follow for tr in traces]),
+                             np.concatenate([tr.accel for tr in traces]))
+    ends = np.cumsum([len(tr) for tr in traces]).tolist()
+    return [TraceValues(
+        trace=tr,
+        ttc_closing=indicators.ttc_closing(tr.spacing, tr.rel_speed, cfg.ttc_cap),
+        ttc_signed=indicators.ttc_signed(tr.spacing, tr.rel_speed, cfg.ttc_cap),
+        jerk=indicators.jerk(tr.accel, tr.dt),
+        headway=indicators.headway(tr.spacing, tr.v_follow),
+        fuel_rate=rates[start:end],
+    ) for tr, start, end in zip(traces, [0, *ends], ends)]
 
 
 def _check_fuel(name: str, values: Sequence[TraceValues]) -> None:
@@ -190,7 +197,7 @@ def _result(name: str, outcomes: dict[str, SimulatedTrace | Exception],
     if not traces:
         first = "; ".join(f"{eid}: {msg}" for eid, msg in errors[:3])
         raise EmptyResultError(f"controller {name!r} failed on every event; first errors: {first}")
-    values = [trace_values(tr, fuel_model, cfg) for tr in traces]
+    values = trace_values(traces, fuel_model, cfg)
     _check_fuel(name, values)
     return EvaluationResult(summary=summarize_traces(name, values, cfg, errors=len(errors)),
                             values=values, errors=errors)

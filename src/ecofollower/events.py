@@ -188,18 +188,21 @@ def extract_events(path, mapping: ColumnMapping | None = None,
     """
     mapping = mapping or ColumnMapping.identity()
     path = Path(path)
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None:
-            raise SchemaError(f"{path}: empty file")
-        missing = [mapping.columns[f] for f in CANONICAL_FIELDS
-                   if mapping.columns[f] not in header]
-        if missing:
-            raise SchemaError(f"{path}: missing columns {missing}")
-        position = {name: i for i, name in enumerate(header)}
-        where = [position[mapping.columns[f]] for f in CANONICAL_FIELDS]
-        code_of, codes, columns = _read_columns(reader, where, path)
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            reader = csv.reader(fh)
+            header = next(reader, None)
+            if header is None:
+                raise SchemaError(f"{path}: empty file")
+            missing = [mapping.columns[f] for f in CANONICAL_FIELDS
+                       if mapping.columns[f] not in header]
+            if missing:
+                raise SchemaError(f"{path}: missing columns {missing}")
+            position = {name: i for i, name in enumerate(header)}
+            where = [position[mapping.columns[f]] for f in CANONICAL_FIELDS]
+            code_of, codes, columns = _read_columns(reader, where, path)
+    except UnicodeDecodeError as exc:
+        raise SchemaError(f"{path} is not UTF-8 text: {exc}") from exc
 
     events: list[CarFollowingEvent] = []
     rejected: list[tuple[str, str]] = []
@@ -292,7 +295,7 @@ def write_csv(path, header: Sequence[str], *blocks) -> None:
     Each block goes out in one write. Its numeric cells are their ``repr``;
     its string cells come from the csv module, once per distinct string.
     """
-    with open(path, "w", newline="") as fh:
+    with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
         for columns in blocks:

@@ -19,7 +19,7 @@ from ecofollower.events import (CANONICAL_FIELDS, CarFollowingEvent, DataError, 
 from ecofollower.idm import IdmParams, idm_controller
 from ecofollower.nets import PolicyLoadError
 from ecofollower.objectives import RewardConfig
-from ecofollower.vtmicro import load_coefficients
+from ecofollower.vtmicro import load_coefficients, reference_model
 
 from synthetic import constant_event, make_fleet, positions_from_speeds
 
@@ -353,20 +353,44 @@ class TestEvalCompare:
 
     @pytest.mark.parametrize("command", ["eval", "compare"])
     def test_non_finite_fuel_exit_4(self, tmp_path, capsys, command):
-        # a recorded follower jumping from 0 to ~8 m/s in one step overflows VT-Micro
-        events = make_fleet(3, seed=7)
-        v_follow = events[0].v_follow.copy()
-        v_follow[0] = 0.0
-        events[0] = dataclasses.replace(events[0], v_follow=v_follow)
-        path = tmp_path / "jump.csv"
+        # a recorded follower jumping from 0 to ~8 m/s in one step overflows
+        # VT-Micro; put that step in the first, the middle and the last event
+        fuel = reference_model()
+        for i, k in ((0, 0), (1, 37), (2, 120)):
+            events = make_fleet(3, seed=7)
+            v_follow = events[i].v_follow.copy()
+            v_follow[k] = 0.0
+            events[i] = dataclasses.replace(events[i], v_follow=v_follow)
+            path = tmp_path / f"jump{i}.csv"
+            write_events(events, path)
+            # the first recorded step, in event_id order, whose rate is not finite
+            want = next((ev.event_id, j) for ev in sorted(load_events(path, min_duration=0.0),
+                                                          key=lambda ev: ev.event_id)
+                        for j in range(len(ev) - 1)
+                        if not math.isfinite(fuel.rate(
+                            ev.v_follow[j], (ev.v_follow[j + 1] - ev.v_follow[j]) / ev.dt)))
+            assert want[0] == events[i].event_id
+            out = tmp_path / f"o{i}"
+            code = main([command, "--events", str(path), "--idm-params", "--ground-truth",
+                         "--out", str(out)])
+            assert code == 4
+            err = capsys.readouterr().err
+            assert "'ground_truth'" in err and f"step {want[1]} of event {want[0]}" in err
+            assert not any(p.is_file() for p in out.rglob("*"))
+
+    @pytest.mark.parametrize("command", ["eval", "compare"])
+    def test_events_sharing_a_trace_file_exit_2(self, tmp_path, capsys, command):
+        events = [constant_event("1/2"), constant_event("1_2", gap=20.0)]
+        path = tmp_path / "clash.csv"
         write_events(events, path)
         out = tmp_path / "o"
         code = main([command, "--events", str(path), "--idm-params", "--ground-truth",
                      "--out", str(out)])
-        assert code == 4
         err = capsys.readouterr().err
-        assert "'ground_truth'" in err and "step 0 of event synth-000" in err
-        assert not any(p.is_file() for p in out.rglob("*"))
+        assert code == 2, err
+        assert "'1/2'" in err and "'1_2'" in err and "1_2.csv" in err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert not out.exists()
 
     @pytest.mark.parametrize("obj, named", [
         pytest.param({"regime": "acceleration", "k": ZERO_K, "units": {"speed": "furlong/s"}},
@@ -474,6 +498,25 @@ def test_malformed_json_names_its_file(tmp_path, fleet_csv, capsys, flag, argv):
         assert code == 2, (content, err)
         assert "malformed_input.json" in err and "Traceback" not in err
         assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [
+    pytest.param(["prepare", "--input"], id="prepare"),
+    pytest.param(["stats", "--events"], id="stats"),
+    pytest.param(["train", "--episodes", "1", "--events"], id="train"),
+    pytest.param(["eval", "--ground-truth", "--events"], id="eval"),
+])
+def test_non_utf8_csv_names_its_file(tmp_path, fleet_csv, capsys, argv):
+    # an event id holding the byte ff, which starts no UTF-8 sequence
+    lines = fleet_csv.read_bytes().split(b"\n")
+    lines[5] = b"\xff" + lines[5]
+    bad = tmp_path / "latin_input.csv"
+    bad.write_bytes(b"\n".join(lines))
+    code = main([*argv, str(bad), "--out", str(tmp_path / "o")])
+    err = capsys.readouterr().err
+    assert code == 2, err
+    assert "latin_input.csv" in err and "UTF-8" in err and "Traceback" not in err
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def _vt_micro_error(tmp_path):

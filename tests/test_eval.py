@@ -186,7 +186,7 @@ def read_dist_csv(path):
 class TestExportDistributions:
     def test_single_value_occupies_one_bin(self, tmp_path):
         ev = constant_event(v=8.0, gap=12.0)
-        values = {"gt": [trace_values(trace_from_event(ev), UNIT_FUEL)]}
+        values = {"gt": trace_values([trace_from_event(ev)], UNIT_FUEL)}
         export_distributions(values, tmp_path, EvalConfig(bins=20))
         header, rows = read_dist_csv(tmp_path / "headway.csv")
         counts = [int(r[2]) for r in rows]
@@ -197,8 +197,8 @@ class TestExportDistributions:
         events = make_fleet(3, seed=53)
         gt = [trace_from_event(ev) for ev in events]
         idm = [rollout(ev, idm_controller(IdmParams()), DEFAULT_ENV) for ev in events]
-        export_distributions({"gt": [trace_values(tr, UNIT_FUEL) for tr in gt],
-                              "idm": [trace_values(tr, UNIT_FUEL) for tr in idm]},
+        export_distributions({"gt": trace_values(gt, UNIT_FUEL),
+                              "idm": trace_values(idm, UNIT_FUEL)},
                              tmp_path, EvalConfig(bins=30))
         header, rows = read_dist_csv(tmp_path / "jerk.csv")
         assert header == ["bin_left", "bin_right", "gt", "idm"]
@@ -211,7 +211,7 @@ class TestExportDistributions:
         events = make_fleet(2, seed=57)
         gt = [trace_from_event(ev) for ev in events]
         jerks = np.concatenate([np.diff(np.concatenate([[0.0], tr.accel])) / tr.dt for tr in gt])
-        export_distributions({"gt": [trace_values(tr, UNIT_FUEL) for tr in gt]},
+        export_distributions({"gt": trace_values(gt, UNIT_FUEL)},
                              tmp_path, EvalConfig(bins=25))
         _, rows = read_dist_csv(tmp_path / "jerk.csv")
         occupied = [r for r in rows if r[2] > 0]

@@ -15,10 +15,17 @@ from ecofollower.nets import Mlp
 from ecofollower.vtmicro import (VtMicroCoefficients, VtMicroModel, fuel_rate,
                                  reference_model)
 
+import reference_lockstep
 from synthetic import (UNBOUNDED_ENV, constant_controller, constant_event, make_fleet,
                        recorded_accel_controller)
 
 FIELDS = ("t", "accel", "v_follow", "spacing", "rel_speed", "x_follow")
+
+
+def fraction(x):
+    """A hash of ``x`` in [0, 1), elementwise, with the same bits for a float and an array."""
+    u = x * 7919.0
+    return u - np.floor(u)
 
 
 def hashed_controller(bias):
@@ -28,8 +35,7 @@ def hashed_controller(bias):
     state, so one controller serves the whole batch and every single rollout.
     """
     def control(state, k):
-        u = state.spacing * 7919.0
-        return 6.0 * (u - np.floor(u)) - 3.0 + bias
+        return 6.0 * fraction(state.spacing) - 3.0 + bias
 
     return control
 
@@ -76,6 +82,76 @@ def test_exact_controllers_give_the_scalar_traces_bit_for_bit(events, bias):
         replay = recorded_accel_controller(ev)
         [got] = rollout_batch([ev], replay, UNBOUNDED_ENV)
         assert_same(got, rollout(ev, replay, UNBOUNDED_ENV))
+
+
+def raising_controller(base, k_fail):
+    """``base``, except that the lockstep call at step ``k_fail`` raises, and
+    so does the one-event call of each event whose spacing hashes low."""
+    def control(state, k):
+        if k == k_fail and (np.ndim(state.spacing) or fraction(state.spacing) < 0.4):
+            raise RuntimeError("radar dropout")
+        return base(state, k)
+
+    return control
+
+
+def non_finite_controller(base, k_bad):
+    """``base``, with nan or +-inf for the events whose spacing hashes low at step ``k_bad``."""
+    def control(state, k):
+        a = base(state, k)
+        if k != k_bad:
+            return a
+        u = fraction(state.spacing)
+        return np.where(u < 0.1, np.nan, np.where(u < 0.2, np.inf, np.where(u < 0.3, -np.inf, a)))
+
+    return control
+
+
+def recording(controller, calls):
+    """``controller``, appending to ``calls`` each call's step, the state's
+    arrays as handed over, and a copy of them taken at the call."""
+    def control(state, k):
+        fields = (state.follow_speed, state.spacing, state.rel_speed)
+        calls.append((k, fields, tuple(np.array(f, copy=True) for f in fields)))
+        return controller(state, k)
+
+    return control
+
+
+def assert_same_outcome(got, want):
+    if isinstance(want, RolloutError):
+        assert isinstance(got, RolloutError) and str(got) == str(want)
+    else:
+        assert_same(got, want)
+
+
+@given(events=fleets, seed=st.integers(0, 2**32 - 1), bias=biases,
+       t_headway=st.floats(0.05, 0.5), at=st.floats(0.0, 1.0))
+@settings(max_examples=25, deadline=None)
+def test_the_reference_loop_gives_the_same_bits_and_calls(events, seed, bias, t_headway, at):
+    k_at = int(at * (max(len(ev) for ev in events) - 2))
+    net = Mlp.init([3, 8, 8, 1], np.random.default_rng(seed), output_activation="tanh")
+    hashed = hashed_controller(bias)
+    # a weak actuator floor lets an eager short-headway IDM run into its leaders
+    for ctrl, env in ((idm_controller(IdmParams(a_max=3.0, s_jam=0.0, T_headway=t_headway)),
+                       EnvConfig(a_min=-0.3, a_max=3.0)),
+                      (policy_controller(net, TrainConfig()), DEFAULT_ENV),
+                      (hashed, EnvConfig(a_min=-6.0, a_max=6.0, collision_gap=1.0)),
+                      (raising_controller(hashed, k_at), DEFAULT_ENV),
+                      (non_finite_controller(hashed, k_at), DEFAULT_ENV)):
+        calls, want_calls = [], []
+        got = rollout_batch(events, recording(ctrl, calls), env)
+        want = reference_lockstep.rollout_batch(events, recording(ctrl, want_calls), env)
+        for g, w in zip(got, want, strict=True):
+            assert_same_outcome(g, w)
+        assert len(calls) == len(want_calls)
+        for (k, fields, copies), (want_k, _, want_fields) in zip(calls, want_calls):
+            assert k == want_k
+            for f, copy, want_f in zip(fields, copies, want_fields):
+                # the same values in the same order, never written after the call
+                assert np.shape(f) == np.shape(want_f)
+                np.testing.assert_array_equal(copy, want_f)
+                np.testing.assert_array_equal(f, copy)
 
 
 @given(events=fleets, seed=st.integers(0, 2**32 - 1), bias=biases)

@@ -252,7 +252,7 @@ def make_trace(v, accel, dt=0.1):
 
 def fuel_of(trace, model):
     """(total fuel in mL, mean rate in mL/s) as summarize_traces reports them."""
-    summary = summarize_traces("c", [trace_values(trace, model)])
+    summary = summarize_traces("c", trace_values([trace], model))
     return summary.metadata["total_fuel_ml"], summary.mean_fuel_rate
 
 
