@@ -11,9 +11,9 @@ from .ddpg import (DdpgAgent, ReplayBuffer, TrainConfig, TrainLog, Transition,
                    TrainingError, policy_controller, train)
 from .env import (EnvConfig, EnvState, RolloutError, SimulatedTrace, StepOutcome,
                   reset, rollout_batch, simulate, step)
-from .evaluate import (ComparisonReport, EvalConfig, IndicatorSummary, NonFiniteFuelError,
+from .evaluate import (EvalConfig, IndicatorSummary, NonFiniteFuelError,
                        compare, evaluate_controller, evaluate_ground_truth,
-                       export_distributions, trace_from_event)
+                       export_distributions, pooled_steps, render_text, trace_from_event)
 from .events import (CarFollowingEvent, ColumnMapping, DataError, DatasetSplit,
                      FitError, SchemaError, descriptive_stats,
                      extract_events, fit_lognormal_headway, load_events,

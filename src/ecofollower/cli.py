@@ -22,7 +22,7 @@ from .ddpg import TrainConfig, TrainingError, policy_controller, train
 from .env import EnvConfig
 from .evaluate import (EmptyResultError, EvalConfig, EvaluationResult,
                        NonFiniteFuelError, compare, evaluate_controller,
-                       evaluate_ground_truth, export_distributions)
+                       evaluate_ground_truth, export_distributions, render_text)
 from .events import (ColumnMapping, DataError, FitError, SchemaError,
                      descriptive_stats, extract_events, fit_lognormal_headway,
                      json_object, load_events, read_json, split_dataset, write_csv,
@@ -156,6 +156,8 @@ def _check_trace_names(events, path) -> None:
 def cmd_prepare(args) -> int:
     if not 0.0 <= args.dt < math.inf:
         raise ValueError(f"--dt must be a finite number >= 0 (0 disables the check), got {args.dt}")
+    if not 0.0 <= args.min_duration < math.inf:
+        raise ValueError(f"--min-duration must be a finite number >= 0, got {args.min_duration}")
     out = _out_dir(args)
     mapping = ColumnMapping.from_json(args.mapping) if args.mapping else None
     result = extract_events(args.input, mapping, min_duration=args.min_duration,
@@ -275,7 +277,7 @@ def _run_evaluations(args) -> tuple[list[EvaluationResult], Path, dict]:
     _write_json(out / "errors.json", {
         r.summary.name: [{"event_id": eid, "message": msg} for eid, msg in r.errors]
         for r in results})
-    export_distributions({r.summary.name: r.values for r in results},
+    export_distributions({r.summary.name: r.steps for r in results},
                          out / "distributions", eval_cfg)
     config_echo = {"blocks": blocks, "vt_micro": str(args.vt_micro),
                    "eval": dataclasses.asdict(eval_cfg)}
@@ -296,8 +298,8 @@ def cmd_eval(args) -> int:
 def cmd_compare(args) -> int:
     results, out, config_echo = _run_evaluations(args)
     report = compare([r.summary for r in results], config_echo=config_echo)
-    _write_json(out / "report.json", report.to_json_dict())
-    text = report.render_text()
+    _write_json(out / "report.json", report)
+    text = render_text(report)
     (out / "report.txt").write_text(text)
     write_manifest(out, "compare", None, config_echo, [args.events])
     print(text, end="")

@@ -95,91 +95,75 @@ def trace_from_event(event: CarFollowingEvent) -> SimulatedTrace:
     )
 
 
-@dataclass
-class TraceValues:
-    """Per-step indicator arrays of one trace, shared by summaries and histograms."""
+def pooled_steps(traces: Sequence[SimulatedTrace], fuel_model: VtMicroModel,
+                 cfg: EvalConfig = EvalConfig()) -> dict[str, np.ndarray]:
+    """Per-step indicator arrays of all traces, pooled in trace order.
 
-    trace: SimulatedTrace
-    ttc_closing: np.ndarray   # capped, closing-gap steps only
-    ttc_signed: np.ndarray    # clipped to +/- cap, any nonzero rel speed
-    jerk: np.ndarray
-    headway: np.ndarray       # steps above the speed floor
-    fuel_rate: np.ndarray     # every step
-
-
-def trace_values(traces: Sequence[SimulatedTrace], fuel_model: VtMicroModel,
-                 cfg: EvalConfig = EvalConfig()) -> list[TraceValues]:
-    """Indicator arrays and VT-Micro rates of every step of each trace.
-
-    The rates are computed in one call over the steps of all traces, in
-    order; each TraceValues holds its slice of them.
+    Keys: ``ttc`` (signed, clipped to +/- cap, any nonzero rel speed),
+    ``jerk``, ``headway`` (steps above the speed floor) and ``fuel_rate``
+    (every step), one distribution file each, then ``ttc_closing`` (capped,
+    closing-gap steps only). Jerk is taken per trace, as the acceleration
+    before each trace's step 0 is 0.
     """
-    rates = fuel_model.rates(np.concatenate([tr.v_follow for tr in traces]),
-                             np.concatenate([tr.accel for tr in traces]))
-    ends = np.cumsum([len(tr) for tr in traces]).tolist()
-    return [TraceValues(
-        trace=tr,
-        ttc_closing=indicators.ttc_closing(tr.spacing, tr.rel_speed, cfg.ttc_cap),
-        ttc_signed=indicators.ttc_signed(tr.spacing, tr.rel_speed, cfg.ttc_cap),
-        jerk=indicators.jerk(tr.accel, tr.dt),
-        headway=indicators.headway(tr.spacing, tr.v_follow),
-        fuel_rate=rates[start:end],
-    ) for tr, start, end in zip(traces, [0, *ends], ends)]
-
-
-def _check_fuel(name: str, values: Sequence[TraceValues]) -> None:
-    """Raise NonFiniteFuelError naming the first event and step whose fuel rate is not finite."""
-    for v in values:
-        bad = np.flatnonzero(~np.isfinite(v.fuel_rate))
-        if bad.size:
-            k = int(bad[0])
-            raise NonFiniteFuelError(
-                f"controller {name!r}: non-finite VT-Micro fuel rate {v.fuel_rate[k]} "
-                f"at step {k} of event {v.trace.event_id}")
+    v_follow = np.concatenate([tr.v_follow for tr in traces])
+    spacing = np.concatenate([tr.spacing for tr in traces])
+    rel_speed = np.concatenate([tr.rel_speed for tr in traces])
+    return {
+        "ttc": indicators.ttc_signed(spacing, rel_speed, cfg.ttc_cap),
+        "jerk": np.concatenate([indicators.jerk(tr.accel, tr.dt) for tr in traces]),
+        "headway": indicators.headway(spacing, v_follow),
+        "fuel_rate": fuel_model.rates(v_follow, np.concatenate([tr.accel for tr in traces])),
+        "ttc_closing": indicators.ttc_closing(spacing, rel_speed, cfg.ttc_cap),
+    }
 
 
 @dataclass
 class EvaluationResult:
     summary: IndicatorSummary
-    values: list[TraceValues]      # one per evaluated event, in event_id order
-    errors: list[tuple[str, str]]  # (event_id, message)
-
-    @property
-    def traces(self) -> dict[str, SimulatedTrace]:
-        return {v.trace.event_id: v.trace for v in self.values}
+    traces: dict[str, SimulatedTrace]  # evaluated events by event_id, in event_id order
+    steps: dict[str, np.ndarray]       # pooled_steps of those traces
+    errors: list[tuple[str, str]]      # (event_id, message)
 
 
-def _mean(chunks: list[np.ndarray]) -> float:
-    pooled = np.concatenate(chunks) if chunks else np.array([])
+def _mean(pooled: np.ndarray) -> float:
     return float(np.mean(pooled)) if pooled.size else float("nan")
 
 
-def summarize_traces(name: str, values: Sequence[TraceValues],
+def summarize_traces(name: str, traces: Sequence[SimulatedTrace], steps: dict[str, np.ndarray],
                      cfg: EvalConfig = EvalConfig(), errors: int = 0) -> IndicatorSummary:
-    """Aggregate the four indicators over traces, pooling the steps of all events."""
-    if not values:
+    """Aggregate the four indicators over traces from their pooled steps.
+
+    A non-finite fuel rate raises NonFiniteFuelError naming the first such
+    step and its event.
+    """
+    if not traces:
         raise ValueError("summarize_traces needs at least one trace")
-    traces = [v.trace for v in values]
-    ttc_chunks = [v.ttc_closing for v in values]
-    jerk_chunks = [np.abs(v.jerk) for v in values]
-    headway_chunks = [v.headway for v in values]
-    total_fuel = sum(float(np.sum(v.fuel_rate)) * tr.dt for v, tr in zip(values, traces))
+    fuel = steps["fuel_rate"]
+    ends = np.cumsum([len(tr) for tr in traces])
+    bad = np.flatnonzero(~np.isfinite(fuel))
+    if bad.size:
+        i = int(np.searchsorted(ends, bad[0], side="right"))
+        raise NonFiniteFuelError(
+            f"controller {name!r}: non-finite VT-Micro fuel rate {fuel[bad[0]]} "
+            f"at step {bad[0] - (ends[i - 1] if i else 0)} of event {traces[i].event_id}")
+    total_fuel = sum(float(np.sum(fuel[end - len(tr):end])) * tr.dt
+                     for tr, end in zip(traces, ends))
     total_time = sum(tr.duration for tr in traces)
-    all_jerk = np.concatenate([v.jerk for v in values])
+    jerk = steps["jerk"]
     return IndicatorSummary(
         name=name,
-        mean_ttc=_mean(ttc_chunks),
-        mean_abs_jerk=_mean(jerk_chunks),
-        mean_headway=_mean(headway_chunks),
+        mean_ttc=_mean(steps["ttc_closing"]),
+        mean_abs_jerk=_mean(np.abs(jerk)),
+        mean_headway=_mean(steps["headway"]),
         mean_fuel_rate=total_fuel / total_time,
         events_evaluated=len(traces),
         collisions=sum(tr.collided for tr in traces),
         errors=errors,
         metadata={
-            "rms_jerk_m_s3": float(np.sqrt(np.mean(all_jerk ** 2))) if all_jerk.size else float("nan"),
-            "ttc_steps": int(sum(c.size for c in ttc_chunks)),
-            "headway_steps": int(sum(c.size for c in headway_chunks)),
-            "total_steps": int(sum(len(tr) for tr in traces)),
+            "rms_jerk_m_s3": float(np.sqrt(np.mean(jerk ** 2))) if jerk.size else float("nan"),
+            "ttc_steps": int(steps["ttc_closing"].size),
+            "headway_steps": int(steps["headway"].size),
+            "total_steps": int(ends[-1]),
             "total_time_s": total_time,
             "total_fuel_ml": total_fuel,
             "aggregation": "step_pooled",
@@ -197,10 +181,9 @@ def _result(name: str, outcomes: dict[str, SimulatedTrace | Exception],
     if not traces:
         first = "; ".join(f"{eid}: {msg}" for eid, msg in errors[:3])
         raise EmptyResultError(f"controller {name!r} failed on every event; first errors: {first}")
-    values = trace_values(traces, fuel_model, cfg)
-    _check_fuel(name, values)
-    return EvaluationResult(summary=summarize_traces(name, values, cfg, errors=len(errors)),
-                            values=values, errors=errors)
+    steps = pooled_steps(traces, fuel_model, cfg)
+    return EvaluationResult(summary=summarize_traces(name, traces, steps, cfg, len(errors)),
+                            traces={tr.event_id: tr for tr in traces}, steps=steps, errors=errors)
 
 
 def evaluate_controller(controller_factory: ControllerFactory, name: str,
@@ -247,81 +230,60 @@ def evaluate_ground_truth(events: Sequence[CarFollowingEvent],
                    fuel_model, cfg)
 
 
-@dataclass
-class ComparisonReport:
-    summaries: list[IndicatorSummary]
-    baseline: str
-    fuel_saving_pct: dict[str, float]
-    config_echo: dict = field(default_factory=dict)
-
-    def to_json_dict(self) -> dict:
-        return {
-            "controllers": [s.to_json_dict() for s in self.summaries],
-            "baseline": self.baseline,
-            "fuel_saving_pct": self.fuel_saving_pct,
-            "config_echo": self.config_echo,
-        }
-
-    def render_text(self) -> str:
-        """Aligned table in the published column order."""
-        header = ("Model", "TTC (s)", "Jerk (m/s^3)", "Time Headway (s)",
-                  "Fuel Consumption (mL/s)", "Fuel Saving (%)", "Collisions")
-        rows = [header]
-        for s in self.summaries:
-            means = (s.mean_ttc, s.mean_abs_jerk, s.mean_headway, s.mean_fuel_rate)
-            saving = self.fuel_saving_pct.get(s.name)
-            rows.append((
-                s.name,
-                *("-" if not math.isfinite(m) else f"{m:.3f}" for m in means),
-                "-" if saving is None else f"{saving:.2f}",
-                str(s.collisions),
-            ))
-        widths = [max(len(r[i]) for r in rows) for i in range(len(header))]
-        lines = []
-        for i, row in enumerate(rows):
-            lines.append("  ".join(cell.ljust(w) for cell, w in zip(row, widths)).rstrip())
-            if i == 0:
-                lines.append("  ".join("-" * w for w in widths))
-        return "\n".join(lines) + "\n"
-
-
 def compare(summaries: Sequence[IndicatorSummary],
             baseline: str = GROUND_TRUTH,
-            config_echo: dict | None = None) -> ComparisonReport:
-    """Fuel savings of each controller relative to the baseline summary."""
+            config_echo: dict | None = None) -> dict:
+    """The ``report.json`` body: every summary and each controller's fuel saving
+    against the baseline summary, null where that is undefined (a zero
+    baseline rate)."""
     by_name = {s.name: s for s in summaries}
     if baseline not in by_name:
         raise ValueError(f"baseline {baseline!r} missing from summaries {sorted(by_name)}")
     base_fuel = by_name[baseline].mean_fuel_rate
-    saving = {s.name: 100.0 * (1.0 - s.mean_fuel_rate / base_fuel)
-              for s in summaries if s.name != baseline}
-    return ComparisonReport(
-        summaries=list(summaries),
-        baseline=baseline,
-        fuel_saving_pct=saving,
-        config_echo=config_echo or {},
-    )
+    saving = {s.name: _finite_or_none(100.0 * (1.0 - s.mean_fuel_rate / base_fuel))
+              if base_fuel else None for s in summaries if s.name != baseline}
+    return {"controllers": [s.to_json_dict() for s in summaries], "baseline": baseline,
+            "fuel_saving_pct": saving, "config_echo": config_echo or {}}
 
 
-# each distribution file and the TraceValues field it pools
-INDICATOR_FILES = {"ttc": "ttc_signed", "jerk": "jerk", "headway": "headway",
-                   "fuel_rate": "fuel_rate"}
+def render_text(report: dict) -> str:
+    """The ``compare`` report body as an aligned table in the published column
+    order, which is the order of each controller's indicators; a null figure
+    is shown as ``-``."""
+    header = ("Model", "TTC (s)", "Jerk (m/s^3)", "Time Headway (s)",
+              "Fuel Consumption (mL/s)", "Fuel Saving (%)", "Collisions")
+    rows = [header]
+    for c in report["controllers"]:
+        saving = report["fuel_saving_pct"].get(c["name"])
+        rows.append((
+            c["name"],
+            *("-" if m is None else f"{m:.3f}" for m in c["indicators"].values()),
+            "-" if saving is None else f"{saving:.2f}",
+            str(c["collisions"]),
+        ))
+    widths = [max(len(r[i]) for r in rows) for i in range(len(header))]
+    lines = []
+    for i, row in enumerate(rows):
+        lines.append("  ".join(cell.ljust(w) for cell, w in zip(row, widths)).rstrip())
+        if i == 0:
+            lines.append("  ".join("-" * w for w in widths))
+    return "\n".join(lines) + "\n"
 
 
-def export_distributions(values_by_controller: dict[str, Sequence[TraceValues]],
+def export_distributions(steps_by_controller: dict[str, dict[str, np.ndarray]],
                          out_dir, cfg: EvalConfig = EvalConfig()) -> list[Path]:
-    """Per-indicator histogram CSVs with bin edges shared across controllers.
+    """Per-indicator histogram CSVs of pooled_steps, with bin edges shared
+    across controllers.
 
     TTC and jerk are exported signed (their observed distributions are
     two-sided); headway covers moving steps, fuel rate every step.
     """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    controllers = list(values_by_controller)
+    controllers = list(steps_by_controller)
     written = []
-    for indicator, attr in INDICATOR_FILES.items():
-        per_ctrl = [np.concatenate([getattr(v, attr) for v in values]) if values else np.array([])
-                    for values in values_by_controller.values()]
+    for indicator in ("ttc", "jerk", "headway", "fuel_rate"):
+        per_ctrl = [steps[indicator] for steps in steps_by_controller.values()]
         everything = np.concatenate(per_ctrl) if per_ctrl else np.array([])
         path = out_dir / f"{indicator}.csv"
         blocks = []

@@ -213,8 +213,9 @@ def load_policy(path, expect_sizes=None) -> Mlp:
         obj = json_object(read_json(path, "policy"), "policy", POLICY_KEYS, SchemaError)
     except (OSError, SchemaError) as exc:
         raise PolicyLoadError(f"cannot read policy file {path}: {exc}") from exc
-    if obj.get("version") != POLICY_FORMAT_VERSION:
-        raise PolicyLoadError(f"{path}: unsupported policy version {obj.get('version')}")
+    version = obj.get("version")
+    if isinstance(version, bool) or version != POLICY_FORMAT_VERSION:   # True == 1
+        raise PolicyLoadError(f"{path}: unsupported policy version {version}")
     try:
         if obj["hidden_activation"] != "tanh":
             raise ValueError(f"unsupported hidden activation {obj['hidden_activation']!r}")
@@ -222,8 +223,13 @@ def load_policy(path, expect_sizes=None) -> Mlp:
         weights = [np.asarray(w, dtype=float) for w in obj["weights"]]
         biases = [np.asarray(b, dtype=float) for b in obj["biases"]]
         net = Mlp(sizes, weights, biases, obj["output_activation"])
-    except (KeyError, TypeError, ValueError) as exc:
+    # OverflowError: an integer weight past the float range
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise PolicyLoadError(f"{path}: malformed policy: {exc}") from exc
+    # JSON's NaN/Infinity tokens parse, and an infinite weight can saturate
+    # tanh into finite but meaningless commands
+    if not np.isfinite(net.theta).all():
+        raise PolicyLoadError(f"{path}: non-finite weight or bias")
     if expect_sizes is not None and list(expect_sizes) != sizes:
         raise PolicyLoadError(f"{path}: layer sizes {sizes} do not match expected {list(expect_sizes)}")
     return net

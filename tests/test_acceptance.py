@@ -21,7 +21,7 @@ import pytest
 from ecofollower.cli import main as cli_main
 from ecofollower.ddpg import TrainConfig, train
 from ecofollower.env import DEFAULT_ENV, rollout
-from ecofollower.evaluate import compare, evaluate_controller, evaluate_ground_truth
+from ecofollower.evaluate import compare, evaluate_controller, evaluate_ground_truth, render_text
 from ecofollower.events import (CarFollowingEvent, ColumnMapping, extract_events,
                                 descriptive_stats, fit_lognormal_headway,
                                 load_events, split_dataset, write_events)
@@ -351,8 +351,8 @@ def test_criterion_12_fuel_saving_direction():
         pol = evaluate_controller(lambda ev: policy_controller(net, train_cfg, DEFAULT_ENV),
                                   "policy", list(split.test), fuel)
         report = compare([pol.summary, gt.summary])
-        saving = report.fuel_saving_pct["policy"]
-        print(report.render_text())
+        saving = report["fuel_saving_pct"]["policy"]
+        print(render_text(report))
         in_band = abs(saving - 10.42) <= 5.0
         print(f"  fuel saving {saving:.2f}% vs paper 10.42% "
               f"({'inside' if in_band else 'outside'} the +/-5pp report band; "

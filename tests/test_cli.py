@@ -17,7 +17,7 @@ from ecofollower.evaluate import EmptyResultError, EvalConfig, NonFiniteFuelErro
 from ecofollower.events import (CANONICAL_FIELDS, CarFollowingEvent, DataError, SchemaError,
                                 load_events, write_events)
 from ecofollower.idm import IdmParams, idm_controller
-from ecofollower.nets import PolicyLoadError
+from ecofollower.nets import PolicyLoadError, load_policy
 from ecofollower.objectives import RewardConfig
 from ecofollower.vtmicro import load_coefficients, reference_model
 
@@ -109,6 +109,16 @@ class TestPrepare:
         assert "--dt" in capsys.readouterr().err
         assert not out.exists()
         assert main(["prepare", "--input", str(fleet_csv), "--dt=0", "--out", str(out)]) == 0
+
+    @pytest.mark.parametrize("min_duration", ["nan", "inf", "-1"])
+    def test_non_finite_or_negative_min_duration_exit_1(self, tmp_path, fleet_csv, capsys,
+                                                        min_duration):
+        # nan compares false, so the length filter would keep every event
+        out = tmp_path / "o"
+        assert main(["prepare", "--input", str(fleet_csv), f"--min-duration={min_duration}",
+                     "--out", str(out)]) == 1
+        assert "--min-duration" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_min_duration_filter(self, tmp_path):
         src = tmp_path / "mix.csv"
@@ -306,18 +316,64 @@ class TestEvalCompare:
         first_id = min(ev.event_id for ev in load_events(trained["events"], min_duration=0.0))
         assert first_id in err
 
-    def test_nan_policy_fails_every_event_exit_3(self, tmp_path, trained, capsys):
-        policy = json.loads((trained["out"] / "policy.json").read_text())
-        policy["biases"][-1] = [math.nan]
-        path = tmp_path / "nan_policy.json"
-        path.write_text(json.dumps(policy))
-        code = main(["eval", "--events", str(trained["events"]), "--policy", str(path),
+    def test_nan_policy_fails_every_event_exit_3(self, tmp_path, trained, capsys, monkeypatch):
+        # a NaN in the policy file is refused on loading (exit 2); a net whose
+        # output is NaN still fails every event at its first step
+        real = cli.load_policy
+
+        def nan_output(path, expect_sizes=None):
+            net = real(path, expect_sizes)
+            net.biases[-1][:] = math.nan
+            return net
+
+        monkeypatch.setattr(cli, "load_policy", nan_output)
+        code = main(["eval", "--events", str(trained["events"]),
+                     "--policy", str(trained["out"] / "policy.json"),
                      "--config", str(trained["cfg"]), "--out", str(tmp_path / "o")])
         assert code == 3
         err = capsys.readouterr().err
         assert "failed at step 0" in err and "non-finite command nan" in err
         first_id = min(ev.event_id for ev in load_events(trained["events"], min_duration=0.0))
         assert first_id in err
+
+    @pytest.mark.parametrize("key, index, value", [
+        pytest.param("biases", (-1, 0), math.nan, id="nan-bias"),
+        pytest.param("weights", (0, 0, 0), math.inf, id="infinity-weight"),
+        pytest.param("weights", (1, 2, 3), -math.inf, id="minus-infinity-weight"),
+        pytest.param("weights", (0, 1, 0), 10**400, id="integer-past-float-range"),
+        pytest.param("version", (), True, id="version-true"),
+    ])
+    def test_non_finite_or_mistyped_policy_exit_2(self, tmp_path, trained, capsys,
+                                                  key, index, value):
+        policy = json.loads((trained["out"] / "policy.json").read_text())
+        target, (*outer, last) = policy, (key, *index)
+        for i in outer:
+            target = target[i]
+        target[last] = value
+        path = tmp_path / "odd_policy.json"
+        path.write_text(json.dumps(policy))
+        with pytest.raises(PolicyLoadError, match="odd_policy.json"):
+            load_policy(path)
+        code = main(["eval", "--events", str(trained["events"]), "--policy", str(path),
+                     "--config", str(trained["cfg"]), "--out", str(tmp_path / "o")])
+        err = capsys.readouterr().err
+        assert code == 2, err
+        assert "odd_policy.json" in err and err.startswith("error: ") and err.count("\n") == 1
+
+    def test_zero_baseline_fuel_saving_is_null(self, tmp_path, trained):
+        # exp(-1000) underflows, so every rate, the baseline's too, is 0 mL/s
+        k = [[0] * 4 for _ in range(4)]
+        k[0][0] = -1000
+        table = tmp_path / "zero_fuel.json"
+        table.write_text(json.dumps({"regime": "acceleration", "k": k}))
+        out = tmp_path / "cmp"
+        assert main(["compare", "--events", str(trained["events"]), "--idm-params",
+                     "--vt-micro", str(table), "--out", str(out)]) == 0
+        report = strict_json(out / "report.json")
+        assert report["fuel_saving_pct"] == {"idm": None}
+        assert [c["indicators"]["mean_fuel_rate_ml_s"] for c in report["controllers"]] == [0, 0]
+        rows = (out / "report.txt").read_text().splitlines()[2:]
+        assert [row.split()[4:6] for row in rows] == [["0.000", "-"], ["0.000", "-"]]
 
     def test_errors_json_lists_the_failed_event(self, tmp_path, trained, monkeypatch):
         events = load_events(trained["events"], min_duration=0.0)

@@ -8,7 +8,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from ecofollower.ddpg import TrainLog, TrainLogRow
 from ecofollower.env import SimulatedTrace
-from ecofollower.evaluate import INDICATOR_FILES, EvalConfig, TraceValues, export_distributions
+from ecofollower.evaluate import EvalConfig, export_distributions
 from ecofollower.events import (CANONICAL_FIELDS, NUMERIC_FIELDS, CarFollowingEvent,
                                 ColumnMapping, extract_events, load_events,
                                 write_csv, write_events)
@@ -63,15 +63,14 @@ class TestGoldenBytes:
             b"-0.0,0.5,0\r\n")
 
     def test_distributions(self, tmp_path):
-        def values(signed, headway):
+        def steps(signed, headway):
             arr = np.array(signed)
-            return TraceValues(trace=None, ttc_closing=arr, ttc_signed=arr, jerk=arr,
-                               headway=np.array(headway), fuel_rate=arr)
+            return {"ttc": arr, "jerk": arr, "headway": np.array(headway), "fuel_rate": arr,
+                    "ttc_closing": arr}
 
-        paths = export_distributions({"policy": [values([-1.0, 1.0], [])],
-                                      "a,b": [values([0.0], [])]},
+        paths = export_distributions({"policy": steps([-1.0, 1.0], []), "a,b": steps([0.0], [])},
                                      tmp_path, EvalConfig(bins=2))
-        assert [p.name for p in paths] == [f"{name}.csv" for name in INDICATOR_FILES]
+        assert [p.name for p in paths] == ["ttc.csv", "jerk.csv", "headway.csv", "fuel_rate.csv"]
         header = b'bin_left,bin_right,policy,"a,b"\r\n'
         filled = header + b"-1.0,0.0,1,0\r\n0.0,1.0,1,1\r\n"
         assert {p.name: p.read_bytes() for p in paths} == {

@@ -4,18 +4,20 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from ecofollower.env import DEFAULT_ENV, rollout
-from ecofollower.evaluate import (EvalConfig, GROUND_TRUTH, compare,
+from ecofollower.env import DEFAULT_ENV, SimulatedTrace, rollout, rollout_batch
+from ecofollower.evaluate import (EvalConfig, GROUND_TRUTH, NonFiniteFuelError, compare,
                                   evaluate_controller, evaluate_ground_truth,
-                                  export_distributions, trace_from_event,
-                                  trace_values)
+                                  export_distributions, pooled_steps, render_text,
+                                  summarize_traces, trace_from_event)
 from ecofollower.events import CarFollowingEvent
 from ecofollower.idm import IdmParams, idm_controller
 from ecofollower.indicators import SPEED_FLOOR
 from ecofollower.vtmicro import VtMicroCoefficients, VtMicroModel, reference_model
 
-from synthetic import constant_event, make_fleet, positions_from_speeds
+import reference_pooling
+from synthetic import constant_controller, constant_event, make_fleet, positions_from_speeds
 
 FUEL = reference_model()
 UNIT_FUEL = VtMicroModel(
@@ -136,20 +138,20 @@ class TestCompare:
     def test_paper_arithmetic(self):
         # controller at 0.86 mL/s vs ground truth 0.96 -> ~10.42% saving
         report = compare([summary_stub("policy", 0.86), summary_stub(GROUND_TRUTH, 0.96)])
-        assert report.fuel_saving_pct["policy"] == pytest.approx(10.4167, abs=5e-3)
+        assert report["fuel_saving_pct"]["policy"] == pytest.approx(10.4167, abs=5e-3)
 
     def test_identical_summaries_zero_saving(self):
         report = compare([summary_stub("idm", 0.96), summary_stub(GROUND_TRUTH, 0.96)])
-        assert report.fuel_saving_pct["idm"] == pytest.approx(0.0, abs=1e-12)
+        assert report["fuel_saving_pct"]["idm"] == pytest.approx(0.0, abs=1e-12)
 
     def test_negative_saving_reported_not_error(self):
         report = compare([summary_stub("idm", 1.2), summary_stub(GROUND_TRUTH, 0.96)])
-        assert report.fuel_saving_pct["idm"] == pytest.approx(-25.0, abs=1e-9)
+        assert report["fuel_saving_pct"]["idm"] == pytest.approx(-25.0, abs=1e-9)
 
     def test_scale_consistency(self):
         a = compare([summary_stub("x", 0.5), summary_stub(GROUND_TRUTH, 0.8)])
         b = compare([summary_stub("x", 0.5 * 3.7), summary_stub(GROUND_TRUTH, 0.8 * 3.7)])
-        assert a.fuel_saving_pct["x"] == pytest.approx(b.fuel_saving_pct["x"], rel=1e-12)
+        assert a["fuel_saving_pct"]["x"] == pytest.approx(b["fuel_saving_pct"]["x"], rel=1e-12)
 
     def test_missing_baseline_rejected(self):
         with pytest.raises(ValueError, match="baseline"):
@@ -157,7 +159,7 @@ class TestCompare:
 
     def test_text_table_column_order(self):
         report = compare([summary_stub("policy", 0.86), summary_stub(GROUND_TRUTH, 0.96)])
-        header = report.render_text().splitlines()[0]
+        header = render_text(report).splitlines()[0]
         cols = [c.strip() for c in header.split("  ") if c.strip()]
         assert cols[:5] == ["Model", "TTC (s)", "Jerk (m/s^3)", "Time Headway (s)",
                             "Fuel Consumption (mL/s)"]
@@ -167,14 +169,26 @@ class TestCompare:
         undefined.mean_ttc = undefined.mean_abs_jerk = math.nan
         undefined.metadata = {"rms_jerk_m_s3": math.nan, "ttc_steps": 0}
         report = compare([undefined, summary_stub(GROUND_TRUTH, 0.96)])
-        obj = json.loads(json.dumps(report.to_json_dict(), allow_nan=False))
+        obj = json.loads(json.dumps(report, allow_nan=False))
         policy = obj["controllers"][0]
         assert policy["indicators"]["mean_ttc_s"] is None
         assert policy["indicators"]["mean_abs_jerk_m_s3"] is None
         assert policy["indicators"]["mean_headway_s"] == 1.4
         assert policy["metadata"] == {"rms_jerk_m_s3": None, "ttc_steps": 0}
-        row = report.render_text().splitlines()[2].split()
+        row = render_text(report).splitlines()[2].split()
         assert row[:5] == ["policy", "-", "-", "1.400", "0.860"]
+
+    @pytest.mark.parametrize("base_fuel", [0.0, 5e-324])
+    def test_undefined_saving_is_null_and_dash(self, base_fuel):
+        # every VT-Micro rate can underflow to 0; a saving against 0 mL/s, or
+        # one that overflows, is undefined rather than an error
+        report = compare([summary_stub("policy", 0.0), summary_stub("idm", 0.86),
+                          summary_stub(GROUND_TRUTH, base_fuel)])
+        obj = json.loads(json.dumps(report, allow_nan=False))
+        assert obj["fuel_saving_pct"] == {"policy": None if base_fuel == 0 else 100.0,
+                                          "idm": None}
+        rows = [row.split() for row in render_text(report).splitlines()[2:]]
+        assert [row[5] for row in rows] == ["-" if base_fuel == 0 else "100.00", "-", "-"]
 
 
 def read_dist_csv(path):
@@ -186,8 +200,8 @@ def read_dist_csv(path):
 class TestExportDistributions:
     def test_single_value_occupies_one_bin(self, tmp_path):
         ev = constant_event(v=8.0, gap=12.0)
-        values = {"gt": trace_values([trace_from_event(ev)], UNIT_FUEL)}
-        export_distributions(values, tmp_path, EvalConfig(bins=20))
+        export_distributions({"gt": pooled_steps([trace_from_event(ev)], UNIT_FUEL)},
+                             tmp_path, EvalConfig(bins=20))
         header, rows = read_dist_csv(tmp_path / "headway.csv")
         counts = [int(r[2]) for r in rows]
         assert sum(1 for c in counts if c > 0) == 1
@@ -197,8 +211,8 @@ class TestExportDistributions:
         events = make_fleet(3, seed=53)
         gt = [trace_from_event(ev) for ev in events]
         idm = [rollout(ev, idm_controller(IdmParams()), DEFAULT_ENV) for ev in events]
-        export_distributions({"gt": trace_values(gt, UNIT_FUEL),
-                              "idm": trace_values(idm, UNIT_FUEL)},
+        export_distributions({"gt": pooled_steps(gt, UNIT_FUEL),
+                              "idm": pooled_steps(idm, UNIT_FUEL)},
                              tmp_path, EvalConfig(bins=30))
         header, rows = read_dist_csv(tmp_path / "jerk.csv")
         assert header == ["bin_left", "bin_right", "gt", "idm"]
@@ -211,7 +225,7 @@ class TestExportDistributions:
         events = make_fleet(2, seed=57)
         gt = [trace_from_event(ev) for ev in events]
         jerks = np.concatenate([np.diff(np.concatenate([[0.0], tr.accel])) / tr.dt for tr in gt])
-        export_distributions({"gt": trace_values(gt, UNIT_FUEL)},
+        export_distributions({"gt": pooled_steps(gt, UNIT_FUEL)},
                              tmp_path, EvalConfig(bins=25))
         _, rows = read_dist_csv(tmp_path / "jerk.csv")
         occupied = [r for r in rows if r[2] > 0]
@@ -228,3 +242,60 @@ class TestAggregationModes:
         n_long, n_short = 400, 160
         want_pooled = (1.0 * n_long + 2.0 * n_short) / (n_long + n_short)
         assert pooled.mean_headway == pytest.approx(want_pooled, abs=1e-9)
+
+
+def still_trace(event_id, v_follow, dt=0.1):
+    n = len(v_follow)
+    return SimulatedTrace(event_id=event_id, dt=dt, t=np.arange(n) * dt, accel=np.zeros(n),
+                          v_follow=np.asarray(v_follow, dtype=float), spacing=np.full(n, 12.0),
+                          rel_speed=np.zeros(n), x_follow=np.zeros(n))
+
+
+# 1-5 events of 2-16 s at one of three dts: a test that draws two fleets has
+# ragged traces and takes jerk at more than one dt
+fleets = st.builds(
+    lambda seed, count, shortest, dt: make_fleet(count, seed=seed, dt=dt,
+                                                 duration_range=(shortest, shortest + 6.0)),
+    seed=st.integers(0, 2**32 - 1), count=st.integers(1, 5), shortest=st.floats(2.0, 10.0),
+    dt=st.sampled_from([0.05, 0.1, 0.5]))
+
+
+class TestPooledSteps:
+    @given(rolled=fleets, recorded=fleets, accel=st.sampled_from([-2.5, 0.0, 2.5]),
+           ttc_cap=st.floats(0.5, 100.0))
+    @settings(max_examples=30, deadline=None)
+    def test_the_per_trace_form_gives_the_same_bits(self, rolled, recorded, accel, ttc_cap):
+        # +2.5 m/s^2 drives followers into their leaders and -2.5 brakes them
+        # to a standstill, below the headway speed floor; the "crash" event
+        # collides after 13 steps whatever the draw
+        crash = constant_event("crash", gap=2.0, duration=5.0)
+        traces = [*rollout_batch(rolled, constant_controller(accel), DEFAULT_ENV),
+                  *rollout_batch([crash], constant_controller(2.5), DEFAULT_ENV),
+                  *map(trace_from_event, recorded)]
+        assert traces[-len(recorded) - 1].collided
+        cfg = EvalConfig(ttc_cap=ttc_cap)
+        steps = pooled_steps(traces, FUEL, cfg)
+        values = reference_pooling.trace_values(traces, FUEL, cfg)
+        assert list(steps) == list(reference_pooling.FIELDS)
+        for key, attr in reference_pooling.FIELDS.items():
+            want = np.concatenate([getattr(v, attr) for v in values])
+            assert steps[key].dtype == want.dtype and steps[key].tobytes() == want.tobytes(), key
+        got = summarize_traces("c", traces, steps, cfg, errors=2).to_json_dict()
+        want = reference_pooling.summarize_traces("c", values, cfg, errors=2).to_json_dict()
+        assert json.dumps(got) == json.dumps(want)
+
+    @pytest.mark.parametrize("i, k", [(0, 0), (0, 2), (1, 0), (2, 0), (2, 3)])
+    def test_non_finite_rate_names_its_event_and_step(self, i, k):
+        # exp(1000 v) overflows on the one step whose follower moves
+        k_v = np.zeros((4, 4))
+        k_v[1, 0] = 1000.0
+        model = VtMicroModel(accel=VtMicroCoefficients(k=k_v, regime="acceleration"),
+                             decel=UNIT_FUEL.decel)
+        speeds = [np.zeros(3), np.zeros(5), np.zeros(4)]
+        speeds[i][k] = 1.0
+        traces = [still_trace(eid, v) for eid, v in zip(("a", "b", "c"), speeds)]
+        with pytest.raises(NonFiniteFuelError, match=rf"rate inf at step {k} of event {'abc'[i]}$"):
+            summarize_traces("c", traces, pooled_steps(traces, model))
+        with pytest.raises(NonFiniteFuelError) as want:
+            reference_pooling.check_fuel("c", reference_pooling.trace_values(traces, model))
+        assert want.match(rf"at step {k} of event {'abc'[i]}$")

@@ -8,7 +8,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from ecofollower import vtmicro
 from ecofollower.env import SimulatedTrace
-from ecofollower.evaluate import evaluate_ground_truth, summarize_traces, trace_values
+from ecofollower.evaluate import evaluate_ground_truth, pooled_steps, summarize_traces
 from ecofollower.events import CarFollowingEvent
 from ecofollower.vtmicro import (VtMicroCoefficients, VtMicroModel, fuel_rate,
                                  load_coefficients, moe_exponent, reference_model)
@@ -252,7 +252,7 @@ def make_trace(v, accel, dt=0.1):
 
 def fuel_of(trace, model):
     """(total fuel in mL, mean rate in mL/s) as summarize_traces reports them."""
-    summary = summarize_traces("c", trace_values([trace], model))
+    summary = summarize_traces("c", [trace], pooled_steps([trace], model))
     return summary.metadata["total_fuel_ml"], summary.mean_fuel_rate
 
 
