@@ -7,8 +7,8 @@ safety (TTC), efficiency (time headway), comfort (jerk), and fuel consumption.
 
 __version__ = "0.1.0"
 
-from .ddpg import (DdpgAgent, ReplayBuffer, TrainConfig, TrainLog, Transition,
-                   TrainingError, policy_controller, train)
+from .ddpg import (DdpgAgent, ReplayBuffer, TrainConfig, TrainLogRow, TrainingError,
+                   policy_controller, train)
 from .env import (EnvConfig, EnvState, RolloutError, SimulatedTrace, StepOutcome,
                   reset, rollout_batch, simulate, step)
 from .evaluate import (EvalConfig, IndicatorSummary, NonFiniteFuelError,

@@ -18,7 +18,7 @@ from datetime import datetime, timezone
 from pathlib import Path
 
 from . import __version__
-from .ddpg import TrainConfig, TrainingError, policy_controller, train
+from .ddpg import TrainConfig, TrainingError, TrainLogRow, policy_controller, train
 from .env import EnvConfig
 from .evaluate import (EmptyResultError, EvalConfig, EvaluationResult,
                        NonFiniteFuelError, compare, evaluate_controller,
@@ -134,6 +134,8 @@ def _configs(blocks: dict) -> tuple[TrainConfig, RewardConfig, EnvConfig, EvalCo
 
 
 def _out_dir(args) -> Path:
+    """Make ``--out``: each command calls this only once every input is read and
+    every result computed, so a run that fails leaves no directory behind."""
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     return out
@@ -158,10 +160,10 @@ def cmd_prepare(args) -> int:
         raise ValueError(f"--dt must be a finite number >= 0 (0 disables the check), got {args.dt}")
     if not 0.0 <= args.min_duration < math.inf:
         raise ValueError(f"--min-duration must be a finite number >= 0, got {args.min_duration}")
-    out = _out_dir(args)
     mapping = ColumnMapping.from_json(args.mapping) if args.mapping else None
     result = extract_events(args.input, mapping, min_duration=args.min_duration,
                             expected_dt=args.dt or None)
+    out = _out_dir(args)
     summary = {
         "events": len(result.events),
         "samples": sum(len(ev) for ev in result.events),
@@ -189,7 +191,6 @@ def _nonempty(events, what: str):
 
 
 def cmd_stats(args) -> int:
-    out = _out_dir(args)
     events = _nonempty(load_events(args.events, min_duration=0.0), f"events file {args.events}")
     subset = events
     if args.subset != "all":   # train or test: that field of the split
@@ -202,6 +203,7 @@ def cmd_stats(args) -> int:
         obj["headway_lognormal"] = {"mu": mu, "sigma": sigma}
     except FitError as exc:
         obj["headway_lognormal"] = {"error": str(exc)}
+    out = _out_dir(args)
     _write_json(out / "stats.json", obj)
     for name, hist in obj["histograms"].items():
         write_csv(out / f"hist_{name}.csv", ("bin_left", "bin_right", "count"), hist.values())
@@ -213,7 +215,6 @@ def cmd_stats(args) -> int:
 
 
 def cmd_train(args) -> int:
-    out = _out_dir(args)
     events = _nonempty(load_events(args.events, min_duration=0.0), f"events file {args.events}")
     blocks = _load_config_blocks(args.config)
     train_cfg, reward_cfg, env_cfg, _ = _configs(blocks)
@@ -229,12 +230,12 @@ def cmd_train(args) -> int:
             print(f"episode {row.episode:5d}  rolling reward {row.rolling_reward:9.4f}  "
                   f"collisions {row.collisions_cum}")
 
-    # every file is written after training, so a run that fails leaves none
-    policy, log = train(split.train, env_cfg, reward_cfg, train_cfg, fuel, progress=progress)
+    policy, rows = train(split.train, env_cfg, reward_cfg, train_cfg, fuel, progress=progress)
+    out = _out_dir(args)
     write_events(split.train, out / "events_train.csv")
     write_events(split.test, out / "events_test.csv")
     save_policy(policy, out / "policy.json")
-    log.write_csv(out / "trainlog.csv")
+    write_csv(out / "trainlog.csv", TrainLogRow._fields, list(zip(*rows)))
     # the train block as resolved, --seed and --episodes included
     hashed = dict(blocks, train=dataclasses.asdict(train_cfg))
     write_manifest(out, "train", train_cfg.seed,
@@ -250,7 +251,6 @@ def _run_evaluations(args) -> tuple[list[EvaluationResult], Path, dict]:
         raise ValueError("eval needs at least one of --policy, --idm-params, --ground-truth")
     events = _nonempty(load_events(args.events, min_duration=0.0), f"events file {args.events}")
     _check_trace_names(events, args.events)
-    out = _out_dir(args)
     blocks = _load_config_blocks(args.config)
     train_cfg, _, env_cfg, eval_cfg = _configs(blocks)
     fuel = load_coefficients(args.vt_micro) if args.vt_micro else reference_model()
@@ -268,6 +268,7 @@ def _run_evaluations(args) -> tuple[list[EvaluationResult], Path, dict]:
                for name, ctrl in controllers]
     if args.ground_truth:
         results.append(evaluate_ground_truth(events, fuel, eval_cfg))
+    out = _out_dir(args)
     for res in results:
         _write_json(out / f"summary_{res.summary.name}.json", res.summary.to_json_dict())
         trace_dir = out / "traces" / res.summary.name

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
@@ -21,7 +21,7 @@ from .env import Controller, EnvConfig, EnvState, DEFAULT_ENV, simulate
 # train never calls step; the binding stays because benchmarks/test_bench_smoke.py
 # checks that the benchmark tracer wraps ddpg.step along with env.step
 from .env import step  # noqa: F401
-from .events import CarFollowingEvent, write_csv
+from .events import CarFollowingEvent
 from .nets import Adam, Mlp, soft_update
 from .objectives import RewardConfig, reward
 from .rng import derive_seed
@@ -73,14 +73,6 @@ class TrainConfig:
                 raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
 
 
-class Transition(NamedTuple):
-    state: np.ndarray       # normalized triple
-    action: float           # normalized accel in [-1, 1]
-    reward: float
-    next_state: np.ndarray  # normalized triple
-    done: bool              # true terminal (collision), not timeout
-
-
 class ReplayBuffer:
     """Fixed-capacity ring; uniform batch sampling without replacement."""
 
@@ -97,13 +89,16 @@ class ReplayBuffer:
     def __len__(self) -> int:
         return self._size
 
-    def push(self, t: Transition) -> None:
+    def push(self, state: np.ndarray, action: float, reward: float,
+             next_state: np.ndarray, done: bool) -> None:
+        """Store one step: normalized states, the squashed action in [-1, 1],
+        and done for a true terminal (collision), not a timeout."""
         i = self._cursor
-        self.states[i] = t.state
-        self.actions[i, 0] = t.action
-        self.rewards[i] = t.reward
-        self.next_states[i] = t.next_state
-        self.dones[i] = float(t.done)
+        self.states[i] = state
+        self.actions[i, 0] = action
+        self.rewards[i] = reward
+        self.next_states[i] = next_state
+        self.dones[i] = float(done)
         self._cursor = (i + 1) % self.capacity
         self._size = min(self._size + 1, self.capacity)
 
@@ -144,30 +139,19 @@ def action_to_accel(y: float, env_cfg: EnvConfig) -> float:
     return env_cfg.a_min + (y + 1.0) / 2.0 * (env_cfg.a_max - env_cfg.a_min)
 
 
-def actor_forward(net: Mlp, state_norm: np.ndarray) -> float:
-    """Deterministic policy output in [-1, 1] for a single normalized state."""
-    return float(net.forward(state_norm)[0, 0])
-
-
 class DdpgAgent:
-    def __init__(self, actor: Mlp, critic: Mlp, config: TrainConfig):
-        self.actor = actor
-        self.critic = critic
-        self.target_actor = actor.copy()
-        self.target_critic = critic.copy()
-        self.actor_opt = Adam(actor.theta, lr=config.actor_lr)
-        self.critic_opt = Adam(critic.theta, lr=config.critic_lr)
+    def __init__(self, config: TrainConfig, actor_rng: np.random.Generator,
+                 critic_rng: np.random.Generator):
+        hidden = list(config.hidden_sizes)
+        self.actor = Mlp.init([3, *hidden, 1], actor_rng, output_activation="tanh")
+        self.critic = Mlp.init([4, *hidden, 1], critic_rng, output_activation="linear")
+        self.target_actor = self.actor.copy()
+        self.target_critic = self.critic.copy()
+        self.actor_opt = Adam(self.actor.theta, lr=config.actor_lr)
+        self.critic_opt = Adam(self.critic.theta, lr=config.critic_lr)
         self.gamma = config.gamma
         self.tau = config.tau
-        self._critic_x = np.empty((0, critic.sizes[0]))
-
-    @classmethod
-    def new(cls, config: TrainConfig, actor_rng: np.random.Generator,
-            critic_rng: np.random.Generator) -> "DdpgAgent":
-        hidden = list(config.hidden_sizes)
-        actor = Mlp.init([3, *hidden, 1], actor_rng, output_activation="tanh")
-        critic = Mlp.init([4, *hidden, 1], critic_rng, output_activation="linear")
-        return cls(actor, critic, config)
+        self._critic_x = np.empty((0, self.critic.sizes[0]))
 
     def update(self, batch) -> tuple[float, float]:
         """One critic regression + actor ascent step, then soft target updates."""
@@ -208,8 +192,8 @@ class DdpgAgent:
         return critic_loss, actor_objective
 
 
-@dataclass(frozen=True)
-class TrainLogRow:
+class TrainLogRow(NamedTuple):
+    """One episode of training; the fields are the trainlog.csv columns."""
     episode: int
     mean_reward: float
     rolling_reward: float
@@ -218,33 +202,22 @@ class TrainLogRow:
     fuel_ml: float
 
 
-@dataclass
-class TrainLog:
-    rows: list[TrainLogRow] = field(default_factory=list)
-
-    def write_csv(self, path) -> None:
-        columns = [f.name for f in fields(TrainLogRow)]
-        write_csv(path, columns, [[getattr(r, name) for r in self.rows] for name in columns])
-
-
-ProgressFn = Callable[[TrainLogRow], None]
-
-
 def train(events: Sequence[CarFollowingEvent],
           env_config: EnvConfig,
           reward_config: RewardConfig,
           train_config: TrainConfig,
           fuel_model: VtMicroModel,
-          progress: ProgressFn | None = None) -> tuple[Mlp, TrainLog]:
+          progress: Callable[[TrainLogRow], None] | None = None
+          ) -> tuple[Mlp, list[TrainLogRow]]:
     """Train a policy over randomly drawn training events.
 
-    Returns the trained actor and a per-episode log.
+    Returns the trained actor and one row per episode.
     """
     events = tuple(events)
     if not events:
         raise ValueError("training set is empty")
     cfg = train_config
-    agent = DdpgAgent.new(
+    agent = DdpgAgent(
         cfg,
         actor_rng=np.random.default_rng(derive_seed(cfg.seed, "ddpg.init.actor")),
         critic_rng=np.random.default_rng(derive_seed(cfg.seed, "ddpg.init.critic")),
@@ -268,10 +241,10 @@ def train(events: Sequence[CarFollowingEvent],
         nonlocal s_norm, y
         if k == 0:
             s_norm = normalize_state(state, cfg)
-        y = min(1.0, max(-1.0, actor_forward(agent.actor, s_norm) + noise.sample()))
+        y = min(1.0, max(-1.0, float(agent.actor.forward(s_norm)[0, 0]) + noise.sample()))
         return action_to_accel(y, env_config)
 
-    log = TrainLog()
+    rows = []
     rolling = deque(maxlen=cfg.rolling_window)
     collisions_cum = 0
     for ep in range(cfg.episodes):
@@ -288,7 +261,7 @@ def train(events: Sequence[CarFollowingEvent],
                        outcome.collided, reward_config, fuel_model)
             # timeouts are not stored as terminal so the TD target keeps bootstrapping
             s_next = normalize_state(outcome.next_state, cfg)
-            buffer.push(Transition(s_norm, y, r.total, s_next, outcome.collided))
+            buffer.push(s_norm, y, r.total, s_next, outcome.collided)
             # simulate continues from outcome.next_state, so this is step k + 1's state
             s_norm = s_next
             fuel_ml += r.fuel_rate * event.dt
@@ -305,18 +278,12 @@ def train(events: Sequence[CarFollowingEvent],
         collisions_cum += int(collided)
         mean_reward = ep_reward / steps
         rolling.append(mean_reward)
-        row = TrainLogRow(
-            episode=ep,
-            mean_reward=mean_reward,
-            rolling_reward=float(np.mean(rolling)),
-            collisions_cum=collisions_cum,
-            steps=steps,
-            fuel_ml=fuel_ml,
-        )
-        log.rows.append(row)
+        row = TrainLogRow(episode=ep, mean_reward=mean_reward, rolling_reward=float(np.mean(rolling)),
+                          collisions_cum=collisions_cum, steps=steps, fuel_ml=fuel_ml)
+        rows.append(row)
         if progress is not None:
             progress(row)
-    return agent.actor, log
+    return agent.actor, rows
 
 
 def policy_controller(net: Mlp, train_config: TrainConfig,

@@ -379,6 +379,13 @@ def _histogram(values: np.ndarray, bins: int) -> dict[str, list]:
     return {"bin_left": edges[:-1].tolist(), "bin_right": edges[1:].tolist(), "count": count.tolist()}
 
 
+def _pooled(events: Sequence[CarFollowingEvent]):
+    """Lead speed, follower speed and gap of every step of ``events``, in order;
+    empty arrays for no events."""
+    return tuple(np.concatenate([getattr(ev, name) for ev in events] or [np.empty(0)])
+                 for name in ("v_lead", "v_follow", "gap"))
+
+
 def descriptive_stats(events: Sequence[CarFollowingEvent], bins: int = 50) -> dict:
     """The ``stats.json`` body: means/min/max of speeds and gap plus histograms
     (``bin_left``/``bin_right``/``count`` lists) of them and the derived metrics.
@@ -389,20 +396,10 @@ def descriptive_stats(events: Sequence[CarFollowingEvent], bins: int = 50) -> di
     """
     if not events:
         raise ValueError("descriptive_stats needs at least one event")
-    lead, follow, gap = [], [], []
-    ttc_vals, jerk_vals, headway_vals = [], [], []
-    for ev in events:
-        lead.append(ev.v_lead)
-        follow.append(ev.v_follow)
-        g = ev.gap
-        gap.append(g)
-        ttc_vals.append(indicators.ttc_signed(g, ev.v_lead - ev.v_follow))
-        # step 0's jerk would difference against the zero start, not a sample
-        jerk_vals.append(indicators.jerk(np.diff(ev.v_follow) / ev.dt, ev.dt)[1:])
-        headway_vals.append(indicators.headway(g, ev.v_follow))
-    lead = np.concatenate(lead)
-    follow = np.concatenate(follow)
-    gap = np.concatenate(gap)
+    lead, follow, gap = _pooled(events)
+    # jerk is per event: step 0's jerk would difference against the zero start, not a sample
+    jerk = np.concatenate([indicators.jerk(np.diff(ev.v_follow) / ev.dt, ev.dt)[1:]
+                           for ev in events])
     return {
         "events": len(events),
         "samples": len(lead),
@@ -413,9 +410,9 @@ def descriptive_stats(events: Sequence[CarFollowingEvent], bins: int = 50) -> di
             "lead_speed": _histogram(lead, bins),
             "follow_speed": _histogram(follow, bins),
             "gap": _histogram(gap, bins),
-            "ttc": _histogram(np.concatenate(ttc_vals), bins),
-            "jerk": _histogram(np.concatenate(jerk_vals), bins),
-            "headway": _histogram(np.concatenate(headway_vals), bins),
+            "ttc": _histogram(indicators.ttc_signed(gap, lead - follow), bins),
+            "jerk": _histogram(jerk, bins),
+            "headway": _histogram(indicators.headway(gap, follow), bins),
         },
     }
 
@@ -426,13 +423,8 @@ def fit_lognormal_headway(events: Sequence[CarFollowingEvent]) -> tuple[float, f
     Returns (mu, sigma) = (mean, population stddev) of ln(gap / follow_speed)
     over all steps of all events with follower speed at or above the floor.
     """
-    logs = []
-    for ev in events:
-        h = indicators.headway(ev.gap, ev.v_follow)
-        if h.size:
-            logs.append(np.log(h))
-    n = sum(a.size for a in logs)
-    if n < 2:
-        raise FitError(f"need at least 2 valid headway samples, got {n}")
-    logs = np.concatenate(logs)
+    _, follow, gap = _pooled(events)
+    logs = np.log(indicators.headway(gap, follow))
+    if logs.size < 2:
+        raise FitError(f"need at least 2 valid headway samples, got {logs.size}")
     return float(np.mean(logs)), float(np.std(logs))

@@ -95,7 +95,10 @@ def fuel_rate(coeffs_accel: VtMicroCoefficients, coeffs_decel: VtMicroCoefficien
 
 
 def _scale(units: dict, key: str, unit_key: str, named: dict[str, float]) -> float:
-    """The number ``units[key]``, else the factor of the unit named ``units[unit_key]``."""
+    """The number ``units[key]``, else the factor of the unit named ``units[unit_key]``;
+    a block that sets both is refused rather than one of them dropped."""
+    if key in units and unit_key in units:
+        raise ValueError(f"units.{unit_key} and units.{key} are both set; give one of them")
     if key in units:
         value = units[key]
         if type(value) not in (int, float) or not 0 < value < math.inf:   # a bool is no number

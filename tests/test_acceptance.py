@@ -226,8 +226,7 @@ def test_criterion_7_convergence_smoke():
     with criterion(7, "reward improves and late collisions vanish on synthetic fleet", 600.0):
         events = make_fleet(50, seed=20260810)
         cfg = TrainConfig(episodes=300, seed=20260810)
-        _, log = train(events, DEFAULT_ENV, RewardConfig(), cfg, reference_model())
-        rows = log.rows
+        _, rows = train(events, DEFAULT_ENV, RewardConfig(), cfg, reference_model())
         first50 = float(np.mean([r.mean_reward for r in rows[:50]]))
         last50 = float(np.mean([r.mean_reward for r in rows[-50:]]))
         assert last50 > first50, f"no improvement: first50={first50:.4f}, last50={last50:.4f}"

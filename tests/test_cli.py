@@ -466,6 +466,18 @@ class TestEvalCompare:
                      "table.unit", id="table-key-unit"),
         pytest.param({"regime": "acceleration", "k": ZERO_K, "units": {"sped": "km/h"}},
                      "units.sped", id="units-key-sped"),
+        # a unit and its number are alternatives; reading one would drop the other
+        pytest.param({"regime": "acceleration", "k": ZERO_K,
+                      "units": {"speed": "km/h", "speed_scale": 1.0}},
+                     "units.speed and units.speed_scale", id="speed-and-speed_scale"),
+        pytest.param({"regime": "acceleration", "k": ZERO_K,
+                      "units": {"acceleration": "m/s^2", "accel_scale": 3.6}},
+                     "units.acceleration and units.accel_scale",
+                     id="acceleration-and-accel_scale"),
+        pytest.param([{"regime": "acceleration", "k": ZERO_K},
+                      {"regime": "deceleration", "k": ZERO_K,
+                       "units": {"output": "L/s", "output_scale": 1000}}],
+                     "units.output and units.output_scale", id="output-and-output_scale"),
     ])
     def test_malformed_vt_micro_exit_2(self, tmp_path, trained, capsys, obj, named):
         path = tmp_path / "bad_vt_micro.json"
@@ -482,6 +494,58 @@ class TestEvalCompare:
                      "--policy", str(trained["out"] / "policy.json"),
                      "--out", str(tmp_path / "o")])
         assert code == 2
+
+
+def _nan_policy(tmp_path, trained):
+    """The trained policy with a NaN weight."""
+    policy = json.loads((trained["out"] / "policy.json").read_text())
+    policy["weights"][0][0][0] = math.nan
+    path = tmp_path / "nan_policy.json"
+    path.write_text(json.dumps(policy))
+    return path
+
+
+def _overflowing_table(tmp_path):
+    """A VT-Micro table whose every rate, exp(1000), overflows to inf."""
+    k = [[0] * 4 for _ in range(4)]
+    k[0][0] = 1000
+    path = tmp_path / "overflow.json"
+    path.write_text(json.dumps({"regime": "acceleration", "k": k}))
+    return path
+
+
+class TestFailedRunLeavesNoOutDir:
+    """A run that exits nonzero makes no --out directory: it is made only once
+    every input is read and every result computed."""
+
+    @pytest.mark.parametrize("argv, code", [
+        pytest.param(lambda tmp, t: ["stats", "--events", t["events"], "--bins", "0"], 1,
+                     id="stats-bins-0"),
+        pytest.param(lambda tmp, t: ["stats", "--events", t["events"], "--ratio", "nan",
+                                     "--subset", "train"], 1, id="stats-ratio-nan"),
+        pytest.param(lambda tmp, t: ["train", "--events", t["events"], "--split", "nan"], 1,
+                     id="train-split-nan"),
+        pytest.param(lambda tmp, t: ["eval", "--events", t["events"], "--idm-params",
+                                     "--config", tmp / "missing.json"], 2,
+                     id="eval-missing-config"),
+        pytest.param(lambda tmp, t: ["compare", "--events", t["events"], "--idm-params",
+                                     "--config", tmp / "missing.json"], 2,
+                     id="compare-missing-config"),
+        pytest.param(lambda tmp, t: ["eval", "--events", t["events"], "--config", t["cfg"],
+                                     "--policy", _nan_policy(tmp, t)], 2,
+                     id="eval-nan-policy"),
+        pytest.param(lambda tmp, t: ["eval", "--events", t["events"], "--idm-params",
+                                     "--vt-micro", _overflowing_table(tmp)], 4,
+                     id="eval-non-finite-fuel"),
+        pytest.param(lambda tmp, t: ["compare", "--events", t["events"], "--idm-params",
+                                     "--vt-micro", _overflowing_table(tmp)], 4,
+                     id="compare-non-finite-fuel"),
+    ])
+    def test_exit_code_and_no_out_dir(self, tmp_path, trained, capsys, argv, code):
+        out = tmp_path / "out"
+        assert main([*map(str, argv(tmp_path, trained)), "--out", str(out)]) == code
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not out.exists()
 
 
 class TestUsage:

@@ -6,7 +6,7 @@ import csv
 import numpy as np
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from ecofollower.ddpg import TrainLog, TrainLogRow
+from ecofollower.ddpg import TrainLogRow
 from ecofollower.env import SimulatedTrace
 from ecofollower.evaluate import EvalConfig, export_distributions
 from ecofollower.events import (CANONICAL_FIELDS, NUMERIC_FIELDS, CarFollowingEvent,
@@ -78,9 +78,9 @@ class TestGoldenBytes:
             "headway.csv": header}
 
     def test_trainlog(self, tmp_path):
-        log = TrainLog([TrainLogRow(0, -0.0, -0.5, 0, 12, 1.25),
-                        TrainLogRow(1, 1e-300, 0.1, 1, 7, 2.5)])
-        log.write_csv(tmp_path / "log.csv")
+        # the call cmd_train writes trainlog.csv with
+        rows = [TrainLogRow(0, -0.0, -0.5, 0, 12, 1.25), TrainLogRow(1, 1e-300, 0.1, 1, 7, 2.5)]
+        write_csv(tmp_path / "log.csv", TrainLogRow._fields, list(zip(*rows)))
         assert (tmp_path / "log.csv").read_bytes() == (
             b"episode,mean_reward,rolling_reward,collisions_cum,steps,fuel_ml\r\n"
             b"0,-0.0,-0.5,0,12,1.25\r\n"

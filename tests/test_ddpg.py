@@ -1,14 +1,16 @@
 import csv
+import json
 import math
 
 import numpy as np
 import pytest
 
-from ecofollower import ddpg
+from ecofollower import cli, ddpg
 from ecofollower.ddpg import (DdpgAgent, OuNoise, ReplayBuffer, TrainConfig,
-                              TrainLogRow, Transition, action_to_accel,
-                              actor_forward, normalize_state, policy_controller, train)
+                              TrainLogRow, action_to_accel,
+                              normalize_state, policy_controller, train)
 from ecofollower.env import DEFAULT_ENV, EnvConfig, EnvState, rollout, simulate
+from ecofollower.events import write_events
 from ecofollower.nets import Mlp
 from ecofollower.objectives import RewardConfig, reward
 from ecofollower.vtmicro import reference_model
@@ -29,31 +31,31 @@ def small_cfg(**over):
 
 class TestReplayBuffer:
     def _t(self, i):
-        return Transition(np.array([i, 0.0, 0.0]), 0.1, float(i), np.zeros(3), False)
+        return np.array([i, 0.0, 0.0]), 0.1, float(i), np.zeros(3), False
 
     def test_size_never_exceeds_capacity(self):
         buf = ReplayBuffer(capacity=10)
         for i in range(25):
-            buf.push(self._t(i))
+            buf.push(*self._t(i))
         assert len(buf) == 10
 
     def test_oldest_entries_evicted(self):
         buf = ReplayBuffer(capacity=10)
         for i in range(13):
-            buf.push(self._t(i))
+            buf.push(*self._t(i))
         kept = set(buf.states[:, 0].astype(int))
         assert kept == set(range(3, 13))
 
     def test_sample_without_replacement(self):
         buf = ReplayBuffer(capacity=8)
         for i in range(8):
-            buf.push(self._t(i))
+            buf.push(*self._t(i))
         s, a, r, s2, d = buf.sample(8, np.random.default_rng(0))
         assert sorted(s[:, 0].astype(int)) == list(range(8))
 
     def test_sample_larger_than_size_rejected(self):
         buf = ReplayBuffer(capacity=8)
-        buf.push(self._t(0))
+        buf.push(*self._t(0))
         with pytest.raises(ValueError):
             buf.sample(2, np.random.default_rng(0))
 
@@ -97,7 +99,7 @@ class TestNormalization:
 class TestAgentUpdate:
     def _filled_agent_and_batch(self, tau=0.005):
         cfg = small_cfg(tau=tau)
-        agent = DdpgAgent.new(cfg, np.random.default_rng(1), np.random.default_rng(2))
+        agent = DdpgAgent(cfg, np.random.default_rng(1), np.random.default_rng(2))
         rng = np.random.default_rng(3)
         batch = (rng.normal(size=(16, 3)), rng.uniform(-1, 1, size=(16, 1)),
                  rng.normal(size=16), rng.normal(size=(16, 3)),
@@ -197,7 +199,7 @@ def _ref_update(nets, opts, batch, gamma, tau):
 
 def test_updates_equal_the_plain_expressions_bit_for_bit():
     cfg = TrainConfig(seed=5)  # the default 64x64 nets and batch of 64
-    agent = DdpgAgent.new(cfg, np.random.default_rng(8), np.random.default_rng(9))
+    agent = DdpgAgent(cfg, np.random.default_rng(8), np.random.default_rng(9))
     names = ("actor", "critic", "target_actor", "target_critic")
     ref_nets = [getattr(agent, name).copy() for name in names]
     ref_opts = (_RefAdam(ref_nets[0].theta, cfg.actor_lr),
@@ -216,8 +218,10 @@ def test_updates_equal_the_plain_expressions_bit_for_bit():
 
 class TestForwardHelpers:
     def test_actor_forward_scalar(self):
-        net = Mlp.init([3, 8, 1], np.random.default_rng(0), output_activation="tanh")
-        y = actor_forward(net, np.array([0.1, 0.2, 0.3]))
+        # the one-row forward that exploration reads the action from
+        agent = DdpgAgent(small_cfg(hidden_sizes=(8,)), np.random.default_rng(0),
+                          np.random.default_rng(1))
+        y = float(agent.actor.forward(np.array([0.1, 0.2, 0.3]))[0, 0])
         assert -1.0 <= y <= 1.0
 
 
@@ -228,48 +232,59 @@ class TestTrain:
         ev = CarFollowingEvent.from_arrays("tiny", t, [12.0, 12.8], [8.0, 8.0],
                                            [0.0, 0.8], [8.0, 8.0])
         cfg = small_cfg(episodes=1)
-        policy, log = train([ev], DEFAULT_ENV, RewardConfig(), cfg, FUEL)
-        assert len(log.rows) == 1
-        assert log.rows[0].steps == 1
+        policy, rows = train([ev], DEFAULT_ENV, RewardConfig(), cfg, FUEL)
+        assert len(rows) == 1
+        assert rows[0].steps == 1
 
     def test_deterministic_under_seed(self):
         events = make_fleet(4, seed=13, duration_range=(16.0, 18.0))
         cfg = small_cfg(episodes=4, warmup_steps=30)
-        p1, log1 = train(events, DEFAULT_ENV, RewardConfig(), cfg, FUEL)
-        p2, log2 = train(events, DEFAULT_ENV, RewardConfig(), cfg, FUEL)
-        assert log1.rows == log2.rows
+        p1, rows1 = train(events, DEFAULT_ENV, RewardConfig(), cfg, FUEL)
+        p2, rows2 = train(events, DEFAULT_ENV, RewardConfig(), cfg, FUEL)
+        assert rows1 == rows2
         np.testing.assert_array_equal(p1.theta, p2.theta)
 
     def test_different_seeds_differ(self):
         events = make_fleet(3, seed=13, duration_range=(16.0, 18.0))
-        _, log1 = train(events, DEFAULT_ENV, RewardConfig(), small_cfg(episodes=3), FUEL)
-        _, log2 = train(events, DEFAULT_ENV, RewardConfig(),
-                        small_cfg(episodes=3, seed=8), FUEL)
-        assert log1.rows != log2.rows
+        _, rows1 = train(events, DEFAULT_ENV, RewardConfig(), small_cfg(episodes=3), FUEL)
+        _, rows2 = train(events, DEFAULT_ENV, RewardConfig(),
+                         small_cfg(episodes=3, seed=8), FUEL)
+        assert rows1 != rows2
 
     def test_collision_count_nondecreasing(self):
         events = make_fleet(4, seed=19, duration_range=(16.0, 18.0))
-        _, log = train(events, DEFAULT_ENV, RewardConfig(), small_cfg(episodes=6), FUEL)
-        cums = [r.collisions_cum for r in log.rows]
+        _, rows = train(events, DEFAULT_ENV, RewardConfig(), small_cfg(episodes=6), FUEL)
+        cums = [r.collisions_cum for r in rows]
         assert cums == sorted(cums)
 
     def test_empty_training_set_rejected(self):
         with pytest.raises(ValueError):
             train([], DEFAULT_ENV, RewardConfig(), small_cfg(), FUEL)
 
-    def test_trainlog_csv_roundtrip(self, tmp_path):
-        events = make_fleet(2, seed=23, duration_range=(16.0, 17.0))
-        _, log = train(events, DEFAULT_ENV, RewardConfig(), small_cfg(episodes=2), FUEL)
-        path = tmp_path / "log.csv"
-        log.write_csv(path)
-        with path.open(newline="") as fh:
+    def test_trainlog_csv_roundtrip(self, tmp_path, monkeypatch):
+        # the trainlog.csv that `ecofollow train` writes reads back as the rows train returned
+        returned = []
+
+        def recording_train(*args, **kwargs):
+            policy, rows = train(*args, **kwargs)
+            returned.append(rows)
+            return policy, rows
+
+        monkeypatch.setattr(cli, "train", recording_train)
+        events_csv, cfg_path = tmp_path / "events.csv", tmp_path / "config.json"
+        write_events(make_fleet(2, seed=23, duration_range=(16.0, 17.0)), events_csv)
+        cfg_path.write_text(json.dumps({"train": {**SMALL, "hidden_sizes": [16, 16]}}))
+        assert cli.main(["train", "--events", str(events_csv), "--config", str(cfg_path),
+                         "--episodes", "2", "--out", str(tmp_path / "out")]) == 0
+        [trained] = returned
+        with (tmp_path / "out" / "trainlog.csv").open(newline="") as fh:
             header, *rows = csv.reader(fh)
         assert header == ["episode", "mean_reward", "rolling_reward", "collisions_cum",
                           "steps", "fuel_ml"]
         back = [TrainLogRow(int(ep), float(mean), float(rolling), int(cum), int(steps),
                             float(fuel))
                 for ep, mean, rolling, cum, steps, fuel in rows]
-        assert back == log.rows
+        assert len(back) == 2 and back == trained
 
 
 class TestPolicyController:
@@ -278,7 +293,7 @@ class TestPolicyController:
         cfg = TrainConfig()
         ctrl = policy_controller(net, cfg, DEFAULT_ENV)
         state = EnvState(8.0, 12.0, -1.0)
-        want = action_to_accel(actor_forward(net, normalize_state(state, cfg)), DEFAULT_ENV)
+        want = action_to_accel(float(net.forward(normalize_state(state, cfg))[0, 0]), DEFAULT_ENV)
         assert ctrl(state, 0) == want
 
 
@@ -295,8 +310,8 @@ class TestTrainStepLoop:
 
         monkeypatch.setattr(ddpg, "simulate", recording)
         events = make_fleet(3, seed=29, duration_range=(16.0, 17.0))
-        _, log = train(events, DEFAULT_ENV, RewardConfig(), small_cfg(episodes=4), FUEL)
-        assert [len(seen) for _, seen in episodes] == [r.steps for r in log.rows]
+        _, rows = train(events, DEFAULT_ENV, RewardConfig(), small_cfg(episodes=4), FUEL)
+        assert [len(seen) for _, seen in episodes] == [r.steps for r in rows]
         for event, seen in episodes:
             _, states, positions, accels, outcomes = zip(*seen)
             trace = rollout(event, lambda state, k: accels[k], DEFAULT_ENV)
@@ -317,9 +332,9 @@ class TestCollectionLoopBits:
         pushed, episodes = [], []
         push = ReplayBuffer.push
 
-        def recording_push(buffer, t):
-            pushed.append(t._replace(state=t.state.copy(), next_state=t.next_state.copy()))
-            push(buffer, t)
+        def recording_push(buffer, state, action, reward, next_state, done):
+            pushed.append((state.copy(), action, reward, next_state.copy(), done))
+            push(buffer, state, action, reward, next_state, done)
 
         def recording_simulate(event, controller, config):
             seen = []
@@ -336,23 +351,22 @@ class TestCollectionLoopBits:
         monkeypatch.setattr(DdpgAgent, "update", no_update)
         events = make_fleet(3, seed=41, duration_range=(16.0, 20.0))
         cfg = small_cfg(episodes=5, warmup_steps=10**9)
-        _, log = train(events, DEFAULT_ENV, RewardConfig(), cfg, FUEL)
+        _, rows = train(events, DEFAULT_ENV, RewardConfig(), cfg, FUEL)
 
-        assert [len(seen) for _, seen in episodes] == [r.steps for r in log.rows]
-        assert len(pushed) == sum(r.steps for r in log.rows)
+        assert [len(seen) for _, seen in episodes] == [r.steps for r in rows]
+        assert len(pushed) == sum(r.steps for r in rows)
         fuel = NumpyHornerModel(FUEL)
-        rows = iter(pushed)
+        transitions = iter(pushed)
         for event, seen in episodes:
             accel_prev, previous = 0.0, None
-            for (_, state, _, accel, outcome), t in zip(seen, rows):
-                assert t.state.tobytes() == normalize_state(state, cfg).tobytes()
-                assert t.next_state.tobytes() == \
-                    normalize_state(outcome.next_state, cfg).tobytes()
+            for (_, state, _, accel, outcome), (s, a, r, s2, done) in zip(seen, transitions):
+                assert s.tobytes() == normalize_state(state, cfg).tobytes()
+                assert s2.tobytes() == normalize_state(outcome.next_state, cfg).tobytes()
                 if previous is not None:
-                    assert previous.next_state.tobytes() == t.state.tobytes()
-                assert DEFAULT_ENV.clamp(action_to_accel(t.action, DEFAULT_ENV)) == accel
+                    assert previous.tobytes() == s.tobytes()
+                assert DEFAULT_ENV.clamp(action_to_accel(a, DEFAULT_ENV)) == accel
                 want = reward(state, accel, accel_prev, outcome.next_state, event.dt,
                               outcome.collided, RewardConfig(), fuel)
-                assert float(t.reward).hex() == want.total.hex()
-                assert t.done == outcome.collided
-                accel_prev, previous = accel, t
+                assert float(r).hex() == want.total.hex()
+                assert done == outcome.collided
+                accel_prev, previous = accel, s2

@@ -12,6 +12,7 @@ from ecofollower.events import (CANONICAL_FIELDS, CarFollowingEvent, ColumnMappi
                                 extract_events, fit_lognormal_headway,
                                 load_events, split_dataset, write_events)
 
+import reference_stats
 from synthetic import constant_event, make_fleet
 
 
@@ -339,6 +340,50 @@ class TestDescriptiveStats:
         lines = path.read_text().strip().splitlines()
         assert lines[0] == "bin_left,bin_right,count"
         assert len(lines) == 11
+
+
+# speeds that make standstill steps (below the headway floor) and equal
+# leader/follower speeds (rel_speed 0, no TTC) common
+SPEEDS = st.one_of(st.sampled_from([0.0, 0.05, 0.1, 8.0]), st.floats(0.01, 30.0))
+
+
+@st.composite
+def ragged_fleet(draw):
+    events = []
+    for i in range(draw(st.integers(1, 5))):
+        n = draw(st.integers(2, 30))
+        dt = draw(st.sampled_from([0.1, 0.5]))
+        v_lead = np.array(draw(st.lists(SPEEDS, min_size=n, max_size=n)))
+        v_follow = np.array(draw(st.lists(SPEEDS, min_size=n, max_size=n)))
+        gaps = np.array(draw(st.lists(st.floats(0.5, 60.0), min_size=n, max_size=n)))
+        if i == 0:   # every fleet has both kinds of step
+            v_follow[0] = 0.0
+            v_lead[-1] = v_follow[-1]
+        x_follow = np.cumsum(np.concatenate([[0.0], v_follow[:-1] * dt]))
+        events.append(CarFollowingEvent.from_arrays(f"e{i}", np.arange(n) * dt,
+                                                    x_follow + gaps, v_lead, x_follow, v_follow))
+    return events
+
+
+class TestPooledStatistics:
+    """The statistics of the pooled steps equal those of the per-event loop."""
+
+    @given(ragged_fleet(), st.integers(1, 12))
+    @settings(max_examples=60, deadline=None)
+    def test_the_per_event_form_gives_the_same_bits(self, events, bins):
+        assert json.dumps(descriptive_stats(events, bins)) == \
+            json.dumps(reference_stats.descriptive_stats(events, bins))
+        try:
+            want = reference_stats.fit_lognormal_headway(events)
+        except FitError as exc:
+            with pytest.raises(FitError, match=f"^{re.escape(str(exc))}$"):
+                fit_lognormal_headway(events)
+        else:
+            assert [x.hex() for x in fit_lognormal_headway(events)] == [x.hex() for x in want]
+
+    def test_no_events_is_a_fit_error(self):
+        with pytest.raises(FitError, match="got 0"):
+            fit_lognormal_headway([])
 
 
 class TestLognormalFit:
