@@ -127,16 +127,37 @@ class OuNoise:
         return self.x
 
 
-def normalize_state(state: EnvState, cfg: TrainConfig) -> np.ndarray:
-    """The actor's input: shape (3,) for one state, (N, 3) for arrays of N states."""
-    return np.array([state.follow_speed / cfg.speed_scale,
-                     state.spacing / cfg.spacing_scale,
-                     state.rel_speed / cfg.rel_speed_scale]).T
+def normalize_state(state: EnvState, cfg: TrainConfig,
+                    divisors: tuple | None = None) -> np.ndarray:
+    """The actor's input: shape (3,) for one state, (N, 3) for arrays of N states.
+
+    ``divisors`` are ``_state_divisors(cfg)`` made once by the caller, such as
+    ``policy_controller``'s 0-d arrays; by default they are read off ``cfg``.
+    """
+    speed, spacing, rel_speed = divisors or _state_divisors(cfg)
+    return np.array([state.follow_speed / speed,
+                     state.spacing / spacing,
+                     state.rel_speed / rel_speed]).T
 
 
-def action_to_accel(y: float, env_cfg: EnvConfig) -> float:
-    """Affine map of the squashed action [-1, 1] onto [a_min, a_max]."""
-    return env_cfg.a_min + (y + 1.0) / 2.0 * (env_cfg.a_max - env_cfg.a_min)
+def action_to_accel(y: float, env_cfg: EnvConfig, operands: tuple | None = None) -> float:
+    """Affine map of the squashed action [-1, 1] onto [a_min, a_max].
+
+    ``operands`` are ``_action_operands(env_cfg)`` made once by the caller, as
+    ``divisors`` are for ``normalize_state``.
+    """
+    a_min, one, two, span = operands or _action_operands(env_cfg)
+    return a_min + (y + one) / two * span
+
+
+def _state_divisors(cfg: TrainConfig) -> tuple[float, float, float]:
+    """The divisors of ``normalize_state``: speed, spacing and relative speed scales."""
+    return cfg.speed_scale, cfg.spacing_scale, cfg.rel_speed_scale
+
+
+def _action_operands(env_cfg: EnvConfig) -> tuple[float, float, float, float]:
+    """The constants of ``action_to_accel``: a_min, 1, 2 and the actuator span."""
+    return env_cfg.a_min, 1.0, 2.0, env_cfg.a_max - env_cfg.a_min
 
 
 class DdpgAgent:
@@ -232,6 +253,8 @@ def train(events: Sequence[CarFollowingEvent],
     noise = OuNoise(cfg.ou_theta, cfg.ou_sigma,
                     np.random.default_rng(derive_seed(cfg.seed, "ddpg.noise")))
     update_floor = max(cfg.warmup_steps, cfg.batch_size)
+    # Python floats: on one state they are faster than 0-d arrays
+    divisors, operands = _state_divisors(cfg), _action_operands(env_config)
 
     s_norm, y = None, 0.0
 
@@ -240,9 +263,9 @@ def train(events: Sequence[CarFollowingEvent],
         # past step 0, s_norm is already the state, normalized as the last next_state
         nonlocal s_norm, y
         if k == 0:
-            s_norm = normalize_state(state, cfg)
+            s_norm = normalize_state(state, cfg, divisors)
         y = min(1.0, max(-1.0, float(agent.actor.forward(s_norm)[0, 0]) + noise.sample()))
-        return action_to_accel(y, env_config)
+        return action_to_accel(y, env_config, operands)
 
     rows = []
     rolling = deque(maxlen=cfg.rolling_window)
@@ -260,7 +283,7 @@ def train(events: Sequence[CarFollowingEvent],
             r = reward(state, accel, accel_prev, outcome.next_state, event.dt,
                        outcome.collided, reward_config, fuel_model)
             # timeouts are not stored as terminal so the TD target keeps bootstrapping
-            s_next = normalize_state(outcome.next_state, cfg)
+            s_next = normalize_state(outcome.next_state, cfg, divisors)
             buffer.push(s_norm, y, r.total, s_next, outcome.collided)
             # simulate continues from outcome.next_state, so this is step k + 1's state
             s_norm = s_next
@@ -291,12 +314,16 @@ def policy_controller(net: Mlp, train_config: TrainConfig,
     """Deterministic (noise-free) controller wrapping a trained actor.
 
     One forward pass over every state it is given: a single state, or the
-    arrays of states of a lockstep rollout.
+    arrays of states of a lockstep rollout. The formulas' constants are built
+    once, as 0-d arrays: a ufunc takes them faster than floats, and computes
+    the same with them.
     """
+    divisors = tuple(np.array(float(x)) for x in _state_divisors(train_config))
+    operands = tuple(np.array(float(x)) for x in _action_operands(env_config))
 
-    def control(state: EnvState, k: int) -> float:
-        x = normalize_state(state, train_config)
+    def control(state: EnvState, k: int) -> float | np.ndarray:
+        x = normalize_state(state, train_config, divisors)
         y = net.forward(x)[:, 0].reshape(np.shape(state.follow_speed))
-        return action_to_accel(y, env_config)
+        return action_to_accel(y, env_config, operands)
 
     return control

@@ -27,9 +27,9 @@ class RolloutError(RuntimeError):
     """A controller failed during a rollout; carries the step index."""
 
 
-@dataclass(frozen=True)
-class EnvState:
-    """RL observation: follower speed, bumper gap, relative speed."""
+class EnvState(NamedTuple):
+    """RL observation: follower speed, bumper gap, relative speed; a named
+    tuple, as both step loops build one per step."""
 
     follow_speed: float
     spacing: float

@@ -57,7 +57,7 @@ def idm_accel(params: IdmParams, v: float, spacing: float, dv_closing: float) ->
     rollout on collision before asking for another command. An overflow of
     a numpy input gives -inf (Python floats raise OverflowError).
     """
-    if np.any(np.less_equal(spacing, 0)):
+    if np.count_nonzero(np.less_equal(spacing, 0.0)):
         raise ValueError(f"idm_accel needs positive spacing, got {spacing}")
     s_star = desired_spacing(params, v, dv_closing)
     with np.errstate(over="ignore"):
@@ -70,10 +70,15 @@ def idm_controller(params: IdmParams) -> Controller:
 
     The env clamps the command to its actuator bounds after checking that it
     is finite, so an overflowing IDM fails its event instead of braking.
+    Arrays of states get the parameters as 0-d arrays, which a ufunc takes
+    faster than floats and computes the same with; a float state keeps the
+    floats, as Python's float power rounds differently from numpy's.
     """
+    operands = IdmParams(*(np.array(float(getattr(params, f.name))) for f in fields(IdmParams)))
 
-    def control(state: EnvState, k: int) -> float:
-        return idm_accel(params, state.follow_speed, state.spacing, -state.rel_speed)
+    def control(state: EnvState, k: int) -> float | np.ndarray:
+        p = operands if type(state.follow_speed) is np.ndarray else params
+        return idm_accel(p, state.follow_speed, state.spacing, -state.rel_speed)
 
     return control
 

@@ -16,16 +16,22 @@ TTC_CAP = 50.0      # s; TTC magnitudes are capped here before averaging and bin
 
 
 def ttc_closing(spacing: np.ndarray, rel_speed: np.ndarray, cap: float = TTC_CAP) -> np.ndarray:
-    """-spacing/rel_speed on closing-gap steps only, capped at ``cap``."""
+    """-spacing/rel_speed on closing-gap steps only, capped at ``cap``.
+
+    A subnormal closing speed overflows to inf, which the cap then takes.
+    """
     closing = rel_speed < 0
-    return np.minimum(-spacing[closing] / rel_speed[closing], cap)
+    with np.errstate(over="ignore"):
+        return np.minimum(-spacing[closing] / rel_speed[closing], cap)
 
 
 def ttc_signed(spacing: np.ndarray, rel_speed: np.ndarray, cap: float = TTC_CAP) -> np.ndarray:
     """Signed -spacing/rel_speed (negative while opening) on every step with
-    nonzero rel_speed, clipped to [-cap, cap]."""
+    nonzero rel_speed, clipped to [-cap, cap]; a subnormal rel_speed
+    overflows to +/-inf, which the clip then takes."""
     nonzero = rel_speed != 0
-    return np.clip(-spacing[nonzero] / rel_speed[nonzero], -cap, cap)
+    with np.errstate(over="ignore"):
+        return np.clip(-spacing[nonzero] / rel_speed[nonzero], -cap, cap)
 
 
 def headway(spacing: np.ndarray, follow_speed: np.ndarray) -> np.ndarray:

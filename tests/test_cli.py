@@ -156,6 +156,17 @@ class TestStats:
         assert (out1 / "stats.json").read_bytes() == (out2 / "stats.json").read_bytes()
         assert (out1 / "hist_gap.csv").read_bytes() == (out2 / "hist_gap.csv").read_bytes()
 
+    def test_subnormal_speed_difference_exit_0_quietly(self, tmp_path, capsys):
+        # a follower 5e-324 m/s faster than its stopped leader: the TTC division
+        # overflows, and the clip to the cap takes the inf without a warning
+        events = tmp_path / "subnormal.csv"
+        t = np.arange(4) * 0.1
+        write_events([CarFollowingEvent.from_arrays("e1", t, np.full(4, 10.0), np.zeros(4),
+                                                    np.zeros(4), [0.0, 0.0, 5e-324, 0.0])],
+                     events)
+        assert main(["stats", "--events", str(events), "--out", str(tmp_path / "o")]) == 0
+        assert capsys.readouterr().err == ""
+
     def test_empty_subset_exit_3(self, tmp_path, capsys):
         # at --ratio 0.7 a one-event file has no training event
         events = tmp_path / "one.csv"

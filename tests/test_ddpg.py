@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ecofollower import cli, ddpg
 from ecofollower.ddpg import (DdpgAgent, OuNoise, ReplayBuffer, TrainConfig,
@@ -295,6 +296,29 @@ class TestPolicyController:
         state = EnvState(8.0, 12.0, -1.0)
         want = action_to_accel(float(net.forward(normalize_state(state, cfg))[0, 0]), DEFAULT_ENV)
         assert ctrl(state, 0) == want
+
+
+class TestPolicyControllerBytePin:
+    """The controller's 0-d constants give the formulas' bytes with the config floats."""
+
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 40),
+           scales=st.tuples(*[st.floats(0.5, 200.0)] * 3),
+           bounds=st.tuples(st.floats(-6.0, -0.5), st.floats(0.5, 6.0)))
+    @settings(max_examples=100, deadline=None)
+    def test_equals_the_formulas(self, seed, n, scales, bounds):
+        rng = np.random.default_rng(seed)
+        net = Mlp.init([3, 8, 8, 1], rng, output_activation="tanh")
+        cfg = TrainConfig(speed_scale=scales[0], spacing_scale=scales[1],
+                          rel_speed_scale=scales[2])
+        env = EnvConfig(a_min=bounds[0], a_max=bounds[1])
+        ctrl = policy_controller(net, cfg, env)
+        state = EnvState(rng.uniform(0, 40, n), rng.uniform(0.1, 150, n), rng.normal(0, 5, n))
+        one = EnvState(float(state.follow_speed[0]), float(state.spacing[0]),
+                       float(state.rel_speed[0]))
+        for given_state in (state, one):
+            got = ctrl(given_state, 0)
+            want = action_to_accel(net.forward(normalize_state(given_state, cfg))[:, 0], env)
+            assert np.asarray(got).tobytes() == want.tobytes()
 
 
 class TestTrainStepLoop:

@@ -23,6 +23,14 @@ def linear_leader_event(event_id="lin", v0=8.0, accel=0.5, gap=30.0, n=1001, dt=
     return CarFollowingEvent.from_arrays(event_id, t, x_lead, v_lead, x_follow, v_follow)
 
 
+class TestEnvState:
+    def test_named_tuple_fields_and_keywords(self):
+        assert EnvState._fields == ("follow_speed", "spacing", "rel_speed")
+        state = EnvState(follow_speed=8.0, spacing=12.0, rel_speed=-1.0)
+        assert state == EnvState(8.0, 12.0, -1.0)
+        assert (state.follow_speed, state.spacing, state.rel_speed) == (8.0, 12.0, -1.0)
+
+
 class TestReset:
     def test_reads_first_sample(self):
         ev = constant_event(v=8.0, gap=12.0)

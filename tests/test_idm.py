@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ecofollower.cli import read_config
-from ecofollower.env import DEFAULT_ENV, EnvConfig, RolloutError, rollout
+from ecofollower.env import DEFAULT_ENV, EnvConfig, EnvState, RolloutError, rollout
 from ecofollower.events import CarFollowingEvent
 from ecofollower.idm import (CalibrationError, IdmParams, _spacing_mse, calibrate_idm,
                              desired_spacing, idm_accel, idm_controller)
@@ -115,6 +115,54 @@ class TestControllerAdapter:
         got = ctrl(EnvState(8.0, 12.0, -3.0), 0)
         want = idm_accel(HAND_PARAMS, 8.0, 12.0, 3.0)
         assert got == want
+
+
+def _states(n):
+    """n follower speeds, spacings and relative speeds; spacings reach down to
+    where the interaction term overflows."""
+    return st.tuples(*(st.lists(elems, min_size=n, max_size=n) for elems in (
+        st.floats(0.0, 60.0), st.floats(1e-300, 300.0), st.floats(-30.0, 30.0))))
+
+
+IDM_PARAMS = st.builds(
+    IdmParams, a_max=st.floats(0.1, 5.0), v_desired=st.floats(1.0, 60.0),
+    beta=st.sampled_from([0.5, 1.0, 2.0, 4.0]) | st.floats(0.5, 8.0), s_jam=st.floats(0.0, 10.0),
+    T_headway=st.floats(0.0, 3.0), a_comf=st.floats(0.1, 5.0))
+
+
+class TestControllerBytePin:
+    """The controller's 0-d parameter operands give idm_accel's bytes with the
+    float parameters, on arrays and on one float state."""
+
+    @given(params=IDM_PARAMS, data=st.data(), n=st.integers(1, 40))
+    @settings(max_examples=150, deadline=None)
+    def test_equals_idm_accel_with_float_params(self, params, data, n):
+        v, s, dv = (np.array(x) for x in data.draw(_states(n)))
+        ctrl = idm_controller(params)
+        got = ctrl(EnvState(v, s, dv), 3)
+        want = idm_accel(params, v, s, -dv)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+        # one float state at a time, as the lockstep fallback asks
+        for one in zip(v.tolist(), s.tolist(), dv.tolist()):
+            got = ctrl(EnvState(*one), 0)
+            assert np.float64(got).tobytes() == np.float64(idm_accel(params, one[0], one[1],
+                                                                     -one[2])).tobytes()
+
+    def test_overflow_gives_minus_inf_in_both(self):
+        v, s, dv = np.array([10.0, 10.0]), np.array([1e-300, 20.0]), np.array([0.0, 0.0])
+        got = idm_controller(HAND_PARAMS)(EnvState(v, s, dv), 0)
+        want = idm_accel(HAND_PARAMS, v, s, -dv)
+        assert got[0] == -math.inf and got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("bad", [0.0, -1.0])
+    def test_non_positive_spacing_raises_in_both(self, bad):
+        v, s, dv = np.full(3, 10.0), np.array([20.0, bad, 20.0]), np.zeros(3)
+        with pytest.raises(ValueError, match="positive spacing"):
+            idm_controller(HAND_PARAMS)(EnvState(v, s, dv), 0)
+        with pytest.raises(ValueError, match="positive spacing"):
+            idm_accel(HAND_PARAMS, v, s, -dv)
+        with pytest.raises(ValueError, match="positive spacing"):
+            idm_controller(HAND_PARAMS)(EnvState(10.0, bad, 0.0), 0)
 
 
 class TestJsonRoundTrip:

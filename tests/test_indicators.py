@@ -1,5 +1,7 @@
 """The array indicators agree step by step with the scalar reward formulas."""
 
+import warnings
+
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
@@ -56,3 +58,13 @@ def test_array_indicators_equal_scalar_forms_on_fleets(seed, count, t_headway, c
                       rollout(ev, idm_controller(IdmParams(T_headway=t_headway)), DEFAULT_ENV),
                       rollout(ev, lambda state, k: accels[k], DEFAULT_ENV)):
             assert_match(trace, cap)
+
+
+def test_subnormal_speed_difference_gives_the_cap_without_warning():
+    # -10 / -5e-324 overflows to inf; the cap takes it
+    spacing, closing = np.array([10.0, 10.0]), np.array([-5e-324, -1.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert indicators.ttc_closing(spacing, closing).tolist() == [indicators.TTC_CAP, 10.0]
+        assert indicators.ttc_signed(spacing, closing).tolist() == [indicators.TTC_CAP, 10.0]
+        assert indicators.ttc_signed(spacing, -closing).tolist() == [-indicators.TTC_CAP, -10.0]
