@@ -10,7 +10,7 @@ __version__ = "0.1.0"
 from .ddpg import (DdpgAgent, ReplayBuffer, TrainConfig, TrainLogRow, TrainingError,
                    policy_controller, train)
 from .env import (EnvConfig, EnvState, RolloutError, SimulatedTrace, StepOutcome,
-                  reset, rollout_batch, simulate, step)
+                  reset, rollout_batch, step)
 from .evaluate import (EvalConfig, IndicatorSummary, NonFiniteFuelError,
                        compare, evaluate_controller, evaluate_ground_truth,
                        export_distributions, pooled_steps, render_text, trace_from_event)

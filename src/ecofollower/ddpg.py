@@ -17,10 +17,7 @@ from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from .env import Controller, EnvConfig, EnvState, DEFAULT_ENV, simulate
-# train never calls step; the binding stays because benchmarks/test_bench_smoke.py
-# checks that the benchmark tracer wraps ddpg.step along with env.step
-from .env import step  # noqa: F401
+from .env import Controller, EnvConfig, EnvState, DEFAULT_ENV, reset, step
 from .events import CarFollowingEvent
 from .nets import Adam, Mlp, soft_update
 from .objectives import RewardConfig, reward
@@ -74,14 +71,15 @@ class TrainConfig:
 
 
 class ReplayBuffer:
-    """Fixed-capacity ring; uniform batch sampling without replacement."""
+    """Fixed-capacity ring of transitions between state triples; uniform batch
+    sampling without replacement."""
 
-    def __init__(self, capacity: int, state_dim: int = 3):
+    def __init__(self, capacity: int):
         self.capacity = capacity
-        self.states = np.zeros((capacity, state_dim))
+        self.states = np.zeros((capacity, 3))
         self.actions = np.zeros((capacity, 1))
         self.rewards = np.zeros(capacity)
-        self.next_states = np.zeros((capacity, state_dim))
+        self.next_states = np.zeros((capacity, 3))
         self.dones = np.zeros(capacity)
         self._cursor = 0
         self._size = 0
@@ -193,7 +191,7 @@ class DdpgAgent:
         q, critic_cache = self.critic.forward_cache(x)
         td = q - target
         critic_loss = float((td * td).sum() / n)
-        dtheta, _ = self.critic.backward(critic_cache, 2.0 * td / n)
+        dtheta = self.critic.backward(critic_cache, 2.0 * td / n)
         self.critic_opt.step(self.critic.theta, dtheta)
 
         a_pi, actor_cache = self.actor.forward_cache(s)
@@ -202,7 +200,7 @@ class DdpgAgent:
         actor_objective = float(q_pi.sum() / n)
         # only dQ/d(input) is needed here; the critic's parameter gradient is not
         dq_da = self.critic.input_grad(q_cache, np.full_like(q_pi, 1.0 / n))[:, -1:]
-        dtheta, _ = self.actor.backward(actor_cache, -dq_da)  # ascend Q
+        dtheta = self.actor.backward(actor_cache, -dq_da)  # ascend Q
         self.actor_opt.step(self.actor.theta, dtheta)
 
         soft_update(self.target_actor, self.actor, self.tau)
@@ -256,17 +254,6 @@ def train(events: Sequence[CarFollowingEvent],
     # Python floats: on one state they are faster than 0-d arrays
     divisors, operands = _state_divisors(cfg), _action_operands(env_config)
 
-    s_norm, y = None, 0.0
-
-    def explore(state: EnvState, k: int) -> float:
-        # keeps the normalized state and the squashed action for the replay buffer;
-        # past step 0, s_norm is already the state, normalized as the last next_state
-        nonlocal s_norm, y
-        if k == 0:
-            s_norm = normalize_state(state, cfg, divisors)
-        y = min(1.0, max(-1.0, float(agent.actor.forward(s_norm)[0, 0]) + noise.sample()))
-        return action_to_accel(y, env_config, operands)
-
     rows = []
     rolling = deque(maxlen=cfg.rolling_window)
     collisions_cum = 0
@@ -276,18 +263,22 @@ def train(events: Sequence[CarFollowingEvent],
         noise.sigma = cfg.ou_sigma + (cfg.ou_sigma_final - cfg.ou_sigma) * frac
         noise.reset()
 
+        state = reset(event)
+        s_norm = normalize_state(state, cfg, divisors)
+        v_lead, dt = event.v_lead.tolist(), event.dt
         accel_prev = 0.0
         ep_reward, fuel_ml, steps = 0.0, 0.0, 0
-        collided = False
-        for k, state, _, accel, outcome in simulate(event, explore, env_config):
-            r = reward(state, accel, accel_prev, outcome.next_state, event.dt,
+        for k in range(len(event) - 1):
+            y = min(1.0, max(-1.0, float(agent.actor.forward(s_norm)[0, 0]) + noise.sample()))
+            # clamped as step clamps it: the affine map may round past a bound
+            accel = env_config.clamp(action_to_accel(y, env_config, operands))
+            outcome = step(state, accel, v_lead[k + 1], dt, config=env_config)
+            r = reward(state, accel, accel_prev, outcome.next_state, dt,
                        outcome.collided, reward_config, fuel_model)
             # timeouts are not stored as terminal so the TD target keeps bootstrapping
             s_next = normalize_state(outcome.next_state, cfg, divisors)
             buffer.push(s_norm, y, r.total, s_next, outcome.collided)
-            # simulate continues from outcome.next_state, so this is step k + 1's state
-            s_norm = s_next
-            fuel_ml += r.fuel_rate * event.dt
+            fuel_ml += r.fuel_rate * dt
             ep_reward += r.total
             steps += 1
             if len(buffer) >= update_floor:
@@ -295,10 +286,11 @@ def train(events: Sequence[CarFollowingEvent],
                     agent.update(buffer.sample(cfg.batch_size, rng_replay))
                 except TrainingError as exc:
                     raise TrainingError(f"episode {ep}, step {k}: {exc}") from exc
-            accel_prev = accel
-            collided = outcome.collided
+            if outcome.collided:
+                collisions_cum += 1
+                break
+            state, s_norm, accel_prev = outcome.next_state, s_next, accel
 
-        collisions_cum += int(collided)
         mean_reward = ep_reward / steps
         rolling.append(mean_reward)
         row = TrainLogRow(episode=ep, mean_reward=mean_reward, rolling_reward=float(np.mean(rolling)),

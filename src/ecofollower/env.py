@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterator, NamedTuple, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -29,7 +29,8 @@ class RolloutError(RuntimeError):
 
 class EnvState(NamedTuple):
     """RL observation: follower speed, bumper gap, relative speed; a named
-    tuple, as both step loops build one per step."""
+    tuple, as one is built per step of ``ddpg.train`` (which calls ``reset``
+    and ``step`` itself), of ``rollout`` and, over arrays, of ``rollout_batch``."""
 
     follow_speed: float
     spacing: float
@@ -54,7 +55,8 @@ DEFAULT_ENV = EnvConfig()
 
 
 class StepOutcome(NamedTuple):
-    """One step's result; a named tuple, as it is built once per env step."""
+    """One ``step``'s result; a named tuple, as it is built once per step of
+    training and of ``rollout``."""
 
     next_state: EnvState
     collided: bool
@@ -120,18 +122,23 @@ class SimulatedTrace:
                   (self.t, self.accel, self.v_follow, self.spacing, self.rel_speed, self.x_follow))
 
 
-def simulate(event: CarFollowingEvent, controller: Controller, config: EnvConfig = DEFAULT_ENV
-             ) -> Iterator[tuple[int, EnvState, float, float, StepOutcome]]:
-    """Drive the follower through the event against its recorded leader.
+def _command_error(event: CarFollowingEvent, k: int, reason) -> RolloutError:
+    return RolloutError(f"controller failed at step {k} of event {event.event_id}: {reason}")
 
-    Yields ``(k, state, follow_position, accel, outcome)`` per step: the state
-    and position the controller saw, the clamped acceleration it commanded and
-    the step outcome. The controller is asked for step k + 1 only when the
-    caller resumes the generator. Stops after the last step or on collision.
+
+def rollout(event: CarFollowingEvent, controller: Controller,
+            config: EnvConfig = DEFAULT_ENV) -> SimulatedTrace:
+    """Simulate the follower against the event's recorded leader, one ``step`` at a time.
+
+    The scalar reference that ``rollout_batch`` is tested against. Each step
+    asks the controller for a command, which must be finite, and clamps it.
+    Stops early on collision; the colliding step is the last recorded row.
     """
     state = reset(event)
     x_follow = float(event.x_follow[0])
     v_lead, dt = event.v_lead.tolist(), event.dt
+    accel, v, s, dv, x = [], [], [], [], []
+    collided = False
     for k in range(len(event) - 1):
         try:
             a = float(controller(state, k))
@@ -140,33 +147,16 @@ def simulate(event: CarFollowingEvent, controller: Controller, config: EnvConfig
         if not math.isfinite(a):
             raise _command_error(event, k, f"non-finite command {a}")
         a = config.clamp(a)
-        outcome = step(state, a, v_lead[k + 1], dt, follow_position=x_follow, config=config)
-        yield k, state, x_follow, a, outcome
-        if outcome.collided:
-            return
-        state = outcome.next_state
-        x_follow = outcome.follow_position
-
-
-def _command_error(event: CarFollowingEvent, k: int, reason) -> RolloutError:
-    return RolloutError(f"controller failed at step {k} of event {event.event_id}: {reason}")
-
-
-def rollout(event: CarFollowingEvent, controller: Controller,
-            config: EnvConfig = DEFAULT_ENV) -> SimulatedTrace:
-    """Simulate the follower against the event's recorded leader.
-
-    Stops early on collision; the colliding step is the last recorded row.
-    """
-    accel, v, s, dv, x = [], [], [], [], []
-    collided = False
-    for _, state, x_follow, a, outcome in simulate(event, controller, config):
         accel.append(a)
         v.append(state.follow_speed)
         s.append(state.spacing)
         dv.append(state.rel_speed)
         x.append(x_follow)
-        collided = outcome.collided
+        outcome = step(state, a, v_lead[k + 1], dt, follow_position=x_follow, config=config)
+        if outcome.collided:
+            collided = True
+            break
+        state, x_follow = outcome.next_state, outcome.follow_position
     return SimulatedTrace(
         event_id=event.event_id,
         dt=event.dt,

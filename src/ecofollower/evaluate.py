@@ -2,7 +2,7 @@
 
 The ground-truth "controller" is a direct read-off of the recorded arrays, so
 its indicators reproduce the raw data exactly regardless of how consistent the
-recording is; simulated controllers (policy, IDM) are rolled out through the
+recording is; model controllers (policy, IDM) are rolled out through the
 environment.
 """
 

@@ -163,7 +163,6 @@ class ColumnMapping:
 class DatasetSplit:
     train: tuple[CarFollowingEvent, ...]
     test: tuple[CarFollowingEvent, ...]
-    seed: int
 
 
 @dataclass
@@ -345,7 +344,7 @@ def split_dataset(events: Sequence[CarFollowingEvent], ratio: float, seed: int) 
     n_train = math.floor(ratio * len(events) + 1e-9)  # guard float dust just below an integer
     train = tuple(events[i] for i in order[:n_train])
     test = tuple(events[i] for i in order[n_train:])
-    return DatasetSplit(train=train, test=test, seed=seed)
+    return DatasetSplit(train=train, test=test)
 
 
 def histogram_edges(values: np.ndarray, bins: int) -> np.ndarray:

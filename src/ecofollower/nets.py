@@ -121,12 +121,9 @@ class Mlp:
         dz *= grad
         return dz
 
-    def backward(self, cache: list[np.ndarray], dy: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Backprop dL/dy through the cached pass.
-
-        Returns ``(dtheta, dinput)``: the parameter gradient laid out like
-        ``theta`` and the gradient with respect to the net's input.
-        """
+    def backward(self, cache: list[np.ndarray], dy: np.ndarray) -> np.ndarray:
+        """Backprop dL/dy through the cached pass to the parameter gradient,
+        laid out like ``theta``; ``input_grad`` gives the input's gradient."""
         dtheta = np.empty_like(self.theta)
         dw, db = self._layer_views(dtheta)
         grad = np.asarray(dy, dtype=float)
@@ -134,12 +131,13 @@ class Mlp:
             dz = self._pre_activation_grad(cache, grad, l)
             np.matmul(cache[l].T, dz, out=dw[l])
             dz.sum(axis=0, out=db[l])
-            grad = dz @ self.weights[l].T
-        return dtheta, grad
+            if l:
+                grad = dz @ self.weights[l].T
+        return dtheta
 
     def input_grad(self, cache: list[np.ndarray], dy: np.ndarray) -> np.ndarray:
-        """The gradient with respect to the net's input alone: ``backward(cache, dy)[1]``
-        without the parameter gradient."""
+        """The gradient with respect to the net's input: dL/dy backpropagated
+        through the cached pass, without the parameter gradient."""
         grad = np.asarray(dy, dtype=float)
         for l in range(len(self.weights) - 1, -1, -1):
             grad = self._pre_activation_grad(cache, grad, l) @ self.weights[l].T

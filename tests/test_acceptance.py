@@ -20,7 +20,7 @@ import pytest
 
 from ecofollower.cli import main as cli_main
 from ecofollower.ddpg import TrainConfig, train
-from ecofollower.env import DEFAULT_ENV, rollout
+from ecofollower.env import DEFAULT_ENV, EnvState, rollout
 from ecofollower.evaluate import compare, evaluate_controller, evaluate_ground_truth, render_text
 from ecofollower.events import (CarFollowingEvent, ColumnMapping, extract_events,
                                 descriptive_stats, fit_lognormal_headway,
@@ -28,7 +28,7 @@ from ecofollower.events import (CarFollowingEvent, ColumnMapping, extract_events
 from ecofollower.idm import IdmParams, idm_accel
 from ecofollower.nets import Mlp, load_policy
 from ecofollower.objectives import (HeadwayModel, RewardConfig, f_fuel,
-                                    f_headway, f_jerk, f_ttc)
+                                    f_headway, f_jerk, f_ttc, reward)
 from ecofollower.vtmicro import VtMicroCoefficients, fuel_rate, moe_exponent, reference_model
 
 from synthetic import (UNBOUNDED_ENV, constant_controller, make_fleet,
@@ -185,7 +185,7 @@ def test_criterion_5_gradient_check():
                 return float(np.mean(d * d))
 
             out, cache = net.forward_cache(x)
-            dtheta, _ = net.backward(cache, 2.0 * (out - y) / len(x))
+            dtheta = net.backward(cache, 2.0 * (out - y) / len(x))
             theta = net.theta
             for i in range(theta.size):
                 orig = theta[i]
@@ -359,3 +359,31 @@ def test_criterion_12_fuel_saving_direction():
         assert pol.summary.mean_fuel_rate < gt.summary.mean_fuel_rate, (
             f"policy fuel {pol.summary.mean_fuel_rate:.4f} not below "
             f"ground truth {gt.summary.mean_fuel_rate:.4f}")
+
+
+def test_reward_landscape_pins_standing_still_above_recorded_driving():
+    """Today's reward, scored step by step on the benchmark's eval fleet, prefers a
+    follower that stands still to the recorded driving: -0.437 against -0.765 per
+    step. The stopped follower pays only the idle fuel rate; its headway and TTC
+    terms are 0 (undefined below the speed floor and for an opening gap). A
+    reward that makes the headline mean what the paper claims (ROADMAP item
+    1(d)) must flip this ordering, and this pin with it."""
+    fleet = bench_inputs.make_fleet(1, "eval", 30, (15.0, 90.0))
+    cfg, fuel, dt = RewardConfig(), reference_model(), bench_inputs.DT
+    recorded, still = [], []
+    for ev in fleet:
+        driven = [EnvState(v, xl - xf, vl - v) for v, xl, xf, vl in
+                  zip(ev.v_follow.tolist(), ev.x_lead.tolist(), ev.x_follow.tolist(),
+                      ev.v_lead.tolist())]
+        stopped = [EnvState(0.0, xl - float(ev.x_follow[0]), vl)
+                   for xl, vl in zip(ev.x_lead.tolist(), ev.v_lead.tolist())]
+        accel_prev = 0.0
+        for k, accel in enumerate((np.diff(ev.v_follow) / dt).tolist()):
+            recorded.append(reward(driven[k], accel, accel_prev, driven[k + 1], dt,
+                                   False, cfg, fuel).total)
+            still.append(reward(stopped[k], 0.0, 0.0, stopped[k + 1], dt,
+                                False, cfg, fuel).total)
+            accel_prev = accel
+    assert len(recorded) == 15_639
+    assert round(float(np.mean(recorded)), 3) == -0.765
+    assert round(float(np.mean(still)), 3) == -0.437

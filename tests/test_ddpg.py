@@ -10,7 +10,7 @@ from ecofollower import cli, ddpg
 from ecofollower.ddpg import (DdpgAgent, OuNoise, ReplayBuffer, TrainConfig,
                               TrainLogRow, action_to_accel,
                               normalize_state, policy_controller, train)
-from ecofollower.env import DEFAULT_ENV, EnvConfig, EnvState, rollout, simulate
+from ecofollower.env import DEFAULT_ENV, EnvConfig, EnvState, reset, rollout, step
 from ecofollower.events import write_events
 from ecofollower.nets import Mlp
 from ecofollower.objectives import RewardConfig, reward
@@ -321,31 +321,72 @@ class TestPolicyControllerBytePin:
             assert np.asarray(got).tobytes() == want.tobytes()
 
 
+def _record_episodes(monkeypatch) -> list:
+    """Record train's env calls through the bindings it calls, ``ddpg.reset`` and
+    ``ddpg.step``: one ``(event, steps)`` per episode, each step as
+    ``(state, accel, outcome)``."""
+    episodes = []
+
+    def recording_reset(event):
+        episodes.append((event, []))
+        return reset(event)
+
+    def recording_step(state, accel, *args, **kwargs):
+        outcome = step(state, accel, *args, **kwargs)
+        episodes[-1][1].append((state, accel, outcome))
+        return outcome
+
+    monkeypatch.setattr(ddpg, "reset", recording_reset)
+    monkeypatch.setattr(ddpg, "step", recording_step)
+    return episodes
+
+
+def _record_pushes(monkeypatch) -> list:
+    pushed = []
+    push = ReplayBuffer.push
+
+    def recording_push(buffer, state, action, reward, next_state, done):
+        pushed.append((state.copy(), action, reward, next_state.copy(), done))
+        push(buffer, state, action, reward, next_state, done)
+
+    monkeypatch.setattr(ReplayBuffer, "push", recording_push)
+    return pushed
+
+
 class TestTrainStepLoop:
     def test_kinematics_match_rollout_under_same_actions(self, monkeypatch):
-        episodes = []
-
-        def recording(event, controller, config):
-            seen = []
-            episodes.append((event, seen))
-            for item in simulate(event, controller, config):
-                seen.append(item)
-                yield item
-
-        monkeypatch.setattr(ddpg, "simulate", recording)
+        episodes = _record_episodes(monkeypatch)
         events = make_fleet(3, seed=29, duration_range=(16.0, 17.0))
         _, rows = train(events, DEFAULT_ENV, RewardConfig(), small_cfg(episodes=4), FUEL)
         assert [len(seen) for _, seen in episodes] == [r.steps for r in rows]
         for event, seen in episodes:
-            _, states, positions, accels, outcomes = zip(*seen)
+            states, accels, outcomes = zip(*seen)
             trace = rollout(event, lambda state, k: accels[k], DEFAULT_ENV)
             assert len(trace) == len(seen)
             np.testing.assert_array_equal(trace.accel, accels)
             np.testing.assert_array_equal(trace.v_follow, [s.follow_speed for s in states])
             np.testing.assert_array_equal(trace.spacing, [s.spacing for s in states])
             np.testing.assert_array_equal(trace.rel_speed, [s.rel_speed for s in states])
-            np.testing.assert_array_equal(trace.x_follow, positions)
             assert trace.collided == outcomes[-1].collided
+
+    def test_episode_ends_at_the_colliding_step(self, monkeypatch):
+        """A follower that brakes at most -1 m/s^2 and may speed up at 6 collides;
+        the colliding step is the episode's last and is pushed as terminal."""
+        episodes = _record_episodes(monkeypatch)
+        pushed = _record_pushes(monkeypatch)
+        env = EnvConfig(a_min=-1.0, a_max=6.0)
+        events = make_fleet(3, seed=29, duration_range=(16.0, 17.0))
+        _, rows = train(events, env, RewardConfig(), small_cfg(episodes=4), FUEL)
+        assert rows[-1].collisions_cum > 0
+        assert [len(seen) for _, seen in episodes] == [r.steps for r in rows]
+        transitions = iter(pushed)
+        for event, seen in episodes:
+            dones = [done for _, (_, _, _, _, done) in zip(seen, transitions)]
+            collided = [outcome.collided for _, _, outcome in seen]
+            assert dones == collided
+            assert not any(collided[:-1])
+            assert len(seen) == len(event) - 1 or collided[-1]
+        assert sum(seen[-1][2].collided for _, seen in episodes) == rows[-1].collisions_cum
 
 
 class TestCollectionLoopBits:
@@ -353,25 +394,12 @@ class TestCollectionLoopBits:
     states, commands and outcomes of the step loop."""
 
     def test_pushed_transitions(self, monkeypatch):
-        pushed, episodes = [], []
-        push = ReplayBuffer.push
-
-        def recording_push(buffer, state, action, reward, next_state, done):
-            pushed.append((state.copy(), action, reward, next_state.copy(), done))
-            push(buffer, state, action, reward, next_state, done)
-
-        def recording_simulate(event, controller, config):
-            seen = []
-            episodes.append((event, seen))
-            for item in simulate(event, controller, config):
-                seen.append(item)
-                yield item
+        pushed = _record_pushes(monkeypatch)
+        episodes = _record_episodes(monkeypatch)
 
         def no_update(agent, batch):
             raise AssertionError("collection must not update")
 
-        monkeypatch.setattr(ReplayBuffer, "push", recording_push)
-        monkeypatch.setattr(ddpg, "simulate", recording_simulate)
         monkeypatch.setattr(DdpgAgent, "update", no_update)
         events = make_fleet(3, seed=41, duration_range=(16.0, 20.0))
         cfg = small_cfg(episodes=5, warmup_steps=10**9)
@@ -383,7 +411,7 @@ class TestCollectionLoopBits:
         transitions = iter(pushed)
         for event, seen in episodes:
             accel_prev, previous = 0.0, None
-            for (_, state, _, accel, outcome), (s, a, r, s2, done) in zip(seen, transitions):
+            for (state, accel, outcome), (s, a, r, s2, done) in zip(seen, transitions):
                 assert s.tobytes() == normalize_state(state, cfg).tobytes()
                 assert s2.tobytes() == normalize_state(outcome.next_state, cfg).tobytes()
                 if previous is not None:
