@@ -13,7 +13,7 @@ import io
 import itertools
 import json
 import math
-import operator
+import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Sequence
@@ -28,7 +28,9 @@ NUMERIC_FIELDS = CANONICAL_FIELDS[1:]
 
 DT_TOLERANCE = 1e-9            # max deviation of a time delta from the event dt, s
 DEFAULT_MIN_DURATION = 15.0    # shortest event kept at extraction, s
-READ_CHUNK_ROWS = 1024         # records parsed at a time; bounds the Python objects alive
+READ_CHUNK_ROWS = 1024         # records parsed per reader call; bounds the Python objects alive
+# a record as read: the event id as a str object, then the five numeric cells
+RECORD = np.dtype([("event_id", object), *((name, float) for name in NUMERIC_FIELDS)])
 
 
 class SchemaError(ValueError):
@@ -183,14 +185,20 @@ def extract_events(path, mapping: ColumnMapping | None = None,
 
     Events come in order of first appearance, each one's rows stably sorted
     by scaled ``t``. Blank lines are skipped, unmapped columns are ignored,
-    and of two columns with the same name the last one is read.
+    and of two columns with the same name the last one is read. A UTF-8
+    byte order mark at the start of the file is skipped.
+
+    The header is read by the csv module and the records by numpy's C reader,
+    ``READ_CHUNK_ROWS`` at a time. A numeric cell is accepted exactly when
+    ``float()`` accepts it: a file numpy refuses is read again with the csv
+    module and ``float()``, which parses the spellings that only ``float()``
+    takes (``1_0``, non-ASCII digits) or names the first bad record's line.
     """
     mapping = mapping or ColumnMapping.identity()
     path = Path(path)
     try:
-        with open(path, newline="", encoding="utf-8") as fh:
-            reader = csv.reader(fh)
-            header = next(reader, None)
+        with open(path, newline="", encoding="utf-8-sig") as fh:
+            header = next(csv.reader(fh), None)
             if header is None:
                 raise SchemaError(f"{path}: empty file")
             missing = [mapping.columns[f] for f in CANONICAL_FIELDS
@@ -199,7 +207,7 @@ def extract_events(path, mapping: ColumnMapping | None = None,
                 raise SchemaError(f"{path}: missing columns {missing}")
             position = {name: i for i, name in enumerate(header)}
             where = [position[mapping.columns[f]] for f in CANONICAL_FIELDS]
-            code_of, codes, columns = _read_columns(reader, where, path)
+            code_of, codes, columns = _read_columns(fh, where, path)
     except UnicodeDecodeError as exc:
         raise SchemaError(f"{path} is not UTF-8 text: {exc}") from exc
 
@@ -230,51 +238,82 @@ def extract_events(path, mapping: ColumnMapping | None = None,
     return ExtractionResult(events=events, rejected=rejected)
 
 
-def _read_columns(reader, where: list[int], path):
-    """Parse the records of ``reader`` in chunks of ``READ_CHUNK_ROWS``.
+def _read_columns(fh, where: list[int], path):
+    """Parse the records after the header of ``fh``, ``READ_CHUNK_ROWS`` at a time.
 
-    ``where`` holds the positions of the canonical fields. Each numeric
-    column of a chunk is parsed with ``float()``, cell by cell; a chunk that
-    fails is scanned again record by record for the line to name. Returns the
-    event ids, each mapped to its code in order of first appearance, and the
-    per-chunk arrays of the codes and of each numeric column.
+    ``where`` holds the positions of the canonical fields. numpy's C reader
+    parses the chunks. Where it refuses the file (a ValueError, which a
+    UnicodeDecodeError is too), or where the file holds a byte 0x1C-0x1F, which
+    it strips around a number and ``float()`` does not, the records are read
+    again from the top with ``float()``. Returns the event ids, each mapped to
+    its code in order of first appearance, and the per-chunk arrays of the
+    codes and of each numeric column.
     """
-    pick = operator.itemgetter(*where)
+    if not _has_separator(path):
+        try:
+            return _columns(_loadtxt_chunks(fh, where))
+        except ValueError:
+            pass
+    fh.seek(0)
+    reader = csv.reader(fh)
+    next(reader)
+    return _columns(_float_chunks(reader, where, path))
+
+
+def _has_separator(path) -> bool:
+    """Whether the file at ``path`` holds one of the bytes 0x1C-0x1F, which in
+    UTF-8 encode the ASCII information separators and nothing else."""
+    with open(path, "rb") as fh:
+        return any(sep in block for block in iter(lambda: fh.read(1 << 20), b"")
+                   for sep in (b"\x1c", b"\x1d", b"\x1e", b"\x1f"))
+
+
+def _loadtxt_chunks(fh, where: list[int]):
+    """The records of ``fh`` as numpy's C reader parses them, in RECORD arrays."""
+    while True:
+        with warnings.catch_warnings():
+            # numpy's notes on a blank line and on a read that finds no records
+            warnings.simplefilter("ignore", UserWarning)
+            chunk = np.loadtxt(fh, RECORD, delimiter=",", quotechar='"', comments=None,
+                               usecols=where, ndmin=1, max_rows=READ_CHUNK_ROWS)
+        if not len(chunk):
+            return
+        yield chunk
+
+
+def _float_chunks(reader, where: list[int], path):
+    """The records of ``reader`` with each mapped numeric cell parsed by
+    ``float()``, in RECORD arrays. The first record that lacks a mapped cell
+    or holds a numeric cell ``float()`` rejects raises DataError naming its
+    line, which counts the header and the non-blank records only."""
+    rows = enumerate(filter(None, reader), start=2)
+    while chunk := list(itertools.islice(rows, READ_CHUNK_ROWS)):
+        records = []
+        for lineno, row in chunk:
+            try:
+                values = [float(row[i]) for i in where[1:]]
+            except (IndexError, ValueError) as exc:
+                raise DataError(f"{path}:{lineno}: unparsable numeric value") from exc
+            if where[0] >= len(row):
+                raise DataError(f"{path}:{lineno}: missing event id")
+            records.append((row[where[0]], *values))
+        yield np.array(records, RECORD)
+
+
+def _columns(chunks):
+    """The event ids, codes and numeric columns of ``chunks`` of RECORD arrays,
+    as ``_read_columns`` returns them."""
     code_of: dict[str, int] = {}
     codes: list[np.ndarray] = []
     columns: list[list[np.ndarray]] = [[] for _ in NUMERIC_FIELDS]
-    lineno = 2  # of the chunk's first record; blank lines are not records
-    while rows := list(itertools.islice(reader, READ_CHUNK_ROWS)):
-        if [] in rows:
-            rows = [row for row in rows if row]
-        if not rows:
-            continue
-        try:
-            eids, *cells = zip(*map(pick, rows))
-            parsed = [np.fromiter(map(float, col), float, len(col)) for col in cells]
-        except (IndexError, ValueError):
-            _check_rows(path, rows, where, lineno)
-            raise
+    for chunk in chunks:
+        eids = chunk["event_id"].tolist()
         for eid in dict.fromkeys(eids):
             code_of.setdefault(eid, len(code_of))
         codes.append(np.fromiter(map(code_of.__getitem__, eids), np.intp, len(eids)))
-        for chunks, col in zip(columns, parsed):
-            chunks.append(col)
-        lineno += len(rows)
+        for name, parsed in zip(NUMERIC_FIELDS, columns):
+            parsed.append(chunk[name].copy())  # not a view that keeps the chunk's ids alive
     return code_of, codes, columns
-
-
-def _check_rows(path, rows, where: list[int], lineno: int) -> None:
-    """Raise the DataError of the first record in ``rows`` that lacks a
-    mapped cell or holds a numeric cell ``float()`` rejects."""
-    for offset, row in enumerate(rows):
-        try:
-            for i in where[1:]:
-                float(row[i])
-        except (IndexError, ValueError) as exc:
-            raise DataError(f"{path}:{lineno + offset}: unparsable numeric value") from exc
-        if where[0] >= len(row):
-            raise DataError(f"{path}:{lineno + offset}: missing event id")
 
 
 def load_events(path, mapping: ColumnMapping | None = None,

@@ -1,10 +1,11 @@
 """A row-at-a-time reader of event tables: the oracle for ``events.extract_events``.
 
-It reads with ``csv.DictReader``, parses every mapped cell with ``float()``
-and scales it as it goes, then groups rows by event id and sorts each event
-by scaled ``t``. Its one departure from the plain loop is the ``eid is None``
-check: a record too short to hold the event id column raises ``DataError``
-instead of filing its samples under an event named ``None``.
+It reads the file as UTF-8, skipping a byte order mark, with
+``csv.DictReader``, parses every mapped cell with ``float()`` and scales it
+as it goes, then groups rows by event id and sorts each event by scaled ``t``.
+Its one departure from the plain loop is the ``eid is None`` check: a record
+too short to hold the event id column raises ``DataError`` instead of filing
+its samples under an event named ``None``.
 """
 
 import csv
@@ -21,7 +22,7 @@ def extract_events_rowwise(path, mapping: ColumnMapping | None = None,
     mapping = mapping or ColumnMapping.identity()
     rows_by_event: dict[str, list[tuple[float, ...]]] = {}
     path = Path(path)
-    with open(path, newline="") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.DictReader(fh)
         if reader.fieldnames is None:
             raise SchemaError(f"{path}: empty file")

@@ -650,6 +650,24 @@ def test_non_utf8_csv_names_its_file(tmp_path, fleet_csv, capsys, argv):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+def test_non_utf8_byte_after_the_first_chunk_names_its_file(tmp_path, fleet_csv, capsys,
+                                                            monkeypatch):
+    # numpy's reader parses chunks of 64 records, then meets the byte on the
+    # last line, past the first 8 KiB the file decodes at once; the file is
+    # read again with the csv module, which names it
+    monkeypatch.setattr("ecofollower.events.READ_CHUNK_ROWS", 64)
+    lines = fleet_csv.read_bytes().split(b"\r\n")
+    assert len(lines) > 10 * 64 and len(fleet_csv.read_bytes()) > 10 * 8192
+    lines[-2] = b"\xff" + lines[-2]
+    bad = tmp_path / "late_latin.csv"
+    bad.write_bytes(b"\r\n".join(lines))
+    code = main(["stats", "--events", str(bad), "--out", str(tmp_path / "o")])
+    err = capsys.readouterr().err
+    assert code == 2, err
+    assert "late_latin.csv" in err and "UTF-8" in err and "Traceback" not in err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def _vt_micro_error(tmp_path):
     path = tmp_path / "vt_micro.json"
     path.write_text(json.dumps({"regime": "acceleration", "k": "none"}))

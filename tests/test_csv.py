@@ -2,18 +2,26 @@
 reader and writer against the csv module's row-at-a-time forms."""
 
 import csv
+import sys
+from pathlib import Path
 
 import numpy as np
+import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from ecofollower.ddpg import TrainLogRow
 from ecofollower.env import SimulatedTrace
 from ecofollower.evaluate import EvalConfig, export_distributions
-from ecofollower.events import (CANONICAL_FIELDS, NUMERIC_FIELDS, CarFollowingEvent,
-                                ColumnMapping, extract_events, load_events,
-                                write_csv, write_events)
+from ecofollower import events
+from ecofollower.events import (CANONICAL_FIELDS, NUMERIC_FIELDS, READ_CHUNK_ROWS,
+                                CarFollowingEvent, ColumnMapping, extract_events,
+                                load_events, write_csv, write_events)
 
 from reference_reader import extract_events_rowwise
+
+# the benchmark's NGSIM-shaped generator, which shares no code with ecofollower
+sys.path.append(str(Path(__file__).resolve().parents[1] / "benchmarks"))
+import bench_inputs  # noqa: E402
 
 
 class TestGoldenBytes:
@@ -115,8 +123,17 @@ class TestRoundTrip:
 
 
 # cells the reader must treat exactly as float() does: accepted with an
-# underscore or surrounding spaces, non-finite, subnormal; refused as hex or empty
-SPELLINGS = ["1_0", " 1.5 ", "inf", "-Infinity", "nan", "1e-320", "0x1p3", ""]
+# underscore, surrounding spaces or a non-ASCII digit, non-finite, subnormal;
+# refused as hex, empty or after an ASCII separator (0x1C), which numpy strips
+SPELLINGS = ["1_0", " 1.5 ", "inf", "-Infinity", "nan", "1e-320", "0x1p3", "", "\u0661",
+             "\x1c1"]
+# event ids as written, "{}" standing for the event's number: plain, quoted
+# around a comma, a quote, LF or CRLF, empty, and a stray quote read as text
+# (a"b) or closing a quoted start ("a"b reads ab)
+ID_SPELLINGS = ["a{}", '"b,c{}"', '"q""{}"', "{}", '"m\nl{}"', '"m\r\nl{}"', 'a"b{}', '"a"b{}']
+# lines without data: blank ones, which are skipped (drawn twice as often),
+# and whitespace-only ones, which are one-cell records too short for the mapping
+EMPTY_LINES = ["", "", " ", "\t"]
 
 
 def one_in(n):
@@ -126,8 +143,9 @@ def one_in(n):
 
 @st.composite
 def event_tables(draw):
-    """A trajectory table: mostly well-formed events, shuffled and interleaved,
-    with some cells respelled, some records cut short and blank lines."""
+    """The lines of a trajectory table and their line end: mostly well-formed
+    events, shuffled and interleaved, with some cells respelled, some records
+    cut short and some lines without data. Cells are CSV text as written."""
     extras = draw(st.lists(st.sampled_from(["lane", "t", "x_lead", "note"]), max_size=2))
     header = draw(st.permutations([*CANONICAL_FIELDS, *extras]))
     if draw(one_in(20)):
@@ -135,7 +153,7 @@ def event_tables(draw):
     column = {name: i for i, name in enumerate(header)}  # the last of a repeated name
     rows = []
     for e in range(draw(st.sampled_from(range(1, 5)))):
-        eid = draw(st.sampled_from(["a", "b,c", 'q"', ""])) + str(e)
+        eid = draw(st.sampled_from(ID_SPELLINGS)).format(e)
         dt = draw(st.sampled_from([0.1, 0.5]))
         for k in range(draw(st.sampled_from(range(1, 9)))):
             values = {"event_id": eid, "t": repr(3.0 + k * dt), "x_lead": repr(20.0 + k),
@@ -151,9 +169,10 @@ def event_tables(draw):
             row[draw(st.integers(0, len(row) - 1))] = draw(st.sampled_from(SPELLINGS))
         if draw(one_in(10)):
             del row[draw(st.integers(0, len(row) - 1)):]
+    lines = [",".join(row) for row in [header, *rows]]
     for _ in range(draw(st.integers(0, 2))):
-        rows.insert(draw(st.integers(0, len(rows))), [])
-    return header, rows
+        lines.insert(draw(st.integers(1, len(lines))), draw(st.sampled_from(EMPTY_LINES)))
+    return lines, draw(st.sampled_from(["\r\n", "\n", "\r"]))
 
 
 def _outcome(read, path, mapping, min_duration):
@@ -167,19 +186,60 @@ def _outcome(read, path, mapping, min_duration):
 
 class TestReaderMatchesRowLoop:
     @given(event_tables(), st.sampled_from([{}, {"t": -0.5}, {"t": 1e308, "x_lead": 0.3048}]),
-           st.sampled_from([0.0, 0.3]), one_in(10))
+           st.sampled_from([0.0, 0.3]), one_in(10), st.sampled_from([3, READ_CHUNK_ROWS]))
     @settings(max_examples=300, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
-    def test_same_events_rejections_and_errors(self, tmp_path, table, scale, min_duration,
-                                               empty):
-        header, rows = table
+    def test_same_events_rejections_and_errors(self, tmp_path, monkeypatch, table, scale,
+                                               min_duration, empty, chunk_rows):
+        lines, end = table
         path = tmp_path / "raw.csv"
-        with open(path, "w", newline="") as fh:
-            if not empty:
-                csv.writer(fh).writerows([header, *rows])
+        path.write_text("" if empty else end.join(lines) + end, encoding="utf-8", newline="")
         mapping = ColumnMapping(columns={f: f for f in CANONICAL_FIELDS}, scale=scale)
+        monkeypatch.setattr(events, "READ_CHUNK_ROWS", chunk_rows)
         assert (_outcome(extract_events, path, mapping, min_duration)
                 == _outcome(extract_events_rowwise, path, mapping, min_duration))
+
+
+def _no_fallback(*args):
+    raise AssertionError("the float() re-read ran on well-formed input")
+
+
+class TestWellFormedInputStaysOnNumpy:
+    """Well-formed files are parsed by numpy's reader alone: the float() re-read
+    is made to fail, so sliding onto it fails the test, not only the benchmark."""
+
+    def test_ngsim_shaped_raw_file_with_its_mapping(self, tmp_path, monkeypatch):
+        # foreign column names, an extra Lane_ID column, feet and milliseconds
+        bench_inputs.write_raw_ngsim(5, 12, tmp_path / "raw.csv", min_duration=15.0)
+        bench_inputs.write_mapping(tmp_path / "mapping.json")
+        mapping = ColumnMapping.from_json(tmp_path / "mapping.json")
+        want = _outcome(extract_events_rowwise, tmp_path / "raw.csv", mapping, 15.0)
+        monkeypatch.setattr(events, "_float_chunks", _no_fallback)
+        got = _outcome(extract_events, tmp_path / "raw.csv", mapping, 15.0)
+        assert got == want and len(got[0]) > 0
+
+    @pytest.mark.parametrize("chunk_rows", [3, READ_CHUNK_ROWS])
+    def test_written_events_with_quoted_ids_and_blank_lines(self, tmp_path, monkeypatch,
+                                                            chunk_rows):
+        # CRLF ends from write_events; with 3-record chunks, chunk ends fall inside
+        # events, around the blank lines and inside the two-line quoted id
+        t = np.arange(4) * 0.1
+        written = [CarFollowingEvent.from_arrays(eid, t, 20.0 + t, np.full(4, 5.0), t,
+                                                 np.full(4, 4.5))
+                   for eid in ("a,b", 'say "hi"', "two\r\nlines", "plain")]
+        path = tmp_path / "events.csv"
+        write_events(written, path)
+        lines = path.read_bytes().split(b"\r\n")
+        for at in (9, 5, 2):
+            lines.insert(at, b"")
+        path.write_bytes(b"\r\n".join(lines))
+        monkeypatch.setattr(events, "READ_CHUNK_ROWS", chunk_rows)
+        monkeypatch.setattr(events, "_float_chunks", _no_fallback)
+        got = _outcome(extract_events, path, None, 0.0)
+        assert got == _outcome(extract_events_rowwise, path, None, 0.0)
+        assert got == ([(ev.event_id, ev.dt, *(getattr(ev, name).tobytes()
+                                               for name in NUMERIC_FIELDS))
+                        for ev in written], [])
 
 
 # cells the csv module quotes (comma, quote, CR, LF), empty, leading spaces, non-ASCII

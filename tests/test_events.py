@@ -1,6 +1,7 @@
 import json
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -183,9 +184,10 @@ class TestReaderSemantics:
         (ev,) = load_events(path, min_duration=0.0)
         assert ev.event_id == "e" and len(ev) == 3
 
+    # float() does not strip an ASCII separator (0x1C-0x1F) before a number, as numpy does
     @pytest.mark.parametrize("bad", ["e,0.2,13.6,8.0,1.6,fast", "e,0.2,13.6,8.0,1.6",
-                                     "e,0.2,13.6,8.0,1.6,"],
-                             ids=["unparsable", "short", "empty"])
+                                     "e,0.2,13.6,8.0,1.6,", "e,0.2,13.6,8.0,1.6,\x1c8.0"],
+                             ids=["unparsable", "short", "empty", "separator"])
     def test_bad_record_names_its_line(self, tmp_path, bad):
         path = tmp_path / "raw.csv"
         rows = simple_rows("e", 4)
@@ -211,8 +213,31 @@ class TestReaderSemantics:
     def test_header_only_gives_no_events(self, tmp_path):
         path = tmp_path / "raw.csv"
         path.write_text(",".join(CANONICAL_FIELDS) + "\r\n")
-        result = extract_events(path)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # numpy's "input contained no data" included
+            result = extract_events(path)
         assert (result.events, result.rejected) == ([], [])
+
+    def test_blank_body_gives_no_events(self, tmp_path):
+        path = tmp_path / "raw.csv"
+        path.write_text(",".join(CANONICAL_FIELDS) + "\r\n\r\n\n\r\n", newline="")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # numpy's notes on blank lines included
+            result = extract_events(path)
+        assert (result.events, result.rejected) == ([], [])
+
+    def test_byte_order_mark_is_skipped(self, tmp_path):
+        # as Excel writes UTF-8 CSVs; without skipping it the first column is
+        # named "\ufeffevent_id" and the file lacks an event_id column
+        plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
+        write_raw(plain, simple_rows("e", 4) + simple_rows("f", 3))
+        marked.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+        got, want = extract_events(marked, min_duration=0.0), extract_events(plain, min_duration=0.0)
+        assert [ev.event_id for ev in got.events] == ["e", "f"]
+        for a, b in zip(got.events, want.events, strict=True):
+            assert a.dt == b.dt
+            for name in ("t", "x_lead", "v_lead", "x_follow", "v_follow"):
+                assert getattr(a, name).tobytes() == getattr(b, name).tobytes()
 
     def test_negative_scale_on_t_sorts_after_scaling(self, tmp_path):
         path = tmp_path / "raw.csv"
