@@ -11,6 +11,7 @@ import dataclasses
 import hashlib
 import json
 import math
+import os
 import re
 import sys
 import typing
@@ -155,6 +156,66 @@ def _check_trace_names(events, path) -> None:
                               f"trace file {_safe_name(ev.event_id)}.csv")
 
 
+def _split_traces(results, out: Path) -> tuple[list, list]:
+    """The trace files of ``results`` under ``out``, as two lists of
+    ``(trace, path)`` whose row counts differ by at most the rows of the
+    largest event (all of its controllers' traces).
+
+    Every file of one event is in the same list, and events are grouped by
+    their casefolded file name, so the two lists never name one file, even on
+    a case-insensitive filesystem. The split depends on ``results`` alone.
+    """
+    groups: dict[str, list] = {}
+    for res in results:
+        trace_dir = out / "traces" / res.summary.name
+        for eid, trace in res.traces.items():
+            name = _safe_name(eid)
+            groups.setdefault(name.casefold(), []).append((trace, trace_dir / f"{name}.csv"))
+    shares: tuple[list, list] = ([], [])
+    rows = [0, 0]
+    # largest first, each to the share with fewer rows so far
+    for size, files in sorted(((sum(len(t) for t, _ in files), files)
+                               for files in groups.values()), key=lambda g: -g[0]):
+        lighter = int(rows[1] < rows[0])
+        shares[lighter].extend(files)
+        rows[lighter] += size
+    return shares
+
+
+def _write_traces(files) -> None:
+    for trace, path in files:
+        trace.write_csv(path)
+
+
+def _start_writer(files) -> int | None:
+    """The pid of a forked child that writes the trace ``files`` and exits:
+    0 once all are written, 1 on any error. None, and nothing started, when
+    there are no files or no ``os.fork``, or the fork fails.
+
+    Float ``repr`` is most of a trace file's writing and holds the GIL, so a
+    second process is the only way onto a second core. The child leaves only
+    through ``os._exit``: it never returns into the caller, flushes the
+    parent's buffers or runs its finalizers.
+    """
+    if not files or not hasattr(os, "fork"):
+        return None
+    try:
+        # From Python 3.12 a fork in a process with threads (numpy's OpenBLAS
+        # pool) warns with a DeprecationWarning. OpenBLAS stops its pool in its
+        # own atfork handler, and the child calls no BLAS.
+        pid = os.fork()
+    except OSError:
+        return None
+    if pid == 0:
+        code = 1
+        try:
+            _write_traces(files)
+            code = 0
+        finally:
+            os._exit(code)
+    return pid
+
+
 def cmd_prepare(args) -> int:
     if not 0.0 <= args.dt < math.inf:
         raise ValueError(f"--dt must be a finite number >= 0 (0 disables the check), got {args.dt}")
@@ -270,16 +331,22 @@ def _run_evaluations(args) -> tuple[list[EvaluationResult], Path, dict]:
         results.append(evaluate_ground_truth(events, fuel, eval_cfg))
     out = _out_dir(args)
     for res in results:
-        _write_json(out / f"summary_{res.summary.name}.json", res.summary.to_json_dict())
-        trace_dir = out / "traces" / res.summary.name
-        trace_dir.mkdir(parents=True, exist_ok=True)
-        for eid, trace in res.traces.items():
-            trace.write_csv(trace_dir / f"{_safe_name(eid)}.csv")
-    _write_json(out / "errors.json", {
-        r.summary.name: [{"event_id": eid, "message": msg} for eid, msg in r.errors]
-        for r in results})
-    export_distributions({r.summary.name: r.steps for r in results},
-                         out / "distributions", eval_cfg)
+        (out / "traces" / res.summary.name).mkdir(parents=True, exist_ok=True)
+    own, other = _split_traces(results, out)
+    pid = _start_writer(other)
+    try:
+        for res in results:
+            _write_json(out / f"summary_{res.summary.name}.json", res.summary.to_json_dict())
+        _write_traces(own)
+        _write_json(out / "errors.json", {
+            r.summary.name: [{"event_id": eid, "message": msg} for eid, msg in r.errors]
+            for r in results})
+        export_distributions({r.summary.name: r.steps for r in results},
+                             out / "distributions", eval_cfg)
+    finally:
+        written = pid is not None and os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) == 0
+    if not written:   # no child, or it failed: a real I/O error raises here, as it would serially
+        _write_traces(other)
     config_echo = {"blocks": blocks, "vt_micro": str(args.vt_micro),
                    "eval": dataclasses.asdict(eval_cfg)}
     return results, out, config_echo

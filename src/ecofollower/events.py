@@ -210,6 +210,8 @@ def extract_events(path, mapping: ColumnMapping | None = None,
             code_of, codes, columns = _read_columns(fh, where, path)
     except UnicodeDecodeError as exc:
         raise SchemaError(f"{path} is not UTF-8 text: {exc}") from exc
+    except csv.Error as exc:   # from the header read or the float() re-read
+        raise SchemaError(f"{path} is not a readable CSV: {exc}") from exc
 
     events: list[CarFollowingEvent] = []
     rejected: list[tuple[str, str]] = []

@@ -1,9 +1,11 @@
 import dataclasses
 import json
 import math
+import os
 import re
 import typing
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -12,7 +14,7 @@ from hypothesis import given, settings, strategies as st
 from ecofollower import cli
 from ecofollower.cli import _configs, main, read_config
 from ecofollower.ddpg import TrainConfig, TrainingError
-from ecofollower.env import EnvConfig
+from ecofollower.env import EnvConfig, SimulatedTrace
 from ecofollower.evaluate import EmptyResultError, EvalConfig, NonFiniteFuelError
 from ecofollower.events import (CANONICAL_FIELDS, CarFollowingEvent, DataError, SchemaError,
                                 load_events, write_events)
@@ -507,6 +509,151 @@ class TestEvalCompare:
         assert code == 2
 
 
+@pytest.fixture(scope="module")
+def mixed_fleet_csv(tmp_path_factory):
+    """Seven events of 5-40 s: one id the trace file name rewrites, and ids
+    that differ only in case."""
+    events = make_fleet(7, seed=67, duration_range=(5.0, 40.0))
+    ids = ["lane 3/car#7", "A", "a"]
+    events[:3] = [dataclasses.replace(ev, event_id=eid) for ev, eid in zip(events, ids)]
+    path = tmp_path_factory.mktemp("mixed") / "events.csv"
+    write_events(events, path)
+    return path
+
+
+def _outputs(out: Path) -> dict:
+    """Every file under ``out`` but the manifest (its paths and timestamp differ), by path."""
+    return {p.relative_to(out): p.read_bytes() for p in sorted(out.rglob("*"))
+            if p.is_file() and p.name != "manifest.json"}
+
+
+def _assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+class TestTraceWriters:
+    """eval and compare write the trace CSVs from two processes where os.fork exists."""
+
+    @staticmethod
+    def _argv(command, trained, events):
+        return [command, "--events", str(events), "--policy", str(trained["out"] / "policy.json"),
+                "--config", str(trained["cfg"]), "--idm-params", "--ground-truth"]
+
+    @pytest.mark.parametrize("command", ["eval", "compare"])
+    def test_forked_writer_gives_the_serial_bytes(self, tmp_path, trained, mixed_fleet_csv,
+                                                  monkeypatch, command):
+        argv = self._argv(command, trained, mixed_fleet_csv)
+        forks = []
+        real_fork = os.fork
+
+        def counting_fork():
+            forks.append(1)
+            return real_fork()
+
+        monkeypatch.setattr(os, "fork", counting_fork)
+        assert main([*argv, "--out", str(tmp_path / "forked")]) == 0
+        assert forks == [1]
+        _assert_no_child_left()
+        monkeypatch.delattr(os, "fork")
+        assert main([*argv, "--out", str(tmp_path / "serial")]) == 0
+        forked, serial = _outputs(tmp_path / "forked"), _outputs(tmp_path / "serial")
+        traces = [p for p in serial if p.parts[0] == "traces"]
+        assert len(traces) == 3 * 7 and Path("traces/idm/lane_3_car_7.csv") in traces
+        assert forked == serial
+
+    def test_failed_fork_writes_every_file(self, tmp_path, trained, mixed_fleet_csv, monkeypatch):
+        def no_processes_left():
+            raise BlockingIOError(11, "Resource temporarily unavailable")
+
+        monkeypatch.setattr(os, "fork", no_processes_left)
+        out = tmp_path / "o"
+        assert main([*self._argv("compare", trained, mixed_fleet_csv), "--out", str(out)]) == 0
+        assert len(list((out / "traces").rglob("*.csv"))) == 3 * 7
+
+    @pytest.mark.parametrize("command", ["eval", "compare"])
+    def test_one_event_run_forks_nothing(self, tmp_path, monkeypatch, command):
+        events = tmp_path / "one.csv"
+        write_events([constant_event("only")], events)
+
+        def no_fork():
+            raise AssertionError("forked for one event")
+
+        monkeypatch.setattr(os, "fork", no_fork)
+        out = tmp_path / "o"
+        assert main([command, "--events", str(events), "--idm-params", "--ground-truth",
+                     "--out", str(out)]) == 0
+        assert sorted(p.name for p in (out / "traces").rglob("*.csv")) == ["only.csv"] * 2
+
+    def test_failed_write_exit_2_in_either_share(self, tmp_path, trained, mixed_fleet_csv,
+                                                 monkeypatch, capsys):
+        # one event's trace files fail, event by event, whichever share they land in
+        names = sorted(f"{cli._safe_name(ev.event_id)}.csv"
+                       for ev in load_events(mixed_fleet_csv, min_duration=0.0))
+        real_write, real_start = SimulatedTrace.write_csv, cli._start_writer
+        failing, in_child = [], []
+
+        def write_csv(trace, path):
+            if Path(path).name == failing[-1]:
+                raise OSError("disk full")
+            real_write(trace, path)
+
+        def start_writer(files):
+            in_child.append(any(path.name == failing[-1] for _, path in files))
+            return real_start(files)
+
+        monkeypatch.setattr(SimulatedTrace, "write_csv", write_csv)
+        monkeypatch.setattr(cli, "_start_writer", start_writer)
+        for name in names:
+            failing.append(name)
+            code = main([*self._argv("compare", trained, mixed_fleet_csv),
+                         "--out", str(tmp_path / name)])
+            err = capsys.readouterr().err
+            assert code == 2, err
+            assert err == "error: disk full\n"
+            _assert_no_child_left()
+        assert set(in_child) == {True, False}
+
+    @pytest.mark.parametrize("command", ["eval", "compare"])
+    def test_every_write_failing_exit_2(self, tmp_path, trained, mixed_fleet_csv, monkeypatch,
+                                        capsys, command):
+        def write_csv(trace, path):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(SimulatedTrace, "write_csv", write_csv)
+        code = main([*self._argv(command, trained, mixed_fleet_csv), "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert capsys.readouterr().err == "error: disk full\n"
+        _assert_no_child_left()
+
+    @settings(max_examples=60, deadline=None)
+    @given(lengths=st.dictionaries(st.sampled_from(["A", "a", "b", "B", "c/1", "c_1x", "d", "e"]),
+                                   st.integers(2, 500), min_size=1),
+           dropped=st.lists(st.sets(st.integers(0, 7)), min_size=1, max_size=3))
+    def test_split(self, lengths, dropped):
+        # each controller misses some events, as one that errors on them does;
+        # only a trace's length matters to the split
+        ids = list(lengths)
+        results = [SimpleNamespace(summary=SimpleNamespace(name=f"c{i}"), traces={
+            eid: range(lengths[eid]) for j, eid in enumerate(ids) if j not in drop})
+            for i, drop in enumerate(dropped)]
+        shares = cli._split_traces(results, Path("out"))
+        assert shares == cli._split_traces(results, Path("out"))
+        paths = [[path for _, path in share] for share in shares]
+        assert sorted(paths[0] + paths[1]) == sorted(
+            Path("out", "traces", r.summary.name, f"{cli._safe_name(eid)}.csv")
+            for r in results for eid in r.traces)
+        stems = [{path.stem.casefold() for path in share} for share in paths]
+        assert not stems[0] & stems[1]   # "A" and "a" in one process, an event never split
+        event_rows = {}
+        for r in results:
+            for eid, trace in r.traces.items():
+                stem = cli._safe_name(eid).casefold()
+                event_rows[stem] = event_rows.get(stem, 0) + len(trace)
+        rows = [sum(len(trace) for trace, _ in share) for share in shares]
+        assert abs(rows[0] - rows[1]) <= max(event_rows.values(), default=0)
+
+
 def _nan_policy(tmp_path, trained):
     """The trained policy with a NaN weight."""
     policy = json.loads((trained["out"] / "policy.json").read_text())
@@ -666,6 +813,50 @@ def test_non_utf8_byte_after_the_first_chunk_names_its_file(tmp_path, fleet_csv,
     assert code == 2, err
     assert "late_latin.csv" in err and "UTF-8" in err and "Traceback" not in err
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+LONG_CELL = "x" * 200_000   # past the csv module's 131,072-character field limit
+
+
+def _long_header_csv(path):
+    path.write_text(",".join([*CANONICAL_FIELDS, LONG_CELL]) + "\ne,0.0,12.0,5.0,0.0,5.0,\n")
+    return path
+
+
+def _long_id_csv(path, x_lead: str):
+    rows = [f"{LONG_CELL},0.0,{x_lead},5.0,0.0,5.0", f"{LONG_CELL},0.1,10.5,5.0,0.5,5.0"]
+    path.write_text("\n".join([",".join(CANONICAL_FIELDS), *rows, ""]))
+    return path
+
+
+@pytest.mark.parametrize("argv", [
+    pytest.param(["prepare", "--input"], id="prepare"),
+    pytest.param(["stats", "--events"], id="stats"),
+    pytest.param(["train", "--episodes", "1", "--events"], id="train"),
+    pytest.param(["eval", "--ground-truth", "--events"], id="eval"),
+    pytest.param(["compare", "--events"], id="compare"),
+])
+@pytest.mark.parametrize("make_file", [
+    pytest.param(_long_header_csv, id="header-cell"),
+    # 1_0 is a float() spelling numpy refuses, so the file is read again by the csv module
+    pytest.param(lambda path: _long_id_csv(path, "1_0"), id="event-id"),
+])
+def test_over_long_field_names_its_file(tmp_path, capsys, argv, make_file):
+    code = main([*argv, str(make_file(tmp_path / "long_input.csv")), "--out", str(tmp_path / "o")])
+    err = capsys.readouterr().err
+    assert code == 2, err
+    assert "long_input.csv" in err and "field larger than field limit" in err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert not (tmp_path / "o").exists()
+
+
+def test_over_long_event_id_loads_through_numpy(tmp_path, monkeypatch):
+    def no_reread(*args):
+        raise AssertionError("read again by the csv module")
+
+    monkeypatch.setattr("ecofollower.events._float_chunks", no_reread)
+    [event] = load_events(_long_id_csv(tmp_path / "long_id.csv", "10.0"), min_duration=0.0)
+    assert event.event_id == LONG_CELL and event.x_lead.tolist() == [10.0, 10.5]
 
 
 def _vt_micro_error(tmp_path):
