@@ -11,7 +11,6 @@ import dataclasses
 import hashlib
 import json
 import math
-import os
 import re
 import sys
 import typing
@@ -25,9 +24,9 @@ from .evaluate import (EmptyResultError, EvalConfig, EvaluationResult,
                        NonFiniteFuelError, compare, evaluate_controller,
                        evaluate_ground_truth, export_distributions, render_text)
 from .events import (ColumnMapping, DataError, FitError, SchemaError,
-                     descriptive_stats, extract_events, fit_lognormal_headway,
-                     json_object, load_events, read_json, split_dataset, write_csv,
-                     write_events)
+                     descriptive_stats, extract_events, fit_lognormal_headway, fork_call,
+                     json_object, load_events, read_json, split_dataset, wait_call,
+                     write_csv, write_events)
 from .idm import IdmParams, idm_controller
 from .nets import PolicyLoadError, load_policy, save_policy
 from .objectives import RewardConfig
@@ -187,35 +186,6 @@ def _write_traces(files) -> None:
         trace.write_csv(path)
 
 
-def _start_writer(files) -> int | None:
-    """The pid of a forked child that writes the trace ``files`` and exits:
-    0 once all are written, 1 on any error. None, and nothing started, when
-    there are no files or no ``os.fork``, or the fork fails.
-
-    Float ``repr`` is most of a trace file's writing and holds the GIL, so a
-    second process is the only way onto a second core. The child leaves only
-    through ``os._exit``: it never returns into the caller, flushes the
-    parent's buffers or runs its finalizers.
-    """
-    if not files or not hasattr(os, "fork"):
-        return None
-    try:
-        # From Python 3.12 a fork in a process with threads (numpy's OpenBLAS
-        # pool) warns with a DeprecationWarning. OpenBLAS stops its pool in its
-        # own atfork handler, and the child calls no BLAS.
-        pid = os.fork()
-    except OSError:
-        return None
-    if pid == 0:
-        code = 1
-        try:
-            _write_traces(files)
-            code = 0
-        finally:
-            os._exit(code)
-    return pid
-
-
 def cmd_prepare(args) -> int:
     if not 0.0 <= args.dt < math.inf:
         raise ValueError(f"--dt must be a finite number >= 0 (0 disables the check), got {args.dt}")
@@ -333,7 +303,9 @@ def _run_evaluations(args) -> tuple[list[EvaluationResult], Path, dict]:
     for res in results:
         (out / "traces" / res.summary.name).mkdir(parents=True, exist_ok=True)
     own, other = _split_traces(results, out)
-    pid = _start_writer(other)
+    # float repr, most of a trace file's writing, holds the GIL: a forked
+    # child writes the other share on the second core
+    pid = fork_call(_write_traces, other) if other else None
     try:
         for res in results:
             _write_json(out / f"summary_{res.summary.name}.json", res.summary.to_json_dict())
@@ -344,7 +316,7 @@ def _run_evaluations(args) -> tuple[list[EvaluationResult], Path, dict]:
         export_distributions({r.summary.name: r.steps for r in results},
                              out / "distributions", eval_cfg)
     finally:
-        written = pid is not None and os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) == 0
+        written = wait_call(pid)
     if not written:   # no child, or it failed: a real I/O error raises here, as it would serially
         _write_traces(other)
     config_echo = {"blocks": blocks, "vt_micro": str(args.vt_micro),

@@ -8,11 +8,15 @@ Raw sources with other column names/units are adapted through a
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import io
 import itertools
 import json
 import math
+import os
+import shutil
+import tempfile
 import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -334,21 +338,108 @@ def write_csv(path, header: Sequence[str], *blocks) -> None:
 
     Each block goes out in one write. Its numeric cells are their ``repr``;
     its string cells come from the csv module, once per distinct string.
+
+    A table of two or more blocks may be written from two processes: float
+    ``repr`` holds the GIL, so a second process is the only way onto a second
+    core. The blocks are cut at the block boundary nearest half the rows
+    (``_halves``); a child made by ``fork_call`` formats the tail into an
+    unnamed temporary file while this process writes the header and the head,
+    then appends the child's bytes. The child touches no lock and calls no
+    BLAS. If there is no ``os.fork``, no temporary file can be made or the
+    child fails, this process formats the tail itself, so the bytes, and any
+    real write error, are those of a one-process run.
     """
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for columns in blocks:
-            arrays = [np.asarray(col) for col in columns]
-            if len(arrays) < 2 or any(a.ndim != 1 or a.dtype.kind not in "biufU" for a in arrays):
-                # row by row: the csv module quotes a row's lone empty cell, and
-                # writes str(), not repr(), of objects
-                writer.writerows(zip(*(a.tolist() for a in arrays)))
-                continue
-            lines = list(map(",".join, zip(*(_cells(a) for a in arrays))))
-            if lines:
-                lines.append("")  # so the join ends the last line too
-                fh.write("\r\n".join(lines))
+    head, tail = _halves(blocks)
+    with open(path, "w", newline="", encoding="utf-8") as fh, _spool(tail) as spool:
+        pid = fork_call(_write_spool, spool, tail) if spool is not None else None
+        try:
+            csv.writer(fh).writerow(header)
+            _write_blocks(fh, head)
+        finally:
+            written = wait_call(pid)
+        if written:
+            fh.flush()  # the child's bytes go after the head's, unconverted
+            spool.seek(0)
+            shutil.copyfileobj(spool.buffer, fh.buffer)
+        else:
+            _write_blocks(fh, tail)
+
+
+def _halves(blocks):
+    """``blocks`` cut at the block boundary nearest half their rows (the
+    earlier of two as near): the head and the tail. The tail is empty for
+    fewer than two blocks."""
+    if len(blocks) < 2:
+        return blocks, ()
+    ends = list(itertools.accumulate(len(next(iter(block), ())) for block in blocks))
+    cut = min(range(1, len(blocks)), key=lambda k: abs(2 * ends[k - 1] - ends[-1]))
+    return blocks[:cut], blocks[cut:]
+
+
+def _spool(tail):
+    """An unnamed temporary file for a forked child's share ``tail`` of a
+    table, or a null context when there is no share or no file can be made."""
+    if tail:
+        try:
+            return tempfile.TemporaryFile("w+", newline="", encoding="utf-8")
+        except OSError:
+            pass
+    return contextlib.nullcontext()
+
+
+def _write_spool(spool, blocks) -> None:
+    _write_blocks(spool, blocks)
+    spool.flush()  # the child leaves through os._exit, which flushes nothing
+
+
+def _write_blocks(fh, blocks) -> None:
+    """The rows of each of ``blocks`` in turn, to the text file ``fh``."""
+    writer = csv.writer(fh)
+    for columns in blocks:
+        arrays = [np.asarray(col) for col in columns]
+        if len(arrays) < 2 or any(a.ndim != 1 or a.dtype.kind not in "biufU" for a in arrays):
+            # row by row: the csv module quotes a row's lone empty cell, and
+            # writes str(), not repr(), of objects
+            writer.writerows(zip(*(a.tolist() for a in arrays)))
+            continue
+        lines = list(map(",".join, zip(*(_cells(a) for a in arrays))))
+        if lines:
+            lines.append("")  # so the join ends the last line too
+            fh.write("\r\n".join(lines))
+
+
+def fork_call(work, *args) -> int | None:
+    """The pid of a forked child that calls ``work(*args)`` and exits: 0 once
+    it returns, 1 on any error. None, and nothing started, when there is no
+    ``os.fork`` or the fork fails. Reap the child with ``wait_call``.
+
+    The child leaves only through ``os._exit``: it never returns into the
+    caller, flushes the parent's buffers or runs its finalizers, so ``work``
+    flushes what it writes itself.
+    """
+    if not hasattr(os, "fork"):
+        return None
+    try:
+        # From Python 3.12 a fork in a process with threads (numpy's OpenBLAS
+        # pool) warns with a DeprecationWarning. OpenBLAS stops its pool in its
+        # own atfork handler, and the child calls no BLAS.
+        pid = os.fork()
+    except OSError:
+        return None
+    if pid == 0:
+        code = 1
+        try:
+            work(*args)
+            code = 0
+        finally:
+            os._exit(code)
+    return pid
+
+
+def wait_call(pid: int | None) -> bool:
+    """Whether the child ``pid`` of ``fork_call`` exited 0, once it has ended;
+    False for None."""
+    return pid is not None and os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) == 0
 
 
 def _cells(column: np.ndarray):
@@ -368,7 +459,9 @@ def _cells(column: np.ndarray):
 
 
 def write_events(events: Sequence[CarFollowingEvent], path) -> None:
-    """Write events in the normalized CSV format, one block per event."""
+    """Write events in the normalized CSV format, one block per event. Two or
+    more events are written from two processes where ``os.fork`` exists (see
+    ``write_csv``); the forked child touches no lock and calls no BLAS."""
     write_csv(path, CANONICAL_FIELDS,
               *(([ev.event_id] * len(ev), ev.t, ev.x_lead, ev.v_lead, ev.x_follow, ev.v_follow)
                 for ev in events))

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import ecofollower.events
 from ecofollower import cli
 from ecofollower.cli import _configs, main, read_config
 from ecofollower.ddpg import TrainConfig, TrainingError
@@ -23,6 +24,7 @@ from ecofollower.nets import PolicyLoadError, load_policy
 from ecofollower.objectives import RewardConfig
 from ecofollower.vtmicro import load_coefficients, reference_model
 
+from forking import assert_no_child_left, count_forks
 from synthetic import constant_event, make_fleet, positions_from_speeds
 
 CANONICAL = {f: f for f in CANONICAL_FIELDS}
@@ -49,6 +51,12 @@ def tiny_train_config(tmp_path, **train_over):
     path = tmp_path / "config.json"
     path.write_text(json.dumps(cfg))
     return path
+
+
+def _outputs(out: Path) -> dict:
+    """Every file under ``out`` but the manifest (its paths and timestamp differ), by path."""
+    return {p.relative_to(out): p.read_bytes() for p in sorted(out.rglob("*"))
+            if p.is_file() and p.name != "manifest.json"}
 
 
 class TestPrepare:
@@ -131,6 +139,44 @@ class TestPrepare:
         summary = json.loads((out / "summary.json").read_text())
         assert summary["events"] == 1
         assert summary["rejected"] == [{"event_id": "short", "reason": "too_short"}]
+
+    def test_forked_writer_gives_the_serial_bytes(self, tmp_path, fleet_csv, monkeypatch):
+        forks = count_forks(monkeypatch)
+        assert main(["prepare", "--input", str(fleet_csv), "--out", str(tmp_path / "forked")]) == 0
+        assert forks == [1]
+        assert_no_child_left()
+        monkeypatch.delattr(os, "fork")
+        assert main(["prepare", "--input", str(fleet_csv), "--out", str(tmp_path / "serial")]) == 0
+        forked = _outputs(tmp_path / "forked")
+        assert forked == _outputs(tmp_path / "serial")
+        assert forked[Path("events.csv")] == fleet_csv.read_bytes()
+
+    @pytest.mark.parametrize("failing", ["head", "copy"])
+    def test_failed_parent_write_exit_2(self, tmp_path, fleet_csv, monkeypatch, capsys,
+                                        failing):
+        # the parent's own rows, or its copy of the child's, fail; the child succeeds
+        parent, real_write = os.getpid(), ecofollower.events._write_blocks
+
+        def write_blocks(fh, blocks):
+            if os.getpid() == parent:
+                raise OSError("disk full")
+            real_write(fh, blocks)
+
+        def copyfileobj(src, dst):
+            raise OSError("disk full")
+
+        if failing == "head":
+            monkeypatch.setattr(ecofollower.events, "_write_blocks", write_blocks)
+        else:
+            monkeypatch.setattr(ecofollower.events.shutil, "copyfileobj", copyfileobj)
+        forks = count_forks(monkeypatch)
+        code = main(["prepare", "--input", str(fleet_csv), "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert capsys.readouterr().err == "error: disk full\n"
+        assert forks == [1]
+        assert_no_child_left()
+        assert [p.name for p in (tmp_path / "o").iterdir()
+                if p.name not in ("summary.json", "manifest.json", "events.csv")] == []
 
 
 class TestStats:
@@ -229,6 +275,18 @@ class TestTrain:
         err = capsys.readouterr().err
         assert err.startswith("error: the training set of 1 events at --split 0.7")
         assert not any(p.is_file() for p in out.rglob("*"))
+
+    def test_forked_writers_give_the_serial_bytes(self, tmp_path, fleet_csv, monkeypatch):
+        # the training and the test events file each fork once
+        argv = ["train", "--events", str(fleet_csv), "--seed", "5",
+                "--config", str(tiny_train_config(tmp_path))]
+        forks = count_forks(monkeypatch)
+        assert main([*argv, "--out", str(tmp_path / "forked")]) == 0
+        assert forks == [1, 1]
+        assert_no_child_left()
+        monkeypatch.delattr(os, "fork")
+        assert main([*argv, "--out", str(tmp_path / "serial")]) == 0
+        assert _outputs(tmp_path / "forked") == _outputs(tmp_path / "serial")
 
 
 @pytest.fixture(scope="module")
@@ -521,17 +579,6 @@ def mixed_fleet_csv(tmp_path_factory):
     return path
 
 
-def _outputs(out: Path) -> dict:
-    """Every file under ``out`` but the manifest (its paths and timestamp differ), by path."""
-    return {p.relative_to(out): p.read_bytes() for p in sorted(out.rglob("*"))
-            if p.is_file() and p.name != "manifest.json"}
-
-
-def _assert_no_child_left():
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-
-
 class TestTraceWriters:
     """eval and compare write the trace CSVs from two processes where os.fork exists."""
 
@@ -544,17 +591,10 @@ class TestTraceWriters:
     def test_forked_writer_gives_the_serial_bytes(self, tmp_path, trained, mixed_fleet_csv,
                                                   monkeypatch, command):
         argv = self._argv(command, trained, mixed_fleet_csv)
-        forks = []
-        real_fork = os.fork
-
-        def counting_fork():
-            forks.append(1)
-            return real_fork()
-
-        monkeypatch.setattr(os, "fork", counting_fork)
+        forks = count_forks(monkeypatch)
         assert main([*argv, "--out", str(tmp_path / "forked")]) == 0
         assert forks == [1]
-        _assert_no_child_left()
+        assert_no_child_left()
         monkeypatch.delattr(os, "fork")
         assert main([*argv, "--out", str(tmp_path / "serial")]) == 0
         forked, serial = _outputs(tmp_path / "forked"), _outputs(tmp_path / "serial")
@@ -590,7 +630,7 @@ class TestTraceWriters:
         # one event's trace files fail, event by event, whichever share they land in
         names = sorted(f"{cli._safe_name(ev.event_id)}.csv"
                        for ev in load_events(mixed_fleet_csv, min_duration=0.0))
-        real_write, real_start = SimulatedTrace.write_csv, cli._start_writer
+        real_write, real_split = SimulatedTrace.write_csv, cli._split_traces
         failing, in_child = [], []
 
         def write_csv(trace, path):
@@ -598,12 +638,13 @@ class TestTraceWriters:
                 raise OSError("disk full")
             real_write(trace, path)
 
-        def start_writer(files):
-            in_child.append(any(path.name == failing[-1] for _, path in files))
-            return real_start(files)
+        def split_traces(results, out):
+            own, other = real_split(results, out)   # the child writes the other share
+            in_child.append(any(path.name == failing[-1] for _, path in other))
+            return own, other
 
         monkeypatch.setattr(SimulatedTrace, "write_csv", write_csv)
-        monkeypatch.setattr(cli, "_start_writer", start_writer)
+        monkeypatch.setattr(cli, "_split_traces", split_traces)
         for name in names:
             failing.append(name)
             code = main([*self._argv("compare", trained, mixed_fleet_csv),
@@ -611,7 +652,7 @@ class TestTraceWriters:
             err = capsys.readouterr().err
             assert code == 2, err
             assert err == "error: disk full\n"
-            _assert_no_child_left()
+            assert_no_child_left()
         assert set(in_child) == {True, False}
 
     @pytest.mark.parametrize("command", ["eval", "compare"])
@@ -624,7 +665,7 @@ class TestTraceWriters:
         code = main([*self._argv(command, trained, mixed_fleet_csv), "--out", str(tmp_path / "o")])
         assert code == 2
         assert capsys.readouterr().err == "error: disk full\n"
-        _assert_no_child_left()
+        assert_no_child_left()
 
     @settings(max_examples=60, deadline=None)
     @given(lengths=st.dictionaries(st.sampled_from(["A", "a", "b", "B", "c/1", "c_1x", "d", "e"]),

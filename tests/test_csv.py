@@ -2,6 +2,8 @@
 reader and writer against the csv module's row-at-a-time forms."""
 
 import csv
+import dataclasses
+import os
 import sys
 from pathlib import Path
 
@@ -17,7 +19,9 @@ from ecofollower.events import (CANONICAL_FIELDS, NUMERIC_FIELDS, READ_CHUNK_ROW
                                 CarFollowingEvent, ColumnMapping, extract_events,
                                 load_events, write_csv, write_events)
 
+from forking import assert_no_child_left, count_forks
 from reference_reader import extract_events_rowwise
+from synthetic import constant_event, make_fleet
 
 # the benchmark's NGSIM-shaped generator, which shares no code with ecofollower
 sys.path.append(str(Path(__file__).resolve().parents[1] / "benchmarks"))
@@ -278,3 +282,112 @@ class TestWriterMatchesCsvModule:
                 writer.writerows(zip(*(list(col) if isinstance(col, list) else col.tolist()
                                        for col in block)))
         assert (tmp_path / "fast.csv").read_bytes() == (tmp_path / "rows.csv").read_bytes()
+
+
+# event ids the csv module quotes: a comma, a quote, a CRLF; and plain ones
+EVENT_IDS = ["a,b", 'say "hi"', "x\r\ny", "plain", "é"]
+
+
+@st.composite
+def event_lists(draw):
+    """Events of 1-60 samples with drawn ids (repeats allowed) and values."""
+    specs = draw(st.lists(st.tuples(st.sampled_from(EVENT_IDS), st.integers(1, 60)),
+                          min_size=1, max_size=8))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return [CarFollowingEvent(eid, 0.1, np.arange(n) * 0.1,
+                              *(rng.standard_normal(n) * 10.0 ** rng.integers(-5, 300)
+                                for _ in range(4)))
+            for eid, n in specs]
+
+
+class TestForkedWriter:
+    """A table of two or more blocks is written from two processes where os.fork
+    exists. The bytes are those of one process, whatever fails."""
+
+    @staticmethod
+    def _serial_bytes(path, written):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.delattr(os, "fork")
+            write_events(written, path)
+        return path.read_bytes()
+
+    @given(event_lists())
+    @settings(max_examples=100, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_same_bytes_forked_and_serial(self, tmp_path, written):
+        with pytest.MonkeyPatch.context() as mp:
+            forks = count_forks(mp)
+            write_events(written, tmp_path / "forked.csv")
+        assert len(forks) == (len(written) >= 2)
+        assert_no_child_left()
+        serial = self._serial_bytes(tmp_path / "serial.csv", written)
+        assert (tmp_path / "forked.csv").read_bytes() == serial
+        with open(tmp_path / "forked.csv", newline="") as fh:
+            assert sum(1 for _ in csv.reader(fh)) == 1 + sum(len(ev) for ev in written)
+
+    def test_one_block_forks_nothing(self, tmp_path, monkeypatch):
+        forks = count_forks(monkeypatch)
+        write_events([constant_event("only")], tmp_path / "one.csv")
+        SimulatedTrace(event_id="e", dt=0.1, t=np.arange(3.0), accel=np.zeros(3),
+                       v_follow=np.ones(3), spacing=np.ones(3), rel_speed=np.zeros(3),
+                       x_follow=np.arange(3.0)).write_csv(tmp_path / "trace.csv")
+        write_csv(tmp_path / "header.csv", ("a", "b"))
+        assert forks == []
+
+    def _assert_parent_wrote_all(self, tmp_path, monkeypatch, children_ok):
+        written = make_fleet(6, seed=5, duration_range=(1.0, 20.0))
+        written[2] = dataclasses.replace(written[2], event_id='say "hi", a,b')
+        outcomes = []
+        real_wait = events.wait_call
+
+        def wait_call(pid):
+            outcomes.append(real_wait(pid))
+            return outcomes[-1]
+
+        monkeypatch.setattr(events, "wait_call", wait_call)
+        write_events(written, tmp_path / "events.csv")
+        assert outcomes == children_ok
+        assert_no_child_left()
+        monkeypatch.undo()
+        assert (tmp_path / "events.csv").read_bytes() == self._serial_bytes(
+            tmp_path / "serial.csv", written)
+
+    def test_failed_child_rewritten_by_parent(self, tmp_path, monkeypatch):
+        parent, real_cells = os.getpid(), events._cells
+
+        def cells(column):
+            if os.getpid() != parent:
+                raise OSError("disk full")
+            return real_cells(column)
+
+        monkeypatch.setattr(events, "_cells", cells)
+        self._assert_parent_wrote_all(tmp_path, monkeypatch, [False])
+
+    def test_no_temporary_file_writes_serially(self, tmp_path, monkeypatch):
+        def no_space(*args, **kwargs):
+            raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr(events.tempfile, "TemporaryFile", no_space)
+        forks = count_forks(monkeypatch)
+        self._assert_parent_wrote_all(tmp_path, monkeypatch, [False])
+        assert forks == []
+
+    def test_failed_fork_writes_serially(self, tmp_path, monkeypatch):
+        def no_processes_left():
+            raise BlockingIOError(11, "Resource temporarily unavailable")
+
+        monkeypatch.setattr(os, "fork", no_processes_left)
+        self._assert_parent_wrote_all(tmp_path, monkeypatch, [False])
+
+    @given(st.lists(st.integers(0, 50), max_size=8))
+    def test_cut_nearest_half_the_rows(self, sizes):
+        blocks = tuple([[0.0] * n] for n in sizes)
+        head, tail = events._halves(blocks)
+        assert head + tail == blocks
+        if len(blocks) < 2:
+            assert tail == ()
+            return
+        total = sum(sizes)
+        # the earliest cut whose head holds as near half the rows as any
+        distances = [abs(2 * sum(sizes[:k]) - total) for k in range(1, len(sizes))]
+        assert len(head) == 1 + distances.index(min(distances))
