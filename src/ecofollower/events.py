@@ -15,6 +15,7 @@ import itertools
 import json
 import math
 import os
+import pickle
 import shutil
 import tempfile
 import warnings
@@ -33,6 +34,7 @@ NUMERIC_FIELDS = CANONICAL_FIELDS[1:]
 DT_TOLERANCE = 1e-9            # max deviation of a time delta from the event dt, s
 DEFAULT_MIN_DURATION = 15.0    # shortest event kept at extraction, s
 READ_CHUNK_ROWS = 1024         # records parsed per reader call; bounds the Python objects alive
+READ_FORK_BYTES = 1 << 21      # smallest file whose records two processes parse
 # a record as read: the event id as a str object, then the five numeric cells
 RECORD = np.dtype([("event_id", object), *((name, float) for name in NUMERIC_FIELDS)])
 
@@ -193,10 +195,12 @@ def extract_events(path, mapping: ColumnMapping | None = None,
     byte order mark at the start of the file is skipped.
 
     The header is read by the csv module and the records by numpy's C reader,
-    ``READ_CHUNK_ROWS`` at a time. A numeric cell is accepted exactly when
-    ``float()`` accepts it: a file numpy refuses is read again with the csv
-    module and ``float()``, which parses the spellings that only ``float()``
-    takes (``1_0``, non-ASCII digits) or names the first bad record's line.
+    ``READ_CHUNK_ROWS`` at a time; a file of ``READ_FORK_BYTES`` or more that
+    holds no ``"`` from two processes, with the result of one. A numeric cell
+    is accepted exactly when ``float()`` accepts it: a file numpy refuses is
+    read again with the csv module and ``float()``, which parses the
+    spellings that only ``float()`` takes (``1_0``, non-ASCII digits) or
+    names the first bad record's line.
     """
     mapping = mapping or ColumnMapping.identity()
     path = Path(path)
@@ -248,16 +252,20 @@ def _read_columns(fh, where: list[int], path):
     """Parse the records after the header of ``fh``, ``READ_CHUNK_ROWS`` at a time.
 
     ``where`` holds the positions of the canonical fields. numpy's C reader
-    parses the chunks. Where it refuses the file (a ValueError, which a
-    UnicodeDecodeError is too), or where the file holds a byte 0x1C-0x1F, which
-    it strips around a number and ``float()`` does not, the records are read
-    again from the top with ``float()``. Returns the event ids, each mapped to
-    its code in order of first appearance, and the per-chunk arrays of the
-    codes and of each numeric column.
+    parses the chunks; in a quote-free file of ``READ_FORK_BYTES`` or more it
+    does so from two processes (``_read_halves``). Where it refuses the file (a
+    ValueError, which a UnicodeDecodeError is too), or where the file holds a
+    byte 0x1C-0x1F, which it strips around a number and ``float()`` does not,
+    the records are read again from the top with ``float()``. Returns the event
+    ids, each mapped to its code in order of first appearance, and the
+    per-chunk arrays of the codes and of each numeric column.
     """
-    if not _has_separator(path):
+    separator, cut = _scan(path)
+    if not separator:
         try:
-            return _columns(_loadtxt_chunks(fh, where))
+            if cut is None:
+                return _columns(_loadtxt_chunks(fh, where))
+            return _read_halves(path, where, cut)
         except ValueError:
             pass
     fh.seek(0)
@@ -266,12 +274,87 @@ def _read_columns(fh, where: list[int], path):
     return _columns(_float_chunks(reader, where, path))
 
 
-def _has_separator(path) -> bool:
-    """Whether the file at ``path`` holds one of the bytes 0x1C-0x1F, which in
-    UTF-8 encode the ASCII information separators and nothing else."""
+def _scan(path) -> tuple[bool, int | None]:
+    """Whether the file at ``path`` holds a byte 0x1C-0x1F (in UTF-8, only an
+    ASCII information separator); and the offset just past its first LF at or
+    after its middle, where a second process may start parsing, or None for a
+    file under ``READ_FORK_BYTES``, with a ``"`` or with no such LF before its
+    last byte. Without a ``"`` every LF ends a record."""
+    separator, quote, cut, offset = False, False, None, 0
     with open(path, "rb") as fh:
-        return any(sep in block for block in iter(lambda: fh.read(1 << 20), b"")
-                   for sep in (b"\x1c", b"\x1d", b"\x1e", b"\x1f"))
+        middle = os.fstat(fh.fileno()).st_size // 2
+        for block in iter(lambda: fh.read(1 << 20), b""):
+            separator = separator or any(sep in block for sep in b"\x1c\x1d\x1e\x1f")
+            quote = quote or b'"' in block
+            if cut is None and (at := block.find(b"\n", max(0, middle - offset))) >= 0:
+                cut = offset + at + 1
+            offset += len(block)
+    return separator, None if quote or offset < READ_FORK_BYTES or cut == offset else cut
+
+
+def _read_halves(path, where: list[int], cut: int):
+    """``_columns`` of the file at ``path``, whose records from byte ``cut`` on
+    a child made by ``fork_call`` parses into an unnamed temporary file while
+    this process parses those before it. The child's codes are mapped onto
+    this process's, ids first seen past the cut taking the next codes. Without
+    a fork, a temporary file or a child that succeeds, this process parses the
+    tail itself: the result, or ValueError, is that of one process."""
+    with _spool(True) as spool:
+        pid = fork_call(_parse_tail, spool, path, where, cut) if spool is not None else None
+        try:
+            with _span(path, 0, cut) as head:
+                head.readline()  # the header and any byte order mark: no quote, so one line
+                code_of, codes, columns = _columns(_loadtxt_chunks(head, where))
+        finally:
+            parsed = wait_call(pid)
+        if parsed:
+            spool.seek(0)
+            tail_code_of, tail_codes, tail_columns = pickle.load(spool)
+        else:
+            tail_code_of, tail_codes, tail_columns = _tail_columns(path, where, cut)
+    recode = np.array([code_of.setdefault(eid, len(code_of)) for eid in tail_code_of], np.intp)
+    codes += [recode[chunk] for chunk in tail_codes]
+    for parsed_column, tail in zip(columns, tail_columns):
+        parsed_column += tail
+    return code_of, codes, columns
+
+
+def _tail_columns(path, where: list[int], cut: int):
+    with _span(path, cut, None) as tail:
+        return _columns(_loadtxt_chunks(tail, where))
+
+
+def _parse_tail(spool, path, where: list[int], cut: int) -> None:
+    pickle.dump(_tail_columns(path, where, cut), spool, pickle.HIGHEST_PROTOCOL)
+    spool.flush()  # the child leaves through os._exit, which flushes nothing
+
+
+class _Span(io.RawIOBase):
+    """The bytes of the file at ``path`` from ``start`` up to ``stop`` (None:
+    its end), as a raw stream that owns its file."""
+
+    def __init__(self, path, start: int, stop: int | None):
+        self.fh = open(path, "rb", buffering=0)
+        self.fh.seek(start)
+        self.left = math.inf if stop is None else stop - start
+
+    def readable(self) -> bool:
+        return True
+
+    def readinto(self, buffer) -> int:
+        count = self.fh.readinto(memoryview(buffer)[:min(self.left, len(buffer))])
+        self.left -= count
+        return count
+
+    def close(self) -> None:
+        self.fh.close()
+        super().close()
+
+
+def _span(path, start: int, stop: int | None):
+    """A UTF-8 text handle on the bytes ``[start, stop)`` of the file at
+    ``path``, its lines split as a handle opened with ``newline=""`` splits them."""
+    return io.TextIOWrapper(io.BufferedReader(_Span(path, start, stop)), "utf-8", newline="")
 
 
 def _loadtxt_chunks(fh, where: list[int]):
@@ -350,7 +433,8 @@ def write_csv(path, header: Sequence[str], *blocks) -> None:
     real write error, are those of a one-process run.
     """
     head, tail = _halves(blocks)
-    with open(path, "w", newline="", encoding="utf-8") as fh, _spool(tail) as spool:
+    with (open(path, "w", newline="", encoding="utf-8") as fh,
+          _spool(tail, mode="w+", newline="", encoding="utf-8") as spool):
         pid = fork_call(_write_spool, spool, tail) if spool is not None else None
         try:
             csv.writer(fh).writerow(header)
@@ -376,12 +460,13 @@ def _halves(blocks):
     return blocks[:cut], blocks[cut:]
 
 
-def _spool(tail):
-    """An unnamed temporary file for a forked child's share ``tail`` of a
-    table, or a null context when there is no share or no file can be made."""
-    if tail:
+def _spool(share, **kwargs):
+    """An unnamed temporary file, ``tempfile.TemporaryFile(**kwargs)``, for a
+    forked child's ``share`` of the work, or a null context when the share is
+    empty or no file can be made."""
+    if share:
         try:
-            return tempfile.TemporaryFile("w+", newline="", encoding="utf-8")
+            return tempfile.TemporaryFile(**kwargs)
         except OSError:
             pass
     return contextlib.nullcontext()

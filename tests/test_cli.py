@@ -151,6 +151,20 @@ class TestPrepare:
         assert forked == _outputs(tmp_path / "serial")
         assert forked[Path("events.csv")] == fleet_csv.read_bytes()
 
+    def test_forked_reader_and_writer_give_the_serial_bytes(self, tmp_path, fleet_csv,
+                                                            monkeypatch):
+        # with the fork floor under the fixture's size, the read forks too
+        monkeypatch.setattr(ecofollower.events, "READ_FORK_BYTES", fleet_csv.stat().st_size)
+        forks = count_forks(monkeypatch)
+        assert main(["prepare", "--input", str(fleet_csv), "--out", str(tmp_path / "forked")]) == 0
+        assert forks == [1, 1]
+        assert_no_child_left()
+        monkeypatch.delattr(os, "fork")
+        assert main(["prepare", "--input", str(fleet_csv), "--out", str(tmp_path / "serial")]) == 0
+        forked = _outputs(tmp_path / "forked")
+        assert forked == _outputs(tmp_path / "serial")
+        assert forked[Path("events.csv")] == fleet_csv.read_bytes()
+
     @pytest.mark.parametrize("failing", ["head", "copy"])
     def test_failed_parent_write_exit_2(self, tmp_path, fleet_csv, monkeypatch, capsys,
                                         failing):

@@ -16,8 +16,9 @@ from ecofollower.env import SimulatedTrace
 from ecofollower.evaluate import EvalConfig, export_distributions
 from ecofollower import events
 from ecofollower.events import (CANONICAL_FIELDS, NUMERIC_FIELDS, READ_CHUNK_ROWS,
-                                CarFollowingEvent, ColumnMapping, extract_events,
-                                load_events, write_csv, write_events)
+                                READ_FORK_BYTES, CarFollowingEvent, ColumnMapping, DataError,
+                                SchemaError, extract_events, load_events, write_csv,
+                                write_events)
 
 from forking import assert_no_child_left, count_forks
 from reference_reader import extract_events_rowwise
@@ -135,6 +136,8 @@ SPELLINGS = ["1_0", " 1.5 ", "inf", "-Infinity", "nan", "1e-320", "0x1p3", "", "
 # around a comma, a quote, LF or CRLF, empty, and a stray quote read as text
 # (a"b) or closing a quoted start ("a"b reads ab)
 ID_SPELLINGS = ["a{}", '"b,c{}"', '"q""{}"', "{}", '"m\nl{}"', '"m\r\nl{}"', 'a"b{}', '"a"b{}']
+# the spellings without a quote, which leave a table open to the two-process reader
+PLAIN_IDS = ["a{}", "{}"]
 # lines without data: blank ones, which are skipped (drawn twice as often),
 # and whitespace-only ones, which are one-cell records too short for the mapping
 EMPTY_LINES = ["", "", " ", "\t"]
@@ -149,15 +152,18 @@ def one_in(n):
 def event_tables(draw):
     """The lines of a trajectory table and their line end: mostly well-formed
     events, shuffled and interleaved, with some cells respelled, some records
-    cut short and some lines without data. Cells are CSV text as written."""
+    cut short and some lines without data. Cells are CSV text as written. In
+    about half the tables faults are rare, and in about half no event id holds
+    a quote."""
     extras = draw(st.lists(st.sampled_from(["lane", "t", "x_lead", "note"]), max_size=2))
     header = draw(st.permutations([*CANONICAL_FIELDS, *extras]))
     if draw(one_in(20)):
         del header[draw(st.integers(0, len(header) - 1))]
     column = {name: i for i, name in enumerate(header)}  # the last of a repeated name
+    spellings = draw(st.sampled_from([ID_SPELLINGS, PLAIN_IDS]))
     rows = []
     for e in range(draw(st.sampled_from(range(1, 5)))):
-        eid = draw(st.sampled_from(ID_SPELLINGS)).format(e)
+        eid = draw(st.sampled_from(spellings)).format(e)
         dt = draw(st.sampled_from([0.1, 0.5]))
         for k in range(draw(st.sampled_from(range(1, 9)))):
             values = {"event_id": eid, "t": repr(3.0 + k * dt), "x_lead": repr(20.0 + k),
@@ -168,10 +174,11 @@ def event_tables(draw):
                     row[i] = values[name]
             rows.append(row)
     rows = draw(st.permutations(rows))
+    faults = draw(st.sampled_from([10, 100]))  # one record in 10 or in 100 respelled or cut
     for row in rows:
-        if draw(one_in(10)):
+        if draw(one_in(faults)):
             row[draw(st.integers(0, len(row) - 1))] = draw(st.sampled_from(SPELLINGS))
-        if draw(one_in(10)):
+        if draw(one_in(faults)):
             del row[draw(st.integers(0, len(row) - 1)):]
     lines = [",".join(row) for row in [header, *rows]]
     for _ in range(draw(st.integers(0, 2))):
@@ -189,19 +196,33 @@ def _outcome(read, path, mapping, min_duration):
 
 
 class TestReaderMatchesRowLoop:
-    @given(event_tables(), st.sampled_from([{}, {"t": -0.5}, {"t": 1e308, "x_lead": 0.3048}]),
-           st.sampled_from([0.0, 0.3]), one_in(10), st.sampled_from([3, READ_CHUNK_ROWS]))
-    @settings(max_examples=300, deadline=None,
-              suppress_health_check=[HealthCheck.function_scoped_fixture])
-    def test_same_events_rejections_and_errors(self, tmp_path, monkeypatch, table, scale,
-                                               min_duration, empty, chunk_rows):
-        lines, end = table
-        path = tmp_path / "raw.csv"
-        path.write_text("" if empty else end.join(lines) + end, encoding="utf-8", newline="")
-        mapping = ColumnMapping(columns={f: f for f in CANONICAL_FIELDS}, scale=scale)
-        monkeypatch.setattr(events, "READ_CHUNK_ROWS", chunk_rows)
-        assert (_outcome(extract_events, path, mapping, min_duration)
-                == _outcome(extract_events_rowwise, path, mapping, min_duration))
+    def test_same_events_rejections_and_errors(self, tmp_path):
+        # the fork floor at 0 sends every quote-free table with an LF past its
+        # middle, but not as its last byte, through the two-process reader
+        forked = []
+
+        @given(event_tables(),
+               st.sampled_from([{}, {"t": -0.5}, {"t": 1e308, "x_lead": 0.3048}]),
+               st.sampled_from([0.0, 0.3]), one_in(10), st.sampled_from([3, READ_CHUNK_ROWS]),
+               st.sampled_from([0, READ_FORK_BYTES]))
+        @settings(max_examples=300, deadline=None)
+        def check(table, scale, min_duration, empty, chunk_rows, fork_bytes):
+            lines, end = table
+            path = tmp_path / "raw.csv"
+            path.write_text("" if empty else end.join(lines) + end, encoding="utf-8",
+                            newline="")
+            mapping = ColumnMapping(columns={f: f for f in CANONICAL_FIELDS}, scale=scale)
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(events, "READ_CHUNK_ROWS", chunk_rows)
+                mp.setattr(events, "READ_FORK_BYTES", fork_bytes)
+                forks = count_forks(mp)
+                got = _outcome(extract_events, path, mapping, min_duration)
+            assert_no_child_left()
+            assert got == _outcome(extract_events_rowwise, path, mapping, min_duration)
+            forked.append(len(forks))
+
+        check()
+        assert set(forked) == {0, 1} and sum(forked) >= len(forked) // 20
 
 
 def _no_fallback(*args):
@@ -219,8 +240,13 @@ class TestWellFormedInputStaysOnNumpy:
         mapping = ColumnMapping.from_json(tmp_path / "mapping.json")
         want = _outcome(extract_events_rowwise, tmp_path / "raw.csv", mapping, 15.0)
         monkeypatch.setattr(events, "_float_chunks", _no_fallback)
-        got = _outcome(extract_events, tmp_path / "raw.csv", mapping, 15.0)
-        assert got == want and len(got[0]) > 0
+        forks = count_forks(monkeypatch)
+        for fork_bytes in (READ_FORK_BYTES, 0):  # the file is under the floor, then over it
+            monkeypatch.setattr(events, "READ_FORK_BYTES", fork_bytes)
+            got = _outcome(extract_events, tmp_path / "raw.csv", mapping, 15.0)
+            assert got == want and len(got[0]) > 0
+        assert forks == [1]
+        assert_no_child_left()
 
     @pytest.mark.parametrize("chunk_rows", [3, READ_CHUNK_ROWS])
     def test_written_events_with_quoted_ids_and_blank_lines(self, tmp_path, monkeypatch,
@@ -239,11 +265,15 @@ class TestWellFormedInputStaysOnNumpy:
         path.write_bytes(b"\r\n".join(lines))
         monkeypatch.setattr(events, "READ_CHUNK_ROWS", chunk_rows)
         monkeypatch.setattr(events, "_float_chunks", _no_fallback)
-        got = _outcome(extract_events, path, None, 0.0)
-        assert got == _outcome(extract_events_rowwise, path, None, 0.0)
-        assert got == ([(ev.event_id, ev.dt, *(getattr(ev, name).tobytes()
-                                               for name in NUMERIC_FIELDS))
-                        for ev in written], [])
+        want = _outcome(extract_events_rowwise, path, None, 0.0)
+        assert want == ([(ev.event_id, ev.dt, *(getattr(ev, name).tobytes()
+                                                for name in NUMERIC_FIELDS))
+                         for ev in written], [])
+        forks = count_forks(monkeypatch)
+        for fork_bytes in (READ_FORK_BYTES, 0):  # quoted ids keep both in one process
+            monkeypatch.setattr(events, "READ_FORK_BYTES", fork_bytes)
+            assert _outcome(extract_events, path, None, 0.0) == want
+        assert forks == []
 
 
 # cells the csv module quotes (comma, quote, CR, LF), empty, leading spaces, non-ASCII
@@ -391,3 +421,176 @@ class TestForkedWriter:
         # the earliest cut whose head holds as near half the rows as any
         distances = [abs(2 * sum(sizes[:k]) - total) for k in range(1, len(sizes))]
         assert len(head) == 1 + distances.index(min(distances))
+
+
+class TestForkedReader:
+    """A quote-free file of READ_FORK_BYTES or more is parsed from two processes
+    where os.fork exists. The events, rejections and errors are those of one
+    process, whatever fails."""
+
+    @staticmethod
+    def _fleet_file(path, ids=("a", "b", "c", "d")):
+        # about 36 KiB: the header read decodes the first 8 KiB, the tail lies past them
+        write_events([constant_event(eid, duration=20.0 + i) for i, eid in enumerate(ids)], path)
+        return path
+
+    @staticmethod
+    def _one_process(path, mapping=None):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(events, "READ_FORK_BYTES", 1 << 62)
+            return _outcome(extract_events, path, mapping, 0.0)
+
+    def _assert_forks(self, monkeypatch, path, count):
+        """The outcome of reading ``path`` with the floor at 0, which calls
+        ``os.fork`` ``count`` times; it is the outcome of one process."""
+        monkeypatch.setattr(events, "READ_FORK_BYTES", 0)
+        forks = count_forks(monkeypatch)
+        got = _outcome(extract_events, path, None, 0.0)
+        assert len(forks) == count
+        assert_no_child_left()
+        monkeypatch.undo()
+        assert got == self._one_process(path)
+        return got
+
+    def test_forks_once_over_the_floor(self, tmp_path, monkeypatch):
+        path = self._fleet_file(tmp_path / "events.csv")
+        monkeypatch.setattr(events, "READ_FORK_BYTES", path.stat().st_size)
+        forks = count_forks(monkeypatch)
+        got = _outcome(extract_events, path, None, 0.0)
+        assert forks == [1]
+        assert_no_child_left()
+        monkeypatch.undo()
+        assert got == _outcome(extract_events_rowwise, path, None, 0.0)
+        assert [eid for eid, *_ in got[0]] == ["a", "b", "c", "d"]
+
+    def test_under_the_floor_forks_not(self, tmp_path, monkeypatch):
+        path = self._fleet_file(tmp_path / "events.csv")
+        monkeypatch.setattr(events, "READ_FORK_BYTES", path.stat().st_size + 1)
+        forks = count_forks(monkeypatch)
+        extract_events(path, min_duration=0.0)
+        assert forks == []
+
+    @pytest.mark.parametrize("where", ["header", "first record", "last record"])
+    def test_a_quote_anywhere_forks_not(self, tmp_path, monkeypatch, where):
+        path = self._fleet_file(tmp_path / "events.csv", ids=("a", "b", "c", "d"))
+        lines = path.read_bytes().split(b"\r\n")
+        at = {"header": 0, "first record": 1, "last record": -2}[where]
+        lines[at] += b',"x"'
+        path.write_bytes(b"\r\n".join(lines))
+        assert self._assert_forks(monkeypatch, path, 0)[0]
+
+    def test_no_lf_past_the_middle_forks_not(self, tmp_path, monkeypatch):
+        # LF line ends in the first half, lone CRs after it
+        path = self._fleet_file(tmp_path / "events.csv")
+        data = path.read_bytes().replace(b"\r\n", b"\n")
+        middle = len(data) // 2
+        tail = data[middle:].replace(b"\n", b"\r")
+        path.write_bytes(data[:middle] + tail)
+        assert len(self._assert_forks(monkeypatch, path, 0)[0]) == 4
+        # an LF as the last byte leaves the child nothing to parse
+        path.write_bytes(data[:middle] + tail[:-1] + b"\n")
+        assert len(self._assert_forks(monkeypatch, path, 0)[0]) == 4
+        # one LF past the middle, ending the last record but one, is enough
+        last = tail.rindex(b"\r", 0, len(tail) - 1)
+        path.write_bytes(data[:middle] + tail[:last] + b"\n" + tail[last + 1:])
+        assert len(self._assert_forks(monkeypatch, path, 1)[0]) == 4
+
+    @staticmethod
+    def _cut(path):
+        """Where the forked child starts parsing ``path``, the floor at 0."""
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(events, "READ_FORK_BYTES", 0)
+            return events._scan(path)[1]
+
+    def _tail_line(self, path):
+        """The line number, as DataError counts it, of the last record, which lies past the cut."""
+        data = path.read_bytes()
+        assert data.rindex(b"\r\n", 0, len(data) - 2) > self._cut(path)
+        return data.count(b"\r\n")
+
+    def test_bad_cell_in_the_tail(self, tmp_path, monkeypatch):
+        path = self._fleet_file(tmp_path / "events.csv")
+        line = self._tail_line(path)
+        path.write_bytes(path.read_bytes()[:-2] + b"x\r\n")  # the last v_follow is 8.0x
+        got = self._assert_forks(monkeypatch, path, 1)
+        assert got == (DataError, f"{path}:{line}: unparsable numeric value")
+        assert got == _outcome(extract_events_rowwise, path, None, 0.0)
+
+    def test_invalid_utf8_in_the_tail(self, tmp_path, monkeypatch):
+        path = self._fleet_file(tmp_path / "events.csv")
+        self._tail_line(path)
+        data = path.read_bytes()
+        path.write_bytes(data[:-6] + b"\xff" + data[-5:])
+        got = self._assert_forks(monkeypatch, path, 1)
+        assert got[0] is SchemaError and "is not UTF-8 text" in got[1]
+
+    def test_byte_order_marks(self, tmp_path, monkeypatch):
+        # one at the start of the file, which is skipped, and one opening the
+        # first record past the cut, which is part of that record's event id
+        data = b"\xef\xbb\xbf" + self._fleet_file(tmp_path / "events.csv").read_bytes()
+        record = "\ufeffz,0.0,20.0,5.0,10.0,4.0\r\n".encode()
+        # the line end nearest the middle of the file the record will be put in
+        cut = data.index(b"\n", (len(data) + len(record)) // 2) + 1
+        path = tmp_path / "events.csv"
+        path.write_bytes(data[:cut] + record + data[cut:])
+        assert self._cut(path) == cut
+        got = self._assert_forks(monkeypatch, path, 1)
+        assert [eid for eid, *_ in got[0]] == ["a", "b", "c", "d"]
+        assert got[1] == [("\ufeffz", "too_few_samples")]
+        assert got == _outcome(extract_events_rowwise, path, None, 0.0)
+
+    def test_event_across_the_cut_and_ids_first_seen_in_the_tail(self, tmp_path, monkeypatch):
+        # "m" has rows on both sides of the cut; "z" and "y" appear in the tail
+        # only, "z" first; "a" comes back in the tail after them
+        t = (np.arange(400) * 0.1).tolist()
+        rows = [("a", k) for k in range(100)] + [("m", k) for k in range(400)]
+        rows += [("z", k) for k in range(50)] + [("y", k) for k in range(50)]
+        rows += [("a", k) for k in range(100, 150)]
+        path = tmp_path / "events.csv"
+        path.write_text("event_id,t,x_lead,v_lead,x_follow,v_follow\n" + "".join(
+            f"{eid},{t[k]!r},{20.0 + t[k]!r},5.0,{t[k]!r},4.5\n" for eid, k in rows))
+        data = path.read_bytes()
+        cut = self._cut(path)
+        assert b"\nm," in data[:cut] and b"\nm," in data[cut:] and b"\nz," not in data[:cut]
+        monkeypatch.setattr(events, "READ_CHUNK_ROWS", 64)  # several chunks on each side
+        got = self._assert_forks(monkeypatch, path, 1)
+        assert [(eid, len(np.frombuffer(cells[0]))) for eid, _, *cells in got[0]] == [
+            ("a", 150), ("m", 400), ("z", 50), ("y", 50)]
+        assert got == _outcome(extract_events_rowwise, path, None, 0.0)
+
+    def test_failed_child_parsed_by_parent(self, tmp_path, monkeypatch):
+        path = self._fleet_file(tmp_path / "events.csv")
+        parent, real_columns = os.getpid(), events._columns
+        outcomes, real_wait = [], events.wait_call
+
+        def columns(chunks):
+            if os.getpid() != parent:
+                raise OSError("disk full")
+            return real_columns(chunks)
+
+        def wait_call(pid):
+            outcomes.append(real_wait(pid))
+            return outcomes[-1]
+
+        monkeypatch.setattr(events, "_columns", columns)
+        monkeypatch.setattr(events, "wait_call", wait_call)
+        self._assert_forks(monkeypatch, path, 1)
+        assert outcomes == [False]
+
+    def test_failed_fork_parses_in_one_process(self, tmp_path, monkeypatch):
+        path = self._fleet_file(tmp_path / "events.csv")
+
+        def no_processes_left():
+            raise BlockingIOError(11, "Resource temporarily unavailable")
+
+        monkeypatch.setattr(os, "fork", no_processes_left)
+        self._assert_forks(monkeypatch, path, 1)
+
+    def test_no_temporary_file_parses_in_one_process(self, tmp_path, monkeypatch):
+        path = self._fleet_file(tmp_path / "events.csv")
+
+        def no_space(*args, **kwargs):
+            raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr(events.tempfile, "TemporaryFile", no_space)
+        self._assert_forks(monkeypatch, path, 0)
