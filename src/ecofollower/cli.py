@@ -24,8 +24,8 @@ from .evaluate import (EmptyResultError, EvalConfig, EvaluationResult,
                        NonFiniteFuelError, compare, evaluate_controller,
                        evaluate_ground_truth, export_distributions, render_text)
 from .events import (ColumnMapping, DataError, FitError, SchemaError,
-                     descriptive_stats, extract_events, fit_lognormal_headway, fork_call,
-                     json_object, load_events, read_json, split_dataset, wait_call,
+                     descriptive_stats, extract_events, fit_lognormal_headway, halves,
+                     in_two, json_object, load_events, read_json, split_dataset,
                      write_csv, write_events)
 from .idm import IdmParams, idm_controller
 from .nets import PolicyLoadError, load_policy, save_policy
@@ -157,8 +157,8 @@ def _check_trace_names(events, path) -> None:
 
 def _split_traces(results, out: Path) -> tuple[list, list]:
     """The trace files of ``results`` under ``out``, as two lists of
-    ``(trace, path)`` whose row counts differ by at most the rows of the
-    largest event (all of its controllers' traces).
+    ``(trace, path)`` cut by ``halves``, so that their row counts differ by at
+    most the rows of the largest event (all of its controllers' traces).
 
     Every file of one event is in the same list, and events are grouped by
     their casefolded file name, so the two lists never name one file, even on
@@ -170,15 +170,9 @@ def _split_traces(results, out: Path) -> tuple[list, list]:
         for eid, trace in res.traces.items():
             name = _safe_name(eid)
             groups.setdefault(name.casefold(), []).append((trace, trace_dir / f"{name}.csv"))
-    shares: tuple[list, list] = ([], [])
-    rows = [0, 0]
-    # largest first, each to the share with fewer rows so far
-    for size, files in sorted(((sum(len(t) for t, _ in files), files)
-                               for files in groups.values()), key=lambda g: -g[0]):
-        lighter = int(rows[1] < rows[0])
-        shares[lighter].extend(files)
-        rows[lighter] += size
-    return shares
+    files = list(groups.values())
+    head, tail = halves(files, [sum(len(trace) for trace, _ in group) for group in files])
+    return [f for group in head for f in group], [f for group in tail for f in group]
 
 
 def _write_traces(files) -> None:
@@ -303,10 +297,8 @@ def _run_evaluations(args) -> tuple[list[EvaluationResult], Path, dict]:
     for res in results:
         (out / "traces" / res.summary.name).mkdir(parents=True, exist_ok=True)
     own, other = _split_traces(results, out)
-    # float repr, most of a trace file's writing, holds the GIL: a forked
-    # child writes the other share on the second core
-    pid = fork_call(_write_traces, other) if other else None
-    try:
+
+    def write_own():
         for res in results:
             _write_json(out / f"summary_{res.summary.name}.json", res.summary.to_json_dict())
         _write_traces(own)
@@ -315,10 +307,11 @@ def _run_evaluations(args) -> tuple[list[EvaluationResult], Path, dict]:
             for r in results})
         export_distributions({r.summary.name: r.steps for r in results},
                              out / "distributions", eval_cfg)
-    finally:
-        written = wait_call(pid)
-    if not written:   # no child, or it failed: a real I/O error raises here, as it would serially
-        _write_traces(other)
+
+    if other:   # float repr, most of a trace file's writing, holds the GIL
+        in_two(write_own, lambda: _write_traces(other))
+    else:
+        write_own()
     config_echo = {"blocks": blocks, "vt_micro": str(args.vt_micro),
                    "eval": dataclasses.asdict(eval_cfg)}
     return results, out, config_echo

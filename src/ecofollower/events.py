@@ -16,7 +16,6 @@ import json
 import math
 import os
 import pickle
-import shutil
 import tempfile
 import warnings
 from dataclasses import dataclass, field
@@ -294,39 +293,31 @@ def _scan(path) -> tuple[bool, int | None]:
 
 def _read_halves(path, where: list[int], cut: int):
     """``_columns`` of the file at ``path``, whose records from byte ``cut`` on
-    a child made by ``fork_call`` parses into an unnamed temporary file while
-    this process parses those before it. The child's codes are mapped onto
-    this process's, ids first seen past the cut taking the next codes. Without
-    a fork, a temporary file or a child that succeeds, this process parses the
-    tail itself: the result, or ValueError, is that of one process."""
-    with _spool(True) as spool:
-        pid = fork_call(_parse_tail, spool, path, where, cut) if spool is not None else None
+    another process parses (``in_two``) while this one parses those before it.
+    The tail's codes are mapped onto the head's, ids first seen past the cut
+    taking the next codes. A ValueError in either half raises one here."""
+
+    def head():
+        with _span(path, 0, cut) as fh:
+            fh.readline()  # the header and any byte order mark: no quote, so one line
+            return _columns(_loadtxt_chunks(fh, where))
+
+    def tail():
         try:
-            with _span(path, 0, cut) as head:
-                head.readline()  # the header and any byte order mark: no quote, so one line
-                code_of, codes, columns = _columns(_loadtxt_chunks(head, where))
-        finally:
-            parsed = wait_call(pid)
-        if parsed:
-            spool.seek(0)
-            tail_code_of, tail_codes, tail_columns = pickle.load(spool)
-        else:
-            tail_code_of, tail_codes, tail_columns = _tail_columns(path, where, cut)
+            with _span(path, cut, None) as fh:
+                return _columns(_loadtxt_chunks(fh, where))
+        except ValueError:  # raised below, so that a failed tail is parsed once
+            return None
+
+    (code_of, codes, columns), parsed = in_two(head, tail)
+    if parsed is None:
+        raise ValueError("numpy refused a record past the cut")
+    tail_code_of, tail_codes, tail_columns = parsed
     recode = np.array([code_of.setdefault(eid, len(code_of)) for eid in tail_code_of], np.intp)
     codes += [recode[chunk] for chunk in tail_codes]
-    for parsed_column, tail in zip(columns, tail_columns):
-        parsed_column += tail
+    for parsed_column, tail_column in zip(columns, tail_columns):
+        parsed_column += tail_column
     return code_of, codes, columns
-
-
-def _tail_columns(path, where: list[int], cut: int):
-    with _span(path, cut, None) as tail:
-        return _columns(_loadtxt_chunks(tail, where))
-
-
-def _parse_tail(spool, path, where: list[int], cut: int) -> None:
-    pickle.dump(_tail_columns(path, where, cut), spool, pickle.HIGHEST_PROTOCOL)
-    spool.flush()  # the child leaves through os._exit, which flushes nothing
 
 
 class _Span(io.RawIOBase):
@@ -422,59 +413,79 @@ def write_csv(path, header: Sequence[str], *blocks) -> None:
     Each block goes out in one write. Its numeric cells are their ``repr``;
     its string cells come from the csv module, once per distinct string.
 
-    A table of two or more blocks may be written from two processes: float
-    ``repr`` holds the GIL, so a second process is the only way onto a second
-    core. The blocks are cut at the block boundary nearest half the rows
-    (``_halves``); a child made by ``fork_call`` formats the tail into an
-    unnamed temporary file while this process writes the header and the head,
-    then appends the child's bytes. The child touches no lock and calls no
-    BLAS. If there is no ``os.fork``, no temporary file can be made or the
-    child fails, this process formats the tail itself, so the bytes, and any
-    real write error, are those of a one-process run.
+    A table of two or more blocks is written from two processes (``in_two``):
+    float ``repr`` holds the GIL, so a second process is the only way onto a
+    second core. The blocks are cut nearest half the rows (``halves``); the
+    other process formats the tail to text while this one writes the header
+    and the head, then this one writes the tail's text after them.
     """
-    head, tail = _halves(blocks)
-    with (open(path, "w", newline="", encoding="utf-8") as fh,
-          _spool(tail, mode="w+", newline="", encoding="utf-8") as spool):
-        pid = fork_call(_write_spool, spool, tail) if spool is not None else None
-        try:
+    head, tail = halves(blocks, [len(next(iter(block), ())) for block in blocks])
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        def write_head():
             csv.writer(fh).writerow(header)
             _write_blocks(fh, head)
-        finally:
-            written = wait_call(pid)
-        if written:
-            fh.flush()  # the child's bytes go after the head's, unconverted
-            spool.seek(0)
-            shutil.copyfileobj(spool.buffer, fh.buffer)
+
+        if tail:
+            fh.write(in_two(write_head, lambda: _text(tail))[1])
         else:
-            _write_blocks(fh, tail)
+            write_head()
 
 
-def _halves(blocks):
-    """``blocks`` cut at the block boundary nearest half their rows (the
-    earlier of two as near): the head and the tail. The tail is empty for
-    fewer than two blocks."""
-    if len(blocks) < 2:
-        return blocks, ()
-    ends = list(itertools.accumulate(len(next(iter(block), ())) for block in blocks))
-    cut = min(range(1, len(blocks)), key=lambda k: abs(2 * ends[k - 1] - ends[-1]))
-    return blocks[:cut], blocks[cut:]
+def halves(items, sizes):
+    """``items`` cut where the ``sizes`` before the cut sum nearest half of all
+    (the earlier of two as near): the head and the tail. The tail is empty for
+    fewer than two items."""
+    if len(items) < 2:
+        return items, items[:0]
+    ends = list(itertools.accumulate(sizes))
+    cut = min(range(1, len(items)), key=lambda k: abs(2 * ends[k - 1] - ends[-1]))
+    return items[:cut], items[cut:]
 
 
-def _spool(share, **kwargs):
-    """An unnamed temporary file, ``tempfile.TemporaryFile(**kwargs)``, for a
-    forked child's ``share`` of the work, or a null context when the share is
-    empty or no file can be made."""
-    if share:
+def in_two(here, there):
+    """``(here(), there())``, computed on two cores: a forked child calls
+    ``there`` while this process calls ``here``, and the child's result comes
+    back pickled through an unnamed temporary file. If there is no
+    ``os.fork``, no temporary file, the fork fails or the child does, this
+    process calls ``there()`` itself once ``here()`` returns, so the results,
+    and any error, are those of one process.
+
+    The child leaves only through ``os._exit``: it never returns into the
+    caller, flushes the parent's buffers or runs its finalizers. It should
+    take no lock and call no BLAS.
+    """
+    spool = pid = None
+    if hasattr(os, "fork"):
+        with contextlib.suppress(OSError):  # no temporary file or no fork: no child
+            spool = tempfile.TemporaryFile()
+            # From Python 3.12 a fork in a process with threads (numpy's
+            # OpenBLAS pool) warns with a DeprecationWarning. OpenBLAS stops
+            # its pool in its own atfork handler, and the child calls no BLAS.
+            pid = os.fork()
+    with spool or contextlib.nullcontext():
+        if pid == 0:
+            code = 1
+            try:
+                pickle.dump(there(), spool, pickle.HIGHEST_PROTOCOL)
+                spool.flush()
+                code = 0
+            finally:
+                os._exit(code)
         try:
-            return tempfile.TemporaryFile(**kwargs)
-        except OSError:
-            pass
-    return contextlib.nullcontext()
+            result = here()
+        finally:
+            done = pid is not None and os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) == 0
+        if done:
+            spool.seek(0)
+            return result, pickle.load(spool)
+    return result, there()
 
 
-def _write_spool(spool, blocks) -> None:
-    _write_blocks(spool, blocks)
-    spool.flush()  # the child leaves through os._exit, which flushes nothing
+def _text(blocks) -> str:
+    """The rows of each of ``blocks`` in turn, as ``_write_blocks`` writes them."""
+    buf = io.StringIO()
+    _write_blocks(buf, blocks)
+    return buf.getvalue()
 
 
 def _write_blocks(fh, blocks) -> None:
@@ -491,40 +502,6 @@ def _write_blocks(fh, blocks) -> None:
         if lines:
             lines.append("")  # so the join ends the last line too
             fh.write("\r\n".join(lines))
-
-
-def fork_call(work, *args) -> int | None:
-    """The pid of a forked child that calls ``work(*args)`` and exits: 0 once
-    it returns, 1 on any error. None, and nothing started, when there is no
-    ``os.fork`` or the fork fails. Reap the child with ``wait_call``.
-
-    The child leaves only through ``os._exit``: it never returns into the
-    caller, flushes the parent's buffers or runs its finalizers, so ``work``
-    flushes what it writes itself.
-    """
-    if not hasattr(os, "fork"):
-        return None
-    try:
-        # From Python 3.12 a fork in a process with threads (numpy's OpenBLAS
-        # pool) warns with a DeprecationWarning. OpenBLAS stops its pool in its
-        # own atfork handler, and the child calls no BLAS.
-        pid = os.fork()
-    except OSError:
-        return None
-    if pid == 0:
-        code = 1
-        try:
-            work(*args)
-            code = 0
-        finally:
-            os._exit(code)
-    return pid
-
-
-def wait_call(pid: int | None) -> bool:
-    """Whether the child ``pid`` of ``fork_call`` exited 0, once it has ended;
-    False for None."""
-    return pid is not None and os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) == 0
 
 
 def _cells(column: np.ndarray):
@@ -546,7 +523,7 @@ def _cells(column: np.ndarray):
 def write_events(events: Sequence[CarFollowingEvent], path) -> None:
     """Write events in the normalized CSV format, one block per event. Two or
     more events are written from two processes where ``os.fork`` exists (see
-    ``write_csv``); the forked child touches no lock and calls no BLAS."""
+    ``write_csv``)."""
     write_csv(path, CANONICAL_FIELDS,
               *(([ev.event_id] * len(ev), ev.t, ev.x_lead, ev.v_lead, ev.x_follow, ev.v_follow)
                 for ev in events))

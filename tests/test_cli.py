@@ -1,4 +1,5 @@
 import dataclasses
+import io
 import json
 import math
 import os
@@ -24,7 +25,7 @@ from ecofollower.nets import PolicyLoadError, load_policy
 from ecofollower.objectives import RewardConfig
 from ecofollower.vtmicro import load_coefficients, reference_model
 
-from forking import assert_no_child_left, count_forks
+from forking import assert_no_child_left, count_forks, record_exits
 from synthetic import constant_event, make_fleet, positions_from_speeds
 
 CANONICAL = {f: f for f in CANONICAL_FIELDS}
@@ -168,21 +169,36 @@ class TestPrepare:
     @pytest.mark.parametrize("failing", ["head", "copy"])
     def test_failed_parent_write_exit_2(self, tmp_path, fleet_csv, monkeypatch, capsys,
                                         failing):
-        # the parent's own rows, or its copy of the child's, fail; the child succeeds
+        # the parent's own rows, or its write of the child's text, fail; the child succeeds
         parent, real_write = os.getpid(), ecofollower.events._write_blocks
+        real_in_two, child_done = ecofollower.events.in_two, []
 
         def write_blocks(fh, blocks):
             if os.getpid() == parent:
                 raise OSError("disk full")
             real_write(fh, blocks)
 
-        def copyfileobj(src, dst):
-            raise OSError("disk full")
+        def in_two(here, there):
+            result = real_in_two(here, there)
+            child_done.append(1)
+            return result
+
+        class FullOnceTheChildIsDone(io.TextIOWrapper):
+            def write(self, text):
+                if child_done:
+                    raise OSError("disk full")
+                return super().write(text)
+
+        def open_for_write(path, mode="r", **kwargs):
+            if mode == "w":
+                return FullOnceTheChildIsDone(open(path, "wb"), **kwargs)
+            return open(path, mode, **kwargs)
 
         if failing == "head":
             monkeypatch.setattr(ecofollower.events, "_write_blocks", write_blocks)
         else:
-            monkeypatch.setattr(ecofollower.events.shutil, "copyfileobj", copyfileobj)
+            monkeypatch.setattr(ecofollower.events, "in_two", in_two)
+            monkeypatch.setattr(ecofollower.events, "open", open_for_write, raising=False)
         forks = count_forks(monkeypatch)
         code = main(["prepare", "--input", str(fleet_csv), "--out", str(tmp_path / "o")])
         assert code == 2
@@ -615,6 +631,31 @@ class TestTraceWriters:
         traces = [p for p in serial if p.parts[0] == "traces"]
         assert len(traces) == 3 * 7 and Path("traces/idm/lane_3_car_7.csv") in traces
         assert forked == serial
+
+    def test_child_writes_the_other_share(self, tmp_path, trained, mixed_fleet_csv, monkeypatch):
+        # the child exits 0 and this process writes its own share of the traces only
+        parent, real_write, real_split = os.getpid(), SimulatedTrace.write_csv, cli._split_traces
+        shares, written_here = [], []
+
+        def write_csv(trace, path):
+            if os.getpid() == parent:
+                written_here.append(Path(path))
+            real_write(trace, path)
+
+        def split_traces(results, out):
+            shares.append(real_split(results, out))
+            return shares[-1]
+
+        monkeypatch.setattr(SimulatedTrace, "write_csv", write_csv)
+        monkeypatch.setattr(cli, "_split_traces", split_traces)
+        exits = record_exits(monkeypatch)
+        out = tmp_path / "o"
+        assert main([*self._argv("compare", trained, mixed_fleet_csv), "--out", str(out)]) == 0
+        assert exits == [0]
+        [(own, other)] = shares
+        assert own and other
+        assert written_here == [path for _, path in own]
+        assert len(list((out / "traces").rglob("*.csv"))) == len(own) + len(other) == 3 * 7
 
     def test_failed_fork_writes_every_file(self, tmp_path, trained, mixed_fleet_csv, monkeypatch):
         def no_processes_left():

@@ -20,7 +20,7 @@ from ecofollower.events import (CANONICAL_FIELDS, NUMERIC_FIELDS, READ_CHUNK_ROW
                                 SchemaError, extract_events, load_events, write_csv,
                                 write_events)
 
-from forking import assert_no_child_left, count_forks
+from forking import assert_no_child_left, count_forks, record_exits
 from reference_reader import extract_events_rowwise
 from synthetic import constant_event, make_fleet
 
@@ -364,19 +364,32 @@ class TestForkedWriter:
         write_csv(tmp_path / "header.csv", ("a", "b"))
         assert forks == []
 
-    def _assert_parent_wrote_all(self, tmp_path, monkeypatch, children_ok):
+    def test_child_writes_the_tail(self, tmp_path, monkeypatch):
+        # the child exits 0 and this process formats the head's blocks only
+        written = make_fleet(6, seed=5, duration_range=(1.0, 20.0))
+        exits, parent, formatted = record_exits(monkeypatch), os.getpid(), []
+        real_write = events._write_blocks
+
+        def write_blocks(fh, blocks):
+            if os.getpid() == parent:
+                formatted.extend(len(columns[0]) for columns in blocks)
+            real_write(fh, blocks)
+
+        monkeypatch.setattr(events, "_write_blocks", write_blocks)
+        write_events(written, tmp_path / "events.csv")
+        assert exits == [0]
+        head, tail = events.halves(written, [len(ev) for ev in written])
+        assert tail and formatted == [len(ev) for ev in head]
+        monkeypatch.undo()
+        assert (tmp_path / "events.csv").read_bytes() == self._serial_bytes(
+            tmp_path / "serial.csv", written)
+
+    def _assert_parent_wrote_all(self, tmp_path, monkeypatch, child_exits):
         written = make_fleet(6, seed=5, duration_range=(1.0, 20.0))
         written[2] = dataclasses.replace(written[2], event_id='say "hi", a,b')
-        outcomes = []
-        real_wait = events.wait_call
-
-        def wait_call(pid):
-            outcomes.append(real_wait(pid))
-            return outcomes[-1]
-
-        monkeypatch.setattr(events, "wait_call", wait_call)
+        exits = record_exits(monkeypatch)
         write_events(written, tmp_path / "events.csv")
-        assert outcomes == children_ok
+        assert exits == child_exits
         assert_no_child_left()
         monkeypatch.undo()
         assert (tmp_path / "events.csv").read_bytes() == self._serial_bytes(
@@ -391,7 +404,7 @@ class TestForkedWriter:
             return real_cells(column)
 
         monkeypatch.setattr(events, "_cells", cells)
-        self._assert_parent_wrote_all(tmp_path, monkeypatch, [False])
+        self._assert_parent_wrote_all(tmp_path, monkeypatch, [1])
 
     def test_no_temporary_file_writes_serially(self, tmp_path, monkeypatch):
         def no_space(*args, **kwargs):
@@ -399,7 +412,7 @@ class TestForkedWriter:
 
         monkeypatch.setattr(events.tempfile, "TemporaryFile", no_space)
         forks = count_forks(monkeypatch)
-        self._assert_parent_wrote_all(tmp_path, monkeypatch, [False])
+        self._assert_parent_wrote_all(tmp_path, monkeypatch, [])
         assert forks == []
 
     def test_failed_fork_writes_serially(self, tmp_path, monkeypatch):
@@ -407,12 +420,12 @@ class TestForkedWriter:
             raise BlockingIOError(11, "Resource temporarily unavailable")
 
         monkeypatch.setattr(os, "fork", no_processes_left)
-        self._assert_parent_wrote_all(tmp_path, monkeypatch, [False])
+        self._assert_parent_wrote_all(tmp_path, monkeypatch, [])
 
     @given(st.lists(st.integers(0, 50), max_size=8))
     def test_cut_nearest_half_the_rows(self, sizes):
         blocks = tuple([[0.0] * n] for n in sizes)
-        head, tail = events._halves(blocks)
+        head, tail = events.halves(blocks, sizes)
         assert head + tail == blocks
         if len(blocks) < 2:
             assert tail == ()
@@ -451,6 +464,28 @@ class TestForkedReader:
         monkeypatch.undo()
         assert got == self._one_process(path)
         return got
+
+    @staticmethod
+    def _spans_here(monkeypatch) -> list:
+        """A list that gains the start offset of each ``_span`` this process opens."""
+        starts, parent, real_span = [], os.getpid(), events._span
+
+        def span(path, start, stop):
+            if os.getpid() == parent:
+                starts.append(start)
+            return real_span(path, start, stop)
+
+        monkeypatch.setattr(events, "_span", span)
+        return starts
+
+    def test_child_parses_the_tail(self, tmp_path, monkeypatch):
+        # the child exits 0 and this process parses the records before the cut only
+        path = self._fleet_file(tmp_path / "events.csv")
+        exits, starts = record_exits(monkeypatch), self._spans_here(monkeypatch)
+        got = self._assert_forks(monkeypatch, path, 1)
+        assert exits == [0]
+        assert starts == [0]
+        assert [eid for eid, *_ in got[0]] == ["a", "b", "c", "d"]
 
     def test_forks_once_over_the_floor(self, tmp_path, monkeypatch):
         path = self._fleet_file(tmp_path / "events.csv")
@@ -512,7 +547,10 @@ class TestForkedReader:
         path = self._fleet_file(tmp_path / "events.csv")
         line = self._tail_line(path)
         path.write_bytes(path.read_bytes()[:-2] + b"x\r\n")  # the last v_follow is 8.0x
+        # the child parses the bad tail and exits 0; this process does not parse it again
+        exits, starts = record_exits(monkeypatch), self._spans_here(monkeypatch)
         got = self._assert_forks(monkeypatch, path, 1)
+        assert (exits, starts) == ([0], [0])
         assert got == (DataError, f"{path}:{line}: unparsable numeric value")
         assert got == _outcome(extract_events_rowwise, path, None, 0.0)
 
@@ -521,7 +559,9 @@ class TestForkedReader:
         self._tail_line(path)
         data = path.read_bytes()
         path.write_bytes(data[:-6] + b"\xff" + data[-5:])
+        exits, starts = record_exits(monkeypatch), self._spans_here(monkeypatch)
         got = self._assert_forks(monkeypatch, path, 1)
+        assert (exits, starts) == ([0], [0])
         assert got[0] is SchemaError and "is not UTF-8 text" in got[1]
 
     def test_byte_order_marks(self, tmp_path, monkeypatch):
@@ -561,21 +601,16 @@ class TestForkedReader:
     def test_failed_child_parsed_by_parent(self, tmp_path, monkeypatch):
         path = self._fleet_file(tmp_path / "events.csv")
         parent, real_columns = os.getpid(), events._columns
-        outcomes, real_wait = [], events.wait_call
 
         def columns(chunks):
             if os.getpid() != parent:
                 raise OSError("disk full")
             return real_columns(chunks)
 
-        def wait_call(pid):
-            outcomes.append(real_wait(pid))
-            return outcomes[-1]
-
         monkeypatch.setattr(events, "_columns", columns)
-        monkeypatch.setattr(events, "wait_call", wait_call)
+        exits = record_exits(monkeypatch)
         self._assert_forks(monkeypatch, path, 1)
-        assert outcomes == [False]
+        assert exits == [1]
 
     def test_failed_fork_parses_in_one_process(self, tmp_path, monkeypatch):
         path = self._fleet_file(tmp_path / "events.csv")
