@@ -24,9 +24,9 @@ from .evaluate import (EmptyResultError, EvalConfig, EvaluationResult,
                        NonFiniteFuelError, compare, evaluate_controller,
                        evaluate_ground_truth, export_distributions, render_text)
 from .events import (ColumnMapping, DataError, FitError, SchemaError,
-                     descriptive_stats, extract_events, fit_lognormal_headway, halves,
-                     in_two, json_object, load_events, read_json, split_dataset,
-                     write_csv, write_events)
+                     descriptive_stats, extract_events, fit_lognormal_headway,
+                     json_object, load_events, read_json, split_dataset, write_csv,
+                     write_events, write_tables)
 from .idm import IdmParams, idm_controller
 from .nets import PolicyLoadError, load_policy, save_policy
 from .objectives import RewardConfig
@@ -155,31 +155,6 @@ def _check_trace_names(events, path) -> None:
                               f"trace file {_safe_name(ev.event_id)}.csv")
 
 
-def _split_traces(results, out: Path) -> tuple[list, list]:
-    """The trace files of ``results`` under ``out``, as two lists of
-    ``(trace, path)`` cut by ``halves``, so that their row counts differ by at
-    most the rows of the largest event (all of its controllers' traces).
-
-    Every file of one event is in the same list, and events are grouped by
-    their casefolded file name, so the two lists never name one file, even on
-    a case-insensitive filesystem. The split depends on ``results`` alone.
-    """
-    groups: dict[str, list] = {}
-    for res in results:
-        trace_dir = out / "traces" / res.summary.name
-        for eid, trace in res.traces.items():
-            name = _safe_name(eid)
-            groups.setdefault(name.casefold(), []).append((trace, trace_dir / f"{name}.csv"))
-    files = list(groups.values())
-    head, tail = halves(files, [sum(len(trace) for trace, _ in group) for group in files])
-    return [f for group in head for f in group], [f for group in tail for f in group]
-
-
-def _write_traces(files) -> None:
-    for trace, path in files:
-        trace.write_csv(path)
-
-
 def cmd_prepare(args) -> int:
     if not 0.0 <= args.dt < math.inf:
         raise ValueError(f"--dt must be a finite number >= 0 (0 disables the check), got {args.dt}")
@@ -295,23 +270,15 @@ def _run_evaluations(args) -> tuple[list[EvaluationResult], Path, dict]:
         results.append(evaluate_ground_truth(events, fuel, eval_cfg))
     out = _out_dir(args)
     for res in results:
+        _write_json(out / f"summary_{res.summary.name}.json", res.summary.to_json_dict())
         (out / "traces" / res.summary.name).mkdir(parents=True, exist_ok=True)
-    own, other = _split_traces(results, out)
-
-    def write_own():
-        for res in results:
-            _write_json(out / f"summary_{res.summary.name}.json", res.summary.to_json_dict())
-        _write_traces(own)
-        _write_json(out / "errors.json", {
-            r.summary.name: [{"event_id": eid, "message": msg} for eid, msg in r.errors]
-            for r in results})
-        export_distributions({r.summary.name: r.steps for r in results},
-                             out / "distributions", eval_cfg)
-
-    if other:   # float repr, most of a trace file's writing, holds the GIL
-        in_two(write_own, lambda: _write_traces(other))
-    else:
-        write_own()
+    write_tables(trace.table(out / "traces" / res.summary.name / f"{_safe_name(eid)}.csv")
+                 for res in results for eid, trace in res.traces.items())
+    _write_json(out / "errors.json", {
+        r.summary.name: [{"event_id": eid, "message": msg} for eid, msg in r.errors]
+        for r in results})
+    export_distributions({r.summary.name: r.steps for r in results},
+                         out / "distributions", eval_cfg)
     config_echo = {"blocks": blocks, "vt_micro": str(args.vt_micro),
                    "eval": dataclasses.asdict(eval_cfg)}
     return results, out, config_echo

@@ -20,7 +20,7 @@ from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from .events import CarFollowingEvent, write_csv
+from .events import CarFollowingEvent, write_tables
 
 
 class RolloutError(RuntimeError):
@@ -117,9 +117,13 @@ class SimulatedTrace:
     def duration(self) -> float:
         return len(self.t) * self.dt
 
+    def table(self, path) -> tuple:
+        """The trace as a ``write_tables`` table at ``path``: one block of its columns."""
+        return path, ("t", "accel", "v_follow", "spacing", "rel_speed", "x_follow"), [
+            (self.t, self.accel, self.v_follow, self.spacing, self.rel_speed, self.x_follow)]
+
     def write_csv(self, path) -> None:
-        write_csv(path, ("t", "accel", "v_follow", "spacing", "rel_speed", "x_follow"),
-                  (self.t, self.accel, self.v_follow, self.spacing, self.rel_speed, self.x_follow))
+        write_tables([self.table(path)])
 
 
 def _command_error(event: CarFollowingEvent, k: int, reason) -> RolloutError:

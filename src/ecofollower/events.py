@@ -34,6 +34,7 @@ DT_TOLERANCE = 1e-9            # max deviation of a time delta from the event dt
 DEFAULT_MIN_DURATION = 15.0    # shortest event kept at extraction, s
 READ_CHUNK_ROWS = 1024         # records parsed per reader call; bounds the Python objects alive
 READ_FORK_BYTES = 1 << 21      # smallest file whose records two processes parse
+WRITE_FORK_ROWS = 2000         # fewest rows that two processes write (ROADMAP "Floors")
 # a record as read: the event id as a str object, then the five numeric cells
 RECORD = np.dtype([("event_id", object), *((name, float) for name in NUMERIC_FIELDS)])
 
@@ -403,7 +404,13 @@ def load_events(path, mapping: ColumnMapping | None = None,
 
 
 def write_csv(path, header: Sequence[str], *blocks) -> None:
-    """Write a CSV table: the header row, then the rows of each block in turn.
+    """Write one CSV table: ``write_tables([(path, header, blocks)])``."""
+    write_tables([(path, header, blocks)])
+
+
+def write_tables(tables) -> None:
+    """Write CSV tables, each a ``(path, header, blocks)`` triple: the header
+    row, then the rows of each block in turn.
 
     A block is a sequence of equal-length columns (arrays or lists); each
     column is converted to Python scalars once, so floats are written as their
@@ -413,22 +420,42 @@ def write_csv(path, header: Sequence[str], *blocks) -> None:
     Each block goes out in one write. Its numeric cells are their ``repr``;
     its string cells come from the csv module, once per distinct string.
 
-    A table of two or more blocks is written from two processes (``in_two``):
-    float ``repr`` holds the GIL, so a second process is the only way onto a
-    second core. The blocks are cut nearest half the rows (``halves``); the
-    other process formats the tail to text while this one writes the header
-    and the head, then this one writes the tail's text after them.
+    Two or more blocks holding ``WRITE_FORK_ROWS`` rows or more are written
+    with two cores (``in_two``): float ``repr`` holds the GIL, so a second
+    process is the only way onto a second core. The blocks of all tables, in
+    order, are cut nearest half the rows (``halves``); the other process
+    formats those past the cut to text, one string per table, while this one
+    writes the tables before the cut. Only this process opens the files, in
+    the order of ``tables``, so they are those of a one-process write.
     """
-    head, tail = halves(blocks, [len(next(iter(block), ())) for block in blocks])
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        def write_head():
-            csv.writer(fh).writerow(header)
-            _write_blocks(fh, head)
+    tables = [(path, header, list(blocks)) for path, header, blocks in tables]
+    sizes = [len(next(iter(block), ())) for *_, blocks in tables for block in blocks]
+    cut = len(halves(sizes, sizes)[0]) if sum(sizes) >= WRITE_FORK_ROWS else len(sizes)
+    k = 0   # the cut falls before block ``cut`` of table ``k``
+    while k < len(tables) and cut >= len(tables[k][2]):
+        cut -= len(tables[k][2])
+        k += 1
+    if k == len(tables):
+        for table in tables:
+            _write_table(*table)
+        return
+    path, header, blocks = tables[k]
+    head = [*tables[:k], (path, header, blocks[:cut])]
+    tail = [(path, None, blocks[cut:]), *tables[k + 1:]]
+    _, texts = in_two(lambda: [_write_table(*table) for table in head],
+                      lambda: [_text(blocks) for *_, blocks in tail])
+    for (path, header, _), text in zip(tail, texts):
+        _write_table(path, header, (), text)
 
-        if tail:
-            fh.write(in_two(write_head, lambda: _text(tail))[1])
-        else:
-            write_head()
+
+def _write_table(path, header, blocks, text: str = "") -> None:
+    """Write ``header`` (None: append to the file), the rows of ``blocks``
+    and ``text`` to the file at ``path``."""
+    with open(path, "w" if header is not None else "a", newline="", encoding="utf-8") as fh:
+        if header is not None:
+            csv.writer(fh).writerow(header)
+        _write_blocks(fh, blocks)
+        fh.write(text)
 
 
 def halves(items, sizes):
@@ -522,8 +549,8 @@ def _cells(column: np.ndarray):
 
 def write_events(events: Sequence[CarFollowingEvent], path) -> None:
     """Write events in the normalized CSV format, one block per event. Two or
-    more events are written from two processes where ``os.fork`` exists (see
-    ``write_csv``)."""
+    more events of ``WRITE_FORK_ROWS`` rows or more are written with two cores
+    where ``os.fork`` exists (see ``write_tables``)."""
     write_csv(path, CANONICAL_FIELDS,
               *(([ev.event_id] * len(ev), ev.t, ev.x_lead, ev.v_lead, ev.x_follow, ev.v_follow)
                 for ev in events))

@@ -6,7 +6,6 @@ import os
 import re
 import typing
 from pathlib import Path
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -16,7 +15,7 @@ import ecofollower.events
 from ecofollower import cli
 from ecofollower.cli import _configs, main, read_config
 from ecofollower.ddpg import TrainConfig, TrainingError
-from ecofollower.env import EnvConfig, SimulatedTrace
+from ecofollower.env import EnvConfig
 from ecofollower.evaluate import EmptyResultError, EvalConfig, NonFiniteFuelError
 from ecofollower.events import (CANONICAL_FIELDS, CarFollowingEvent, DataError, SchemaError,
                                 load_events, write_events)
@@ -142,6 +141,8 @@ class TestPrepare:
         assert summary["rejected"] == [{"event_id": "short", "reason": "too_short"}]
 
     def test_forked_writer_gives_the_serial_bytes(self, tmp_path, fleet_csv, monkeypatch):
+        # the fixture's 1,117 rows are under the row floor
+        monkeypatch.setattr(ecofollower.events, "WRITE_FORK_ROWS", 0)
         forks = count_forks(monkeypatch)
         assert main(["prepare", "--input", str(fleet_csv), "--out", str(tmp_path / "forked")]) == 0
         assert forks == [1]
@@ -154,8 +155,9 @@ class TestPrepare:
 
     def test_forked_reader_and_writer_give_the_serial_bytes(self, tmp_path, fleet_csv,
                                                             monkeypatch):
-        # with the fork floor under the fixture's size, the read forks too
+        # with the fork floors under the fixture's size, the read forks too
         monkeypatch.setattr(ecofollower.events, "READ_FORK_BYTES", fleet_csv.stat().st_size)
+        monkeypatch.setattr(ecofollower.events, "WRITE_FORK_ROWS", 0)
         forks = count_forks(monkeypatch)
         assert main(["prepare", "--input", str(fleet_csv), "--out", str(tmp_path / "forked")]) == 0
         assert forks == [1, 1]
@@ -190,8 +192,8 @@ class TestPrepare:
                 return super().write(text)
 
         def open_for_write(path, mode="r", **kwargs):
-            if mode == "w":
-                return FullOnceTheChildIsDone(open(path, "wb"), **kwargs)
+            if mode in ("w", "a"):
+                return FullOnceTheChildIsDone(open(path, mode + "b"), **kwargs)
             return open(path, mode, **kwargs)
 
         if failing == "head":
@@ -199,6 +201,7 @@ class TestPrepare:
         else:
             monkeypatch.setattr(ecofollower.events, "in_two", in_two)
             monkeypatch.setattr(ecofollower.events, "open", open_for_write, raising=False)
+        monkeypatch.setattr(ecofollower.events, "WRITE_FORK_ROWS", 0)
         forks = count_forks(monkeypatch)
         code = main(["prepare", "--input", str(fleet_csv), "--out", str(tmp_path / "o")])
         assert code == 2
@@ -307,9 +310,10 @@ class TestTrain:
         assert not any(p.is_file() for p in out.rglob("*"))
 
     def test_forked_writers_give_the_serial_bytes(self, tmp_path, fleet_csv, monkeypatch):
-        # the training and the test events file each fork once
+        # the training and the test events file each fork once, the row floor at 0
         argv = ["train", "--events", str(fleet_csv), "--seed", "5",
                 "--config", str(tiny_train_config(tmp_path))]
+        monkeypatch.setattr(ecofollower.events, "WRITE_FORK_ROWS", 0)
         forks = count_forks(monkeypatch)
         assert main([*argv, "--out", str(tmp_path / "forked")]) == 0
         assert forks == [1, 1]
@@ -610,7 +614,8 @@ def mixed_fleet_csv(tmp_path_factory):
 
 
 class TestTraceWriters:
-    """eval and compare write the trace CSVs from two processes where os.fork exists."""
+    """eval and compare write every trace CSV through one ``write_tables`` call,
+    with two cores where os.fork exists."""
 
     @staticmethod
     def _argv(command, trained, events):
@@ -632,30 +637,23 @@ class TestTraceWriters:
         assert len(traces) == 3 * 7 and Path("traces/idm/lane_3_car_7.csv") in traces
         assert forked == serial
 
-    def test_child_writes_the_other_share(self, tmp_path, trained, mixed_fleet_csv, monkeypatch):
-        # the child exits 0 and this process writes its own share of the traces only
-        parent, real_write, real_split = os.getpid(), SimulatedTrace.write_csv, cli._split_traces
-        shares, written_here = [], []
+    def test_child_opens_no_file(self, tmp_path, trained, mixed_fleet_csv, monkeypatch):
+        # the child exits 0 and only formats text; this process writes every trace file
+        parent, real_open, opened_here = os.getpid(), open, []
 
-        def write_csv(trace, path):
-            if os.getpid() == parent:
-                written_here.append(Path(path))
-            real_write(trace, path)
+        def open_here_only(path, mode="r", **kwargs):
+            if os.getpid() != parent:
+                raise AssertionError(f"the child opened {path}")
+            opened_here.append(Path(path))
+            return real_open(path, mode, **kwargs)
 
-        def split_traces(results, out):
-            shares.append(real_split(results, out))
-            return shares[-1]
-
-        monkeypatch.setattr(SimulatedTrace, "write_csv", write_csv)
-        monkeypatch.setattr(cli, "_split_traces", split_traces)
+        monkeypatch.setattr(ecofollower.events, "open", open_here_only, raising=False)
         exits = record_exits(monkeypatch)
         out = tmp_path / "o"
         assert main([*self._argv("compare", trained, mixed_fleet_csv), "--out", str(out)]) == 0
         assert exits == [0]
-        [(own, other)] = shares
-        assert own and other
-        assert written_here == [path for _, path in own]
-        assert len(list((out / "traces").rglob("*.csv"))) == len(own) + len(other) == 3 * 7
+        traces = list((out / "traces").rglob("*.csv"))
+        assert len(traces) == 3 * 7 and set(traces) <= set(opened_here)
 
     def test_failed_fork_writes_every_file(self, tmp_path, trained, mixed_fleet_csv, monkeypatch):
         def no_processes_left():
@@ -682,72 +680,56 @@ class TestTraceWriters:
 
     def test_failed_write_exit_2_in_either_share(self, tmp_path, trained, mixed_fleet_csv,
                                                  monkeypatch, capsys):
-        # one event's trace files fail, event by event, whichever share they land in
-        names = sorted(f"{cli._safe_name(ev.event_id)}.csv"
-                       for ev in load_events(mixed_fleet_csv, min_duration=0.0))
-        real_write, real_split = SimulatedTrace.write_csv, cli._split_traces
-        failing, in_child = [], []
+        # a trace file fails while the child formats the tail (a head file), or
+        # when this process writes the child's text (a tail file)
+        real_in_two, real_open = ecofollower.events.in_two, open
+        child_done, opened, failing = [], [], [None]
 
-        def write_csv(trace, path):
-            if Path(path).name == failing[-1]:
-                raise OSError("disk full")
-            real_write(trace, path)
+        def in_two(here, there):
+            child_done.clear()
+            result = real_in_two(here, there)
+            child_done.append(True)
+            return result
 
-        def split_traces(results, out):
-            own, other = real_split(results, out)   # the child writes the other share
-            in_child.append(any(path.name == failing[-1] for _, path in other))
-            return own, other
+        def open_failing(path, mode="r", **kwargs):
+            if set(mode) & set("wa"):
+                opened.append((Path(path).parts[-3:], bool(child_done)))
+                if opened[-1] == failing[-1]:
+                    raise OSError("disk full")
+            return real_open(path, mode, **kwargs)
 
-        monkeypatch.setattr(SimulatedTrace, "write_csv", write_csv)
-        monkeypatch.setattr(cli, "_split_traces", split_traces)
-        for name in names:
-            failing.append(name)
-            code = main([*self._argv("compare", trained, mixed_fleet_csv),
-                         "--out", str(tmp_path / name)])
+        monkeypatch.setattr(ecofollower.events, "in_two", in_two)
+        monkeypatch.setattr(ecofollower.events, "open", open_failing, raising=False)
+        forks = count_forks(monkeypatch)
+        argv = self._argv("compare", trained, mixed_fleet_csv)
+        assert main([*argv, "--out", str(tmp_path / "ok")]) == 0
+        traces = [key for key in opened if key[0][0] == "traces"]
+        head, tail = [key for key in traces if not key[1]], [key for key in traces if key[1]]
+        assert head and tail and forks == [1]
+        for key in (head[0], tail[-1]):
+            failing.append(key)
+            code = main([*argv, "--out", str(tmp_path / ("tail" if key[1] else "head"))])
             err = capsys.readouterr().err
             assert code == 2, err
             assert err == "error: disk full\n"
             assert_no_child_left()
-        assert set(in_child) == {True, False}
+        assert forks == [1, 1, 1]
 
     @pytest.mark.parametrize("command", ["eval", "compare"])
     def test_every_write_failing_exit_2(self, tmp_path, trained, mixed_fleet_csv, monkeypatch,
                                         capsys, command):
-        def write_csv(trace, path):
-            raise OSError("disk full")
+        real_open = open
 
-        monkeypatch.setattr(SimulatedTrace, "write_csv", write_csv)
+        def open_full(path, mode="r", **kwargs):
+            if set(mode) & set("wa"):
+                raise OSError("disk full")
+            return real_open(path, mode, **kwargs)
+
+        monkeypatch.setattr(ecofollower.events, "open", open_full, raising=False)
         code = main([*self._argv(command, trained, mixed_fleet_csv), "--out", str(tmp_path / "o")])
         assert code == 2
         assert capsys.readouterr().err == "error: disk full\n"
         assert_no_child_left()
-
-    @settings(max_examples=60, deadline=None)
-    @given(lengths=st.dictionaries(st.sampled_from(["A", "a", "b", "B", "c/1", "c_1x", "d", "e"]),
-                                   st.integers(2, 500), min_size=1),
-           dropped=st.lists(st.sets(st.integers(0, 7)), min_size=1, max_size=3))
-    def test_split(self, lengths, dropped):
-        # each controller misses some events, as one that errors on them does;
-        # only a trace's length matters to the split
-        ids = list(lengths)
-        results = [SimpleNamespace(summary=SimpleNamespace(name=f"c{i}"), traces={
-            eid: range(lengths[eid]) for j, eid in enumerate(ids) if j not in drop})
-            for i, drop in enumerate(dropped)]
-        shares = cli._split_traces(results, Path("out"))
-        assert shares == cli._split_traces(results, Path("out"))
-        paths = [[path for _, path in share] for share in shares]
-        assert sorted(paths[0] + paths[1]) == sorted(
-            Path("out", "traces", r.summary.name, f"{cli._safe_name(eid)}.csv")
-            for r in results for eid in r.traces)
-        stems = [{path.stem.casefold() for path in share} for share in paths]
-        assert not stems[0] & stems[1]   # "A" and "a" in one process, an event never split
-        event_rows = {}
-        for r in results:
-            for eid, trace in r.traces.items():
-                stem = cli._safe_name(eid).casefold()
-                event_rows[stem] = event_rows.get(stem, 0) + len(trace)
-        rows = [sum(len(trace) for trace, _ in share) for share in shares]
-        assert abs(rows[0] - rows[1]) <= max(event_rows.values(), default=0)
 
 
 def _nan_policy(tmp_path, trained):

@@ -16,9 +16,9 @@ from ecofollower.env import SimulatedTrace
 from ecofollower.evaluate import EvalConfig, export_distributions
 from ecofollower import events
 from ecofollower.events import (CANONICAL_FIELDS, NUMERIC_FIELDS, READ_CHUNK_ROWS,
-                                READ_FORK_BYTES, CarFollowingEvent, ColumnMapping, DataError,
-                                SchemaError, extract_events, load_events, write_csv,
-                                write_events)
+                                READ_FORK_BYTES, WRITE_FORK_ROWS, CarFollowingEvent,
+                                ColumnMapping, DataError, SchemaError, extract_events,
+                                load_events, write_csv, write_events, write_tables)
 
 from forking import assert_no_child_left, count_forks, record_exits
 from reference_reader import extract_events_rowwise
@@ -331,8 +331,9 @@ def event_lists(draw):
 
 
 class TestForkedWriter:
-    """A table of two or more blocks is written from two processes where os.fork
-    exists. The bytes are those of one process, whatever fails."""
+    """Two or more blocks of WRITE_FORK_ROWS rows or more are written with two
+    cores where os.fork exists. The bytes are those of one process, whatever
+    fails."""
 
     @staticmethod
     def _serial_bytes(path, written):
@@ -341,21 +342,74 @@ class TestForkedWriter:
             write_events(written, path)
         return path.read_bytes()
 
-    @given(event_lists())
+    @given(event_lists(), st.sampled_from([0, WRITE_FORK_ROWS]))
     @settings(max_examples=100, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
-    def test_same_bytes_forked_and_serial(self, tmp_path, written):
+    def test_same_bytes_forked_and_serial(self, tmp_path, written, floor):
         with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(events, "WRITE_FORK_ROWS", floor)
             forks = count_forks(mp)
             write_events(written, tmp_path / "forked.csv")
-        assert len(forks) == (len(written) >= 2)
+        rows = sum(len(ev) for ev in written)
+        assert len(forks) == (len(written) >= 2 and rows >= floor)
         assert_no_child_left()
         serial = self._serial_bytes(tmp_path / "serial.csv", written)
         assert (tmp_path / "forked.csv").read_bytes() == serial
         with open(tmp_path / "forked.csv", newline="") as fh:
-            assert sum(1 for _ in csv.reader(fh)) == 1 + sum(len(ev) for ev in written)
+            assert sum(1 for _ in csv.reader(fh)) == 1 + rows
+
+    def test_tables_give_the_one_process_bytes(self, tmp_path):
+        # lists of tables of 0 or more ragged blocks, the floor at 0 and at its
+        # value: the child exits 0 and opens no file, this process formats the
+        # blocks before the cut only, and every file is that of a plain loop
+        forked = []
+
+        @given(st.lists(st.tuples(st.integers(1, 3), st.lists(st.integers(0, 700), max_size=4)),
+                        max_size=5),
+               st.sampled_from([0, WRITE_FORK_ROWS]), st.integers(0, 2**32 - 1))
+        @settings(max_examples=60, deadline=None)
+        def check(shapes, floor, seed):
+            rng = np.random.default_rng(seed)
+            tables = [(tmp_path / f"t{i}.csv", [f"c{j}" for j in range(width)],
+                       [tuple(rng.standard_normal(n) * 10.0 ** rng.integers(-5, 300)
+                              for _ in range(width)) for n in sizes])
+                      for i, (width, sizes) in enumerate(shapes)]
+            sizes = [n for _, table_sizes in shapes for n in table_sizes]
+            parent, formatted = os.getpid(), []
+            real_write, real_open = events._write_blocks, open
+
+            def write_blocks(fh, blocks):
+                if os.getpid() == parent:
+                    formatted.extend(len(columns[0]) for columns in blocks)
+                real_write(fh, blocks)
+
+            def open_here_only(path, mode="r", **kwargs):
+                if os.getpid() != parent and set(mode) & set("wax+"):
+                    raise AssertionError(f"the child opened {path} to write")
+                return real_open(path, mode, **kwargs)
+
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(events, "WRITE_FORK_ROWS", floor)
+                mp.setattr(events, "_write_blocks", write_blocks)
+                mp.setattr(events, "open", open_here_only, raising=False)
+                forks, exits = count_forks(mp), record_exits(mp)
+                write_tables(tables)
+            assert_no_child_left()
+            fork = len(sizes) >= 2 and sum(sizes) >= floor
+            assert len(forks) == len(exits) == fork and set(exits) <= {0}
+            assert formatted == (events.halves(sizes, sizes)[0] if fork else sizes)
+            written = [path.read_bytes() for path, _, _ in tables]
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(events, "WRITE_FORK_ROWS", 1 << 62)
+                write_tables(tables)
+            assert written == [path.read_bytes() for path, _, _ in tables]
+            forked.append(fork)
+
+        check()
+        assert set(forked) == {False, True}
 
     def test_one_block_forks_nothing(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(events, "WRITE_FORK_ROWS", 0)
         forks = count_forks(monkeypatch)
         write_events([constant_event("only")], tmp_path / "one.csv")
         SimulatedTrace(event_id="e", dt=0.1, t=np.arange(3.0), accel=np.zeros(3),
@@ -375,6 +429,7 @@ class TestForkedWriter:
                 formatted.extend(len(columns[0]) for columns in blocks)
             real_write(fh, blocks)
 
+        monkeypatch.setattr(events, "WRITE_FORK_ROWS", 0)
         monkeypatch.setattr(events, "_write_blocks", write_blocks)
         write_events(written, tmp_path / "events.csv")
         assert exits == [0]
@@ -387,6 +442,7 @@ class TestForkedWriter:
     def _assert_parent_wrote_all(self, tmp_path, monkeypatch, child_exits):
         written = make_fleet(6, seed=5, duration_range=(1.0, 20.0))
         written[2] = dataclasses.replace(written[2], event_id='say "hi", a,b')
+        monkeypatch.setattr(events, "WRITE_FORK_ROWS", 0)
         exits = record_exits(monkeypatch)
         write_events(written, tmp_path / "events.csv")
         assert exits == child_exits
