@@ -25,7 +25,7 @@ from .evaluate import (EmptyResultError, EvalConfig, EvaluationResult,
                        evaluate_ground_truth, export_distributions, render_text)
 from .events import (ColumnMapping, DataError, FitError, SchemaError,
                      descriptive_stats, extract_events, fit_lognormal_headway,
-                     json_object, load_events, read_json, split_dataset, write_csv,
+                     json_number, json_object, load_events, read_json, split_dataset, write_csv,
                      write_events, write_tables)
 from .idm import IdmParams, idm_controller
 from .nets import PolicyLoadError, load_policy, save_policy
@@ -67,40 +67,21 @@ def write_manifest(out_dir: Path, command: str, seed, config_obj, inputs) -> Non
     })
 
 
-# config field type -> (the JSON value types it takes, what an error says it expects)
-_JSON_TYPES = {float: ((int, float), "a number"), int: (int, "an integer"),
-               tuple[int, ...]: (list, "a list of integers")}
-
-
 def _read_field(tp, value, path: str):
     if dataclasses.is_dataclass(tp):
         return read_config(tp, value, path)
-    json_types, expected = _JSON_TYPES[tp]
-    if not isinstance(value, json_types) or isinstance(value, bool):
-        raise ValueError(f"{path} must be {expected}, got {json.dumps(value)}")
-    if json_types is list:
-        return tuple(_read_field(int, v, f"{path}[{i}]") for i, v in enumerate(value))
-    if tp is not float:
-        return tp(value)
-    try:
-        number = float(value)
-    except OverflowError:
-        number = math.inf
-    # JSON NaN/Infinity and integers past the float range would silently switch a
-    # check off (a NaN collision_gap never detects a collision)
-    if not math.isfinite(number):
-        raise ValueError(f"{path} must be a finite number, got {json.dumps(value)}")
-    return number
+    if tp is float or tp is int:
+        return json_number(value, path, integer=tp is int)
+    if not isinstance(value, list):   # tuple[int, ...]
+        raise ValueError(f"{path} must be a list of integers, got {json.dumps(value)}")
+    return tuple(json_number(v, f"{path}[{i}]", integer=True) for i, v in enumerate(value))
 
 
 def read_config(cls, obj, where: str):
-    """Build the config dataclass ``cls`` from the JSON object ``obj``.
-
-    Field types come from ``cls``: a float takes any finite JSON number (a bool
-    is not one), an int an integer, a ``tuple[int, ...]`` a list of integers and
-    a nested dataclass an object read the same way; absent fields keep their
-    defaults. Anything else is a ValueError naming ``where.field``.
-    """
+    """Build the config dataclass ``cls`` from the JSON object ``obj``: a float or an
+    int field is read by ``json_number``, a ``tuple[int, ...]`` from a list of integers,
+    a nested dataclass the same way, and an absent field keeps its default. Anything
+    else is a ValueError naming ``where.field``."""
     hints = typing.get_type_hints(cls)
     kwargs = {k: _read_field(hints[k], v, f"{where}.{k}")
               for k, v in json_object(obj, where, hints).items()}
@@ -119,18 +100,17 @@ def _read_object(path, flag: str, read):
         raise ValueError(f"{exc} in {path}") from exc
 
 
+_CONFIG_BLOCKS = {"train": TrainConfig, "reward": RewardConfig, "env": EnvConfig, "eval": EvalConfig}
+
+
 def _load_config_blocks(path) -> dict:
     if path is None:
         return {}
-    return _read_object(path, "--config",
-                        lambda obj: json_object(obj, "--config", ("train", "reward", "env", "eval")))
+    return _read_object(path, "--config", lambda obj: json_object(obj, "--config", _CONFIG_BLOCKS))
 
 
 def _configs(blocks: dict) -> tuple[TrainConfig, RewardConfig, EnvConfig, EvalConfig]:
-    return (read_config(TrainConfig, blocks.get("train", {}), "train"),
-            read_config(RewardConfig, blocks.get("reward", {}), "reward"),
-            read_config(EnvConfig, blocks.get("env", {}), "env"),
-            read_config(EvalConfig, blocks.get("eval", {}), "eval"))
+    return tuple(read_config(cls, blocks.get(name, {}), name) for name, cls in _CONFIG_BLOCKS.items())
 
 
 def _out_dir(args) -> Path:
@@ -259,7 +239,7 @@ def _run_evaluations(args) -> tuple[list[EvaluationResult], Path, dict]:
         net = load_policy(args.policy, expect_sizes=[3, *train_cfg.hidden_sizes, 1])
         controllers.append(("policy", policy_controller(net, train_cfg, env_cfg)))
     if args.idm_params is not None:
-        params = (IdmParams() if args.idm_params == "default" else _read_object(
+        params = (args.idm_params if isinstance(args.idm_params, IdmParams) else _read_object(
             args.idm_params, "--idm-params", lambda obj: read_config(IdmParams, obj, "--idm-params")))
         controllers.append(("idm", idm_controller(params)))
 
@@ -348,7 +328,8 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=f"{name} controllers on a test set")
         p.add_argument("--events", required=True, help="normalized test events CSV")
         p.add_argument("--policy", help="trained policy JSON")
-        p.add_argument("--idm-params", nargs="?", const="default",
+        # the bare flag's const is no string, so any path, "default" too, names a file
+        p.add_argument("--idm-params", nargs="?", const=IdmParams(),
                        help="IDM parameter JSON; bare flag uses defaults")
         p.add_argument("--ground-truth", action="store_true",
                        help="include the recorded behavior (compare always does)")

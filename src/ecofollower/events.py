@@ -65,6 +65,39 @@ def json_object(value, where: str, known, error=ValueError) -> dict:
     return value
 
 
+def json_number(value, where: str, integer: bool = False, error=ValueError):
+    """``value`` as a float if it is a finite JSON number, or as an int if ``integer``
+    and it is a JSON integer (a bool is neither); else ``error`` naming ``where``.
+    A non-finite number would silently switch a check off (a NaN gap never collides)."""
+    if integer or type(value) is not float:   # a float skips the two type tests
+        if not isinstance(value, int if integer else (int, float)) or isinstance(value, bool):
+            raise error(f"{where} must be {'an integer' if integer else 'a number'}, "
+                        f"got {json.dumps(value, default=repr)}")
+        if integer:
+            return value
+    try:
+        number = float(value)
+    except OverflowError:   # an integer past the float range
+        number = math.inf
+    if math.isfinite(number):
+        return number
+    raise error(f"{where} must be a finite number, got {json.dumps(value)}")
+
+
+def json_floats(value, where: str, ndim: int = 1) -> np.ndarray:
+    """A JSON list of numbers (``ndim`` 1) or of such lists (``ndim`` 2) as a float array,
+    each number read by ``json_number`` as ``where[i]`` (``where[i][j]``). Anything else is
+    a ValueError naming it; ragged rows get numpy's own (numpy >= 1.24)."""
+    if not isinstance(value, list):
+        raise ValueError(f"{where} must be a list, got {json.dumps(value, default=repr)}")
+    if ndim > 1:
+        return np.array([json_floats(r, f"{where}[{i}]", ndim - 1) for i, r in enumerate(value)])
+    try:
+        return np.array([json_number(v, where) for v in value])
+    except ValueError:   # name the refused number; naming each one up front costs more
+        return np.array([json_number(v, f"{where}[{i}]") for i, v in enumerate(value)])
+
+
 class DataError(ValueError):
     """Row values violate trajectory invariants."""
 
@@ -144,10 +177,8 @@ class ColumnMapping:
         missing = [f for f in CANONICAL_FIELDS if f not in self.columns]
         if missing:
             raise SchemaError(f"mapping missing canonical fields: {missing}")
-        try:
-            object.__setattr__(self, "scale", {k: float(v) for k, v in self.scale.items()})
-        except (TypeError, ValueError) as exc:
-            raise SchemaError(f"mapping scale factor is not a number: {exc}") from exc
+        object.__setattr__(self, "scale", {k: json_number(v, f"mapping.scale.{k}", error=SchemaError)
+                                           for k, v in self.scale.items()})
 
     @classmethod
     def identity(cls) -> "ColumnMapping":

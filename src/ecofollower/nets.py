@@ -14,7 +14,7 @@ import math
 
 import numpy as np
 
-from .events import SchemaError, json_object, read_json
+from .events import SchemaError, json_floats, json_number, json_object, read_json
 
 POLICY_FORMAT_VERSION = 1
 POLICY_KEYS = ("version", "sizes", "hidden_activation", "output_activation", "weights", "biases")
@@ -211,23 +211,17 @@ def load_policy(path, expect_sizes=None) -> Mlp:
         obj = json_object(read_json(path, "policy"), "policy", POLICY_KEYS, SchemaError)
     except (OSError, SchemaError) as exc:
         raise PolicyLoadError(f"cannot read policy file {path}: {exc}") from exc
-    version = obj.get("version")
-    if isinstance(version, bool) or version != POLICY_FORMAT_VERSION:   # True == 1
-        raise PolicyLoadError(f"{path}: unsupported policy version {version}")
     try:
+        if json_number(obj.get("version"), "version", integer=True) != POLICY_FORMAT_VERSION:
+            raise ValueError(f"unsupported policy version {obj['version']}")
         if obj["hidden_activation"] != "tanh":
             raise ValueError(f"unsupported hidden activation {obj['hidden_activation']!r}")
-        sizes = [int(s) for s in obj["sizes"]]
-        weights = [np.asarray(w, dtype=float) for w in obj["weights"]]
-        biases = [np.asarray(b, dtype=float) for b in obj["biases"]]
+        sizes = [json_number(s, f"sizes[{i}]", integer=True) for i, s in enumerate(obj["sizes"])]
+        weights = [json_floats(w, f"weights[{l}]", ndim=2) for l, w in enumerate(obj["weights"])]
+        biases = [json_floats(b, f"biases[{l}]") for l, b in enumerate(obj["biases"])]
         net = Mlp(sizes, weights, biases, obj["output_activation"])
-    # OverflowError: an integer weight past the float range
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise PolicyLoadError(f"{path}: malformed policy: {exc}") from exc
-    # JSON's NaN/Infinity tokens parse, and an infinite weight can saturate
-    # tanh into finite but meaningless commands
-    if not np.isfinite(net.theta).all():
-        raise PolicyLoadError(f"{path}: non-finite weight or bias")
     if expect_sizes is not None and list(expect_sizes) != sizes:
         raise PolicyLoadError(f"{path}: layer sizes {sizes} do not match expected {list(expect_sizes)}")
     return net

@@ -30,11 +30,6 @@ class RewardWeights:
     w_fuel: float = 1.0
     w_jerk: float = 1.0
 
-    def __post_init__(self):
-        vals = (self.w_ttc, self.w_headway, self.w_fuel, self.w_jerk)
-        if not all(map(math.isfinite, vals)):
-            raise ValueError(f"weights must be finite: {vals}")
-
 
 @dataclass(frozen=True)
 class HeadwayModel:

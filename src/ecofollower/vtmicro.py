@@ -19,7 +19,7 @@ from importlib import resources
 
 import numpy as np
 
-from .events import SchemaError, json_object, read_json
+from .events import SchemaError, json_floats, json_number, json_object, read_json
 
 REGIMES = ("acceleration", "deceleration")
 
@@ -100,10 +100,10 @@ def _scale(units: dict, key: str, unit_key: str, named: dict[str, float]) -> flo
     if key in units and unit_key in units:
         raise ValueError(f"units.{unit_key} and units.{key} are both set; give one of them")
     if key in units:
-        value = units[key]
-        if type(value) not in (int, float) or not 0 < value < math.inf:   # a bool is no number
-            raise ValueError(f"units.{key} must be a positive number, got {json.dumps(value)}")
-        return float(value)
+        value = json_number(units[key], f"units.{key}")
+        if value <= 0:
+            raise ValueError(f"units.{key} must be positive, got {value!r}")
+        return value
     unit = units.get(unit_key, next(iter(named)))
     if not isinstance(unit, str) or unit not in named:
         raise ValueError(f"units.{unit_key} must be one of {list(named)}, got {json.dumps(unit)}")
@@ -126,15 +126,14 @@ def _parse_table(obj) -> VtMicroCoefficients:
     obj = json_object(obj, "table", ("source", "regime", "units", "k"))
     try:
         regime = obj["regime"]
-        k = np.asarray(obj["k"], dtype=float)
+        k = json_floats(obj["k"], "k", ndim=2)
+        if k.shape != (4, 4):
+            raise ValueError(f"got shape {k.shape}")
     except KeyError as exc:
         raise ValueError(f"coefficient table missing key {exc}") from exc
-    except (TypeError, ValueError) as exc:  # a ragged or non-numeric 'k'
+    except ValueError as exc:  # ragged, not numbers or not 4x4
         raise ValueError(f"coefficient table 'k' must be 4x4 numbers: {exc}") from exc
-    if k.shape != (4, 4):
-        raise ValueError(f"coefficient table 'k' must be 4x4, got {k.shape}")
-    k = _fold_units(k, obj.get("units", {}))
-    return VtMicroCoefficients(k=k, regime=regime)
+    return VtMicroCoefficients(k=_fold_units(k, obj.get("units", {})), regime=regime)
 
 
 def load_coefficients(path) -> VtMicroModel:
@@ -147,7 +146,7 @@ def load_coefficients(path) -> VtMicroModel:
     obj = read_json(path, "VT-Micro coefficient file")
     try:
         return _model_from_json(obj)
-    except (ValueError, OverflowError) as exc:   # OverflowError: an integer past float range
+    except ValueError as exc:
         raise SchemaError(f"VT-Micro coefficient file {path}: {exc}") from exc
 
 

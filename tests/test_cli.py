@@ -9,7 +9,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 import ecofollower.events
 from ecofollower import cli
@@ -17,8 +17,8 @@ from ecofollower.cli import _configs, main, read_config
 from ecofollower.ddpg import TrainConfig, TrainingError
 from ecofollower.env import EnvConfig
 from ecofollower.evaluate import EmptyResultError, EvalConfig, NonFiniteFuelError
-from ecofollower.events import (CANONICAL_FIELDS, CarFollowingEvent, DataError, SchemaError,
-                                load_events, write_events)
+from ecofollower.events import (CANONICAL_FIELDS, CarFollowingEvent, ColumnMapping, DataError,
+                                SchemaError, load_events, write_events)
 from ecofollower.idm import IdmParams, idm_controller
 from ecofollower.nets import PolicyLoadError, load_policy
 from ecofollower.objectives import RewardConfig
@@ -1195,6 +1195,183 @@ class TestConfigTypes:
                      "--out", str(tmp_path / "o")])
         assert code == 1
         assert "--idm-params.T_headway" in capsys.readouterr().err
+
+
+def _set(obj, path, value):
+    """``obj`` with the item at ``path`` (keys and indices) set to ``value``."""
+    obj = json.loads(json.dumps(obj))
+    target = obj
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = value
+    return obj
+
+
+def _json_file_run(tmp_path, fleet_csv, trained, flag, obj):
+    """Write ``obj`` as the JSON input of ``flag`` and run a command that reads it."""
+    path = tmp_path / "odd_input.json"
+    path.write_text(json.dumps(obj))
+    out = tmp_path / "o"
+    argv = {"--mapping": ["prepare", "--input", str(fleet_csv)],
+            "--vt-micro": ["eval", "--events", str(fleet_csv), "--idm-params"],
+            "--policy": ["eval", "--events", str(trained["events"]),
+                         "--config", str(trained["cfg"])]}[flag]
+    return main([*argv, flag, str(path), "--out", str(out)]), out
+
+
+def _trained_policy(trained):
+    return json.loads((trained["out"] / "policy.json").read_text())
+
+
+def _field_name(flag, path):
+    """How an error names the number at ``path``: ``mapping.scale.t``,
+    ``units.speed_scale``, ``k[1][2]``, ``weights[0][3][2]``."""
+    if isinstance(path[1], str):
+        return ".".join(("mapping", *path) if flag == "--mapping" else path)
+    return path[0] + "".join(f"[{i}]" for i in path[1:])
+
+
+# every JSON number outside --config, by site: flag, field type, a valid file
+# (from the trained fixture) and the paths of its numbers
+VT_TABLE = {"regime": "acceleration", "k": ZERO_K}
+NUMBER_SITES = {
+    "mapping-scale": ("--mapping", float, lambda t: {"columns": CANONICAL, "scale": {}},
+                      [("scale", f) for f in CANONICAL_FIELDS[1:]]),
+    "vt-micro-units": ("--vt-micro", float, lambda t: {**VT_TABLE, "units": {}},
+                       [("units", k) for k in ("speed_scale", "accel_scale", "output_scale")]),
+    "vt-micro-k": ("--vt-micro", float, lambda t: VT_TABLE,
+                   [("k", i, j) for i in range(4) for j in range(4)]),
+    "policy-sizes": ("--policy", int, _trained_policy, [("sizes", i) for i in range(4)]),
+    "policy-weights": ("--policy", float, _trained_policy,
+                       [("weights", l, i, j) for l, (n_in, n_out) in enumerate([(3, 8), (8, 8), (8, 1)])
+                        for i in range(n_in) for j in range(n_out)]),
+    "policy-biases": ("--policy", float, _trained_policy,
+                      [("biases", l, i) for l, n in enumerate([8, 8, 1]) for i in range(n)]),
+}
+
+
+def _refused(tp):
+    """JSON values a field of type ``tp`` refuses: any non-number, and for a
+    float the non-finite numbers and integers past the float range."""
+    wrong = JSON_VALUES.filter(lambda v: not _fits(tp, v))
+    return wrong | st.sampled_from(NON_FINITE) if tp is float else wrong
+
+
+class TestJsonNumbers:
+    """Every number of --mapping, --vt-micro and --policy follows the --config rule."""
+
+    @pytest.mark.parametrize("name", NUMBER_SITES)
+    @settings(max_examples=40, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_refused_value_exit_2_naming_file_and_field(self, tmp_path, fleet_csv, trained,
+                                                         capsys, name, data):
+        flag, tp, content, paths = NUMBER_SITES[name]
+        path = data.draw(st.sampled_from(paths), label="path")
+        value = data.draw(_refused(tp), label="value")
+        code, out = _json_file_run(tmp_path, fleet_csv, trained, flag,
+                                   _set(content(trained), path, value))
+        err = capsys.readouterr().err
+        assert code == 2, err
+        assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err
+        assert "odd_input.json" in err and _field_name(flag, path) in err, err
+        assert not out.exists()
+
+    # each of these was read as a number, or ended in a traceback
+    @pytest.mark.parametrize("name, path, value", [
+        pytest.param("mapping-scale", ("scale", "t"), True, id="mapping-true"),
+        pytest.param("mapping-scale", ("scale", "t"), "0.001", id="mapping-string"),
+        pytest.param("mapping-scale", ("scale", "t"), math.nan, id="mapping-nan"),
+        pytest.param("mapping-scale", ("scale", "t"), 10**400, id="mapping-401-digits"),
+        pytest.param("vt-micro-k", ("k", 0, 0), "1.5", id="k-string"),
+        pytest.param("vt-micro-k", ("k", 0, 0), True, id="k-true"),
+        pytest.param("policy-weights", ("weights", 0, 0, 0), "0.5", id="weight-string"),
+        pytest.param("policy-weights", ("weights", 0, 0, 0), False, id="weight-false"),
+        pytest.param("policy-sizes", ("sizes", 0), "3", id="size-string"),
+        pytest.param("policy-sizes", ("sizes", 1), 64.9, id="size-float"),
+        pytest.param("policy-sizes", ("sizes", 3), True, id="size-true"),
+    ])
+    def test_values_once_misread_exit_2(self, tmp_path, fleet_csv, trained, capsys,
+                                        name, path, value):
+        flag, _, content, _ = NUMBER_SITES[name]
+        code, _ = _json_file_run(tmp_path, fleet_csv, trained, flag,
+                                 _set(content(trained), path, value))
+        err = capsys.readouterr().err
+        assert code == 2, err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "odd_input.json" in err and _field_name(flag, path) in err, err
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.sampled_from(CANONICAL_FIELDS[1:]),
+           st.integers(-10**300, 10**300) | st.floats(allow_nan=False, allow_infinity=False))
+    def test_valid_scale_reads_as_float(self, field, value):
+        scale = ColumnMapping(columns=CANONICAL, scale=json.loads(json.dumps({field: value}))).scale
+        assert np.float64(scale[field]).tobytes() == np.float64(float(value)).tobytes()
+
+    @settings(max_examples=60, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(st.lists(st.lists(st.integers(-10**300, 10**300) | st.floats(-1e3, 1e3),
+                             min_size=4, max_size=4), min_size=4, max_size=4))
+    def test_valid_k_reads_as_asarray(self, tmp_path, k):
+        path = tmp_path / "k.json"
+        path.write_text(json.dumps({**VT_TABLE, "k": k}))
+        expected = np.asarray(k, dtype=float)
+        expected[0, 0] += math.log(1.0)   # the default units fold in nothing else
+        assert load_coefficients(path).accel.k.tobytes() == expected.tobytes()
+
+    @settings(max_examples=30, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(st.data())
+    def test_valid_weights_read_as_asarray(self, tmp_path, trained, data):
+        policy = _trained_policy(trained)
+        number = st.integers(-10**300, 10**300) | st.floats(allow_nan=False, allow_infinity=False)
+        for key, *index in data.draw(st.lists(st.sampled_from(
+                NUMBER_SITES["policy-weights"][3] + NUMBER_SITES["policy-biases"][3]), max_size=6)):
+            policy = _set(policy, (key, *index), data.draw(number))
+        path = tmp_path / "p.json"
+        path.write_text(json.dumps(policy))
+        net = load_policy(path, expect_sizes=[3, 8, 8, 1])
+        expected = np.concatenate([np.asarray(a, dtype=float).ravel()
+                                   for a in policy["weights"] + policy["biases"]])
+        assert net.theta.tobytes() == expected.tobytes()
+        assert net.sizes == [3, 8, 8, 1] and all(type(s) is int for s in net.sizes)
+
+    def test_integer_field_takes_any_json_integer(self, tmp_path, trained):
+        policy = _set(_trained_policy(trained), ("sizes", 1), 10**400)
+        path = tmp_path / "p.json"
+        path.write_text(json.dumps(policy))
+        # read as an integer, then refused by the layer shapes rather than its type
+        with pytest.raises(PolicyLoadError, match="layer 0: weight shape") as info:
+            load_policy(path)
+        assert "must be an integer" not in str(info.value)
+
+
+class TestBareIdmParams:
+    @pytest.fixture
+    def used(self, monkeypatch):
+        params = []
+        monkeypatch.setattr(cli, "idm_controller", lambda p: params.append(p) or idm_controller(p))
+        return params
+
+    def test_bare_flag_means_the_defaults(self, tmp_path, fleet_csv, monkeypatch, used):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "default").write_text(json.dumps({"a_max": 2.5}))
+        assert main(["eval", "--events", str(fleet_csv), "--idm-params", "--out", "o"]) == 0
+        assert used == [IdmParams()]
+
+    def test_a_file_named_default_is_read(self, tmp_path, fleet_csv, monkeypatch, used):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "default").write_text(json.dumps({"a_max": 2.5, "T_headway": 0.6}))
+        assert main(["eval", "--events", str(fleet_csv), "--idm-params", "default",
+                     "--out", "o"]) == 0
+        assert used == [IdmParams(a_max=2.5, T_headway=0.6)]
+
+    def test_missing_file_named_default_exit_2(self, tmp_path, fleet_csv, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        assert main(["eval", "--events", str(fleet_csv), "--idm-params", "default",
+                     "--out", "o"]) == 2
+        assert "default" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
 
 class TestRangeChecks:

@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 from ecofollower.cli import main
 from ecofollower.events import (CANONICAL_FIELDS, CarFollowingEvent, ColumnMapping,
                                 DataError, FitError, SchemaError, descriptive_stats,
-                                extract_events, fit_lognormal_headway,
+                                extract_events, fit_lognormal_headway, json_number,
                                 load_events, split_dataset, write_events)
 
 import reference_stats
@@ -114,7 +114,7 @@ class TestLoadEvents:
         ({"scale": {"v_follow": 0.3048}}, "columns"),
         ([{"columns": {f: f for f in CANONICAL_FIELDS}}], "list"),
         ({"columns": {f: f for f in CANONICAL_FIELDS}, "scale": 0.3048}, "JSON objects"),
-        ({"columns": {f: f for f in CANONICAL_FIELDS}, "scale": {"v_follow": "ft"}}, "not a number"),
+        ({"columns": {f: f for f in CANONICAL_FIELDS}, "scale": {"v_follow": "ft"}}, "v_follow must be a number"),
     ], ids=["scales-beside-columns", "no-columns-block", "scale-only", "top-level-list",
             "scale-not-object", "scale-not-number"])
     def test_mapping_file_structure_checked(self, tmp_path, obj, named):
@@ -145,6 +145,34 @@ class TestLoadEvents:
 def ev_row(event_id, k, dt=0.1, v=8.0, gap=12.0):
     """Row ``k`` of the simple_rows event ``event_id``."""
     return simple_rows(event_id, k + 1, dt, v, gap)[k]
+
+
+class TestJsonNumber:
+    @given(st.integers() | st.floats(allow_nan=False, allow_infinity=False))
+    def test_a_finite_number_reads_as_float(self, value):
+        assert type(json_number(value, "x")) is float
+        assert json_number(value, "x") == float(value)
+
+    @given(st.integers())
+    def test_an_integer_reads_as_itself(self, value):
+        assert json_number(value, "x", integer=True) is value
+        assert json_number(value * 10**400, "x", integer=True) == value * 10**400
+
+    @pytest.mark.parametrize("value, integer, says", [
+        (True, False, "must be a number, got true"),
+        (False, True, "must be an integer, got false"),
+        ("1", False, 'must be a number, got "1"'),
+        (None, False, "must be a number, got null"),
+        ([1.0], False, "must be a number, got [1.0]"),
+        ({"a": 1}, False, 'must be a number, got {"a": 1}'),
+        (1.0, True, "must be an integer, got 1.0"),
+        (math.nan, False, "must be a finite number, got NaN"),
+        (-math.inf, False, "must be a finite number, got -Infinity"),
+        (10**400, False, "must be a finite number, got 1000"),
+    ])
+    def test_refused_value_names_where(self, value, integer, says):
+        with pytest.raises(SchemaError, match=re.escape(f"a.b[3] {says}")):
+            json_number(value, "a.b[3]", integer=integer, error=SchemaError)
 
 
 class TestReaderSemantics:

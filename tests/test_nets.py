@@ -340,6 +340,20 @@ class TestPolicyFile:
         with pytest.raises(PolicyLoadError, match="relu"):
             load_policy(path)
 
+    @pytest.mark.parametrize("key, ragged", [
+        ("weights", lambda w: w[0][:2] + [w[0][2][:-1]]),   # a row one short
+        ("weights", lambda w: [w[0][0], [[x] for x in w[0][1]], w[0][2]]),   # lists as cells
+        ("biases", lambda b: [b[0][:4] + [[x] for x in b[0][4:]]]),
+    ], ids=["short-row", "list-cells", "list-bias-cells"])
+    def test_ragged_layer_rejected(self, tmp_path, key, ragged):
+        path = tmp_path / "policy.json"
+        save_policy(Mlp.init([3, 8, 1], np.random.default_rng(73)), path)
+        obj = json.loads(path.read_text())
+        obj[key] = ragged(obj[key]) + obj[key][1:]
+        path.write_text(json.dumps(obj))
+        with pytest.raises(PolicyLoadError, match="policy.json"):
+            load_policy(path)
+
     def test_missing_version_rejected(self, tmp_path):
         path = tmp_path / "policy.json"
         path.write_text('{"sizes": [3, 1]}')

@@ -193,6 +193,17 @@ class TestLoader:
         with pytest.raises(ValueError, match="4x4"):
             load_coefficients(path)
 
+    @pytest.mark.parametrize("k", [
+        [[0] * 4, [0] * 3, [0] * 4, [0] * 4],
+        [[0] * 4, [0] * 5, [0] * 4, [0] * 4],
+        [[0] * 4, [0, [0], 0, 0], [0] * 4, [0] * 4],
+        [[[0]] * 4] * 4,
+    ], ids=["short-row", "long-row", "list-cell", "all-list-cells"])
+    def test_ragged_k_rejected(self, tmp_path, k):
+        path = self._write(tmp_path, {"regime": "acceleration", "k": k})
+        with pytest.raises(ValueError, match="'k' must be 4x4"):
+            load_coefficients(path)
+
     def test_units_folding_matches_direct_evaluation(self, tmp_path):
         # km/h, km/h/s, L/s table: folded canonical evaluation must equal the
         # raw polynomial evaluated in published units plus the output log-scale
