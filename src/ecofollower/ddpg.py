@@ -1,11 +1,13 @@
-"""Deep deterministic policy gradient agent and episode training loop.
+"""Deep deterministic policy gradient agent and its lockstep training loop.
 
 Actor: state triple -> accel command in [-1, 1] (tanh output), rescaled to the
 env's actuator bounds. Critic: (state, action) -> Q. Both are small dense nets
 updated with explicit backprop and Adam; targets track with soft updates.
 
-Training is single-threaded and fully determined by (seed, data, config);
-independent RNG streams are derived from the seed per purpose.
+Training collects from ``parallel_events`` episodes at once, one array step
+for all of them (the vector-env collection of Ape-X and Stable-Baselines3's
+``n_envs``). It is single-threaded and fully determined by (seed, data,
+config); independent RNG streams are derived from the seed per purpose.
 """
 
 from __future__ import annotations
@@ -17,10 +19,12 @@ from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from .env import Controller, EnvConfig, EnvState, DEFAULT_ENV, reset, step
+# ``step`` is not called here: benchmarks/bench_trace.py binds it under this name
+from .env import (Controller, EnvConfig, EnvState, DEFAULT_ENV, advance, reset, step,  # noqa: F401
+                  step_limits)
 from .events import CarFollowingEvent
 from .nets import Adam, Mlp, soft_update
-from .objectives import RewardConfig, reward
+from .objectives import RewardConfig, step_rewards
 from .rng import derive_seed
 from .vtmicro import VtMicroModel
 
@@ -49,6 +53,7 @@ class TrainConfig:
     spacing_scale: float = 100.0
     rel_speed_scale: float = 10.0
     rolling_window: int = 50
+    parallel_events: int = 16      # episodes collected from in lockstep
 
     def __post_init__(self):
         if self.episodes < 1:
@@ -57,7 +62,7 @@ class TrainConfig:
             raise ValueError(f"gamma must be in (0, 1), got {self.gamma}")
         if not 0.0 < self.tau <= 1.0:
             raise ValueError(f"tau must be in (0, 1], got {self.tau}")
-        for name in ("batch_size", "rolling_window"):
+        for name in ("batch_size", "rolling_window", "parallel_events"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
         if self.buffer_capacity < self.batch_size:
@@ -87,18 +92,26 @@ class ReplayBuffer:
     def __len__(self) -> int:
         return self._size
 
-    def push(self, state: np.ndarray, action: float, reward: float,
-             next_state: np.ndarray, done: bool) -> None:
-        """Store one step: normalized states, the squashed action in [-1, 1],
-        and done for a true terminal (collision), not a timeout."""
+    def push(self, states: np.ndarray, actions: np.ndarray, rewards: np.ndarray,
+             next_states: np.ndarray, dones: np.ndarray) -> None:
+        """Store n steps in order: (n, 3) normalized states, the n squashed
+        actions in [-1, 1], and done for a true terminal (collision), not a
+        timeout. Rows past the capacity overwrite the oldest."""
+        n = len(rewards)
+        if n > self.capacity:   # only the last capacity rows would survive
+            states, actions, rewards, next_states, dones = (
+                x[n - self.capacity:] for x in (states, actions, rewards, next_states, dones))
+            n = self.capacity
         i = self._cursor
-        self.states[i] = state
-        self.actions[i, 0] = action
-        self.rewards[i] = reward
-        self.next_states[i] = next_state
-        self.dones[i] = float(done)
-        self._cursor = (i + 1) % self.capacity
-        self._size = min(self._size + 1, self.capacity)
+        head = min(n, self.capacity - i)   # rows before the ring wraps
+        for dst, src in ((self.states, states), (self.actions[:, 0], actions),
+                         (self.rewards, rewards), (self.next_states, next_states),
+                         (self.dones, dones)):
+            dst[i:i + head] = src[:head]
+            if head < n:
+                dst[:n - head] = src[head:]
+        self._cursor = (i + n) % self.capacity
+        self._size = min(self._size + n, self.capacity)
 
     def sample(self, batch_size: int, rng: np.random.Generator):
         if batch_size > self._size:
@@ -108,29 +121,12 @@ class ReplayBuffer:
                 self.next_states[idx], self.dones[idx])
 
 
-class OuNoise:
-    """Ornstein-Uhlenbeck exploration noise on the normalized action."""
-
-    def __init__(self, theta: float, sigma: float, rng: np.random.Generator):
-        self.theta = theta
-        self.sigma = sigma
-        self.rng = rng
-        self.x = 0.0
-
-    def reset(self) -> None:
-        self.x = 0.0
-
-    def sample(self) -> float:
-        self.x += -self.theta * self.x + self.sigma * self.rng.standard_normal()
-        return self.x
-
-
 def normalize_state(state: EnvState, cfg: TrainConfig,
                     divisors: tuple | None = None) -> np.ndarray:
     """The actor's input: shape (3,) for one state, (N, 3) for arrays of N states.
 
     ``divisors`` are ``_state_divisors(cfg)`` made once by the caller, such as
-    ``policy_controller``'s 0-d arrays; by default they are read off ``cfg``.
+    ``policy_controller``; by default they are read off ``cfg``.
     """
     speed, spacing, rel_speed = divisors or _state_divisors(cfg)
     return np.array([state.follow_speed / speed,
@@ -148,14 +144,18 @@ def action_to_accel(y: float, env_cfg: EnvConfig, operands: tuple | None = None)
     return a_min + (y + one) / two * span
 
 
-def _state_divisors(cfg: TrainConfig) -> tuple[float, float, float]:
-    """The divisors of ``normalize_state``: speed, spacing and relative speed scales."""
-    return cfg.speed_scale, cfg.spacing_scale, cfg.rel_speed_scale
+def _state_divisors(cfg: TrainConfig) -> tuple[np.ndarray, ...]:
+    """The divisors of ``normalize_state``, the speed, spacing and relative speed
+    scales, as 0-d arrays: a ufunc takes them faster than floats, and computes
+    the same with them."""
+    return tuple(np.array(float(x)) for x in (cfg.speed_scale, cfg.spacing_scale,
+                                              cfg.rel_speed_scale))
 
 
-def _action_operands(env_cfg: EnvConfig) -> tuple[float, float, float, float]:
-    """The constants of ``action_to_accel``: a_min, 1, 2 and the actuator span."""
-    return env_cfg.a_min, 1.0, 2.0, env_cfg.a_max - env_cfg.a_min
+def _action_operands(env_cfg: EnvConfig) -> tuple[np.ndarray, ...]:
+    """The constants of ``action_to_accel``, a_min, 1, 2 and the actuator span, as 0-d arrays."""
+    return tuple(np.array(float(x)) for x in (env_cfg.a_min, 1.0, 2.0,
+                                              env_cfg.a_max - env_cfg.a_min))
 
 
 class DdpgAgent:
@@ -230,11 +230,25 @@ def train(events: Sequence[CarFollowingEvent],
           ) -> tuple[Mlp, list[TrainLogRow]]:
     """Train a policy over randomly drawn training events.
 
-    Returns the trained actor and one row per episode.
+    ``parallel_events`` slots step in lockstep. Each lockstep step runs one
+    actor forward over the running slots' states, adds each slot's own OU
+    noise, clips, maps the action onto the actuator range, steps every slot
+    with one ``advance``, scores it with one ``step_rewards`` and pushes the
+    transitions to the replay buffer in slot order. Once the run has pushed
+    ``max(warmup_steps, batch_size)`` transitions, each pushed transition is
+    followed by one update.
+
+    A slot draws its next event when its episode ends or collides, until
+    ``episodes`` episodes have started; those run to their end. Returns the
+    trained actor and one row per episode in the order the episodes end;
+    ``episode`` counts them (slot order breaks ties). An episode's exploration
+    noise decays with the ordinal it started with, which a TrainingError names.
     """
     events = tuple(events)
     if not events:
         raise ValueError("training set is empty")
+    if min(map(len, events)) < 2:   # an episode needs a step
+        raise ValueError("training events need at least 2 samples")
     cfg = train_config
     agent = DdpgAgent(
         cfg,
@@ -248,56 +262,100 @@ def train(events: Sequence[CarFollowingEvent],
                          f"cannot allocate the replay buffer ({exc})") from exc
     rng_events = np.random.default_rng(derive_seed(cfg.seed, "ddpg.events"))
     rng_replay = np.random.default_rng(derive_seed(cfg.seed, "ddpg.replay"))
-    noise = OuNoise(cfg.ou_theta, cfg.ou_sigma,
-                    np.random.default_rng(derive_seed(cfg.seed, "ddpg.noise")))
+    rng_noise = np.random.default_rng(derive_seed(cfg.seed, "ddpg.noise"))
     update_floor = max(cfg.warmup_steps, cfg.batch_size)
-    # Python floats: on one state they are faster than 0-d arrays
-    divisors, operands = _state_divisors(cfg), _action_operands(env_config)
+    divisors, (a_min, one, two, span) = _state_divisors(cfg), _action_operands(env_config)
+    limits, theta = step_limits(env_config), np.array(-cfg.ou_theta)
+
+    # One column (a row of obs and lead) per slot; the running slots are the first n.
+    # env holds (accel, v_follow, rel_speed, x_follow, spacing) as advance reads it;
+    # lead row j the leader speeds of slot j's event, and at[j] the flat index into
+    # lead of the speed after slot j's next step.
+    width, longest = min(cfg.parallel_events, cfg.episodes), max(map(len, events))
+    env, env_next, dt = np.empty((5, width)), np.empty((5, width)), np.empty((2, width))
+    obs, obs_next, lead = np.empty((width, 3)), np.empty((width, 3)), np.empty((width, longest))
+    per_slot = np.empty((5, width))
+    accel_prev, ou, sigma, reward_sum, fuel_ml = per_slot
+    indices = np.empty((3, width), dtype=np.intp)
+    at, first, last = indices
+    collided = np.empty(width, dtype=bool)
+    episode = []   # each running slot's start ordinal
+
+    def start(j: int) -> None:
+        """Begin the next episode in slot j, on a drawn event."""
+        nonlocal started
+        ep, started = started, started + 1
+        event = events[int(rng_events.integers(len(events)))]
+        state = reset(event)
+        env[1:, j] = state.follow_speed, state.rel_speed, float(event.x_follow[0]), state.spacing
+        obs[j] = [x / d for x, d in zip(state, divisors)]
+        dt[:, j] = event.dt
+        lead[j, :len(event)] = event.v_lead
+        frac = ep / (cfg.episodes - 1) if cfg.episodes > 1 else 0.0
+        per_slot[:, j] = 0.0, 0.0, cfg.ou_sigma + (cfg.ou_sigma_final - cfg.ou_sigma) * frac, 0.0, 0.0
+        indices[:, j] = j * longest + 1, j * longest + 1, j * longest + len(event) - 1
+        episode[j:j + 1] = [ep]
 
     rows = []
     rolling = deque(maxlen=cfg.rolling_window)
-    collisions_cum = 0
-    for ep in range(cfg.episodes):
-        event = events[int(rng_events.integers(len(events)))]
-        frac = ep / (cfg.episodes - 1) if cfg.episodes > 1 else 0.0
-        noise.sigma = cfg.ou_sigma + (cfg.ou_sigma_final - cfg.ou_sigma) * frac
-        noise.reset()
-
-        state = reset(event)
-        s_norm = normalize_state(state, cfg, divisors)
-        v_lead, dt = event.v_lead.tolist(), event.dt
-        accel_prev = 0.0
-        ep_reward, fuel_ml, steps = 0.0, 0.0, 0
-        for k in range(len(event) - 1):
-            y = min(1.0, max(-1.0, float(agent.actor.forward(s_norm)[0, 0]) + noise.sample()))
-            # clamped as step clamps it: the affine map may round past a bound
-            accel = env_config.clamp(action_to_accel(y, env_config, operands))
-            outcome = step(state, accel, v_lead[k + 1], dt, config=env_config)
-            r = reward(state, accel, accel_prev, outcome.next_state, dt,
-                       outcome.collided, reward_config, fuel_model)
-            # timeouts are not stored as terminal so the TD target keeps bootstrapping
-            s_next = normalize_state(outcome.next_state, cfg, divisors)
-            buffer.push(s_norm, y, r.total, s_next, outcome.collided)
-            fuel_ml += r.fuel_rate * dt
-            ep_reward += r.total
-            steps += 1
-            if len(buffer) >= update_floor:
-                try:
-                    agent.update(buffer.sample(cfg.batch_size, rng_replay))
-                except TrainingError as exc:
-                    raise TrainingError(f"episode {ep}, step {k}: {exc}") from exc
-            if outcome.collided:
-                collisions_cum += 1
-                break
-            state, s_norm, accel_prev = outcome.next_state, s_next, accel
-
-        mean_reward = ep_reward / steps
-        rolling.append(mean_reward)
-        row = TrainLogRow(episode=ep, mean_reward=mean_reward, rolling_reward=float(np.mean(rolling)),
-                          collisions_cum=collisions_cum, steps=steps, fuel_ml=fuel_ml)
-        rows.append(row)
-        if progress is not None:
-            progress(row)
+    started = transitions = collisions_cum = 0
+    for j in range(width):
+        start(j)
+    n = width
+    while n:
+        row, nxt = env[:, :n], env_next[:, :n]
+        y = agent.actor.forward(obs[:n])[:, 0]
+        # each slot's OU process: x += -theta * x + sigma * N(0, 1)
+        ou[:n] += theta * ou[:n] + sigma[:n] * rng_noise.standard_normal(n)
+        y += ou[:n]
+        np.maximum(-1.0, y, out=y)
+        np.minimum(1.0, y, out=y)
+        accel = row[0]
+        np.add(y, one, out=accel)
+        np.divide(accel, two, out=accel)
+        np.multiply(accel, span, out=accel)
+        np.add(a_min, accel, out=accel)
+        hit = collided[:n]
+        advance(row, nxt, dt[:, :n], lead.take(at[:n]), limits, hit)
+        r = step_rewards(row[1], accel, accel_prev[:n], EnvState(nxt[1], nxt[4], nxt[2]),
+                         dt[0, :n], hit, reward_config, fuel_model)
+        for col, x, d in zip(obs_next.T, (nxt[1], nxt[4], nxt[2]), divisors):
+            np.divide(x, d, out=col[:n])
+        # timeouts are not stored as terminal so the TD target keeps bootstrapping
+        buffer.push(obs[:n], y, r.total, obs_next[:n], hit)
+        reward_sum[:n] += r.total
+        fuel_ml[:n] += r.fuel_rate * dt[0, :n]
+        for i in range(max(0, update_floor - transitions - 1), n):   # from the floor on
+            try:
+                agent.update(buffer.sample(cfg.batch_size, rng_replay))
+            except TrainingError as exc:
+                raise TrainingError(f"episode {episode[i]}, step {at[i] - first[i]}: "
+                                    f"{exc}") from exc
+        transitions += n
+        accel_prev[:n] = accel
+        ended = hit | (at[:n] == last[:n])
+        at[:n] += 1
+        env, env_next, obs, obs_next = env_next, env, obs_next, obs
+        if not np.count_nonzero(ended):
+            continue
+        for j in np.flatnonzero(ended).tolist():
+            steps = int(at[j] - first[j])
+            rolling.append(float(reward_sum[j]) / steps)
+            collisions_cum += bool(collided[j])
+            rows.append(TrainLogRow(len(rows), rolling[-1], float(np.mean(rolling)),
+                                    collisions_cum, steps, float(fuel_ml[j])))
+            if progress is not None:
+                progress(rows[-1])
+            if started < cfg.episodes:
+                start(j)
+                ended[j] = False
+        if np.count_nonzero(ended):   # keep the running slots first, in slot order
+            live = np.flatnonzero(~ended)
+            for arr in (env, dt, per_slot, indices):
+                arr[:, :len(live)] = arr[:, live]
+            obs[:len(live)] = obs[live]
+            episode = [episode[j] for j in live.tolist()]
+            n = len(live)
     return agent.actor, rows
 
 
@@ -307,11 +365,9 @@ def policy_controller(net: Mlp, train_config: TrainConfig,
 
     One forward pass over every state it is given: a single state, or the
     arrays of states of a lockstep rollout. The formulas' constants are built
-    once, as 0-d arrays: a ufunc takes them faster than floats, and computes
-    the same with them.
+    once.
     """
-    divisors = tuple(np.array(float(x)) for x in _state_divisors(train_config))
-    operands = tuple(np.array(float(x)) for x in _action_operands(env_config))
+    divisors, operands = _state_divisors(train_config), _action_operands(env_config)
 
     def control(state: EnvState, k: int) -> float | np.ndarray:
         x = normalize_state(state, train_config, divisors)

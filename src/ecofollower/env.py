@@ -14,7 +14,6 @@ the gap is opening.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Sequence
 
@@ -28,13 +27,12 @@ class RolloutError(RuntimeError):
 
 
 class EnvState(NamedTuple):
-    """RL observation: follower speed, bumper gap, relative speed; a named
-    tuple, as one is built per step of ``ddpg.train`` (which calls ``reset``
-    and ``step`` itself), of ``rollout`` and, over arrays, of ``rollout_batch``."""
+    """RL observation: follower speed, bumper gap, relative speed; floats for one
+    state, or arrays over the events of a lockstep loop."""
 
-    follow_speed: float
-    spacing: float
-    rel_speed: float
+    follow_speed: float | np.ndarray
+    spacing: float | np.ndarray
+    rel_speed: float | np.ndarray
 
 
 @dataclass(frozen=True)
@@ -47,21 +45,8 @@ class EnvConfig:
         if not self.a_min < self.a_max:
             raise ValueError(f"a_min must be below a_max, got {self.a_min} and {self.a_max}")
 
-    def clamp(self, accel: float) -> float:
-        return min(self.a_max, max(self.a_min, accel))
-
 
 DEFAULT_ENV = EnvConfig()
-
-
-class StepOutcome(NamedTuple):
-    """One ``step``'s result; a named tuple, as it is built once per step of
-    training and of ``rollout``."""
-
-    next_state: EnvState
-    collided: bool
-    follow_position: float
-
 
 # A controller maps (state, step index) to a commanded acceleration. Under
 # rollout_batch the state's fields are arrays over the running events and the
@@ -78,22 +63,61 @@ def reset(event: CarFollowingEvent) -> EnvState:
     )
 
 
+def step_limits(config: EnvConfig) -> tuple[np.ndarray, ...]:
+    """``advance``'s constants, a_min, a_max, the collision gap, 0 and 2, as 0-d
+    arrays: a ufunc takes them faster than Python floats, and computes the same."""
+    return tuple(np.array(float(x)) for x in (
+        config.a_min, config.a_max, config.collision_gap, 0.0, 2.0))
+
+
+def advance(row: np.ndarray, nxt: np.ndarray, dt: np.ndarray, lead: np.ndarray,
+            limits: tuple[np.ndarray, ...], collided: np.ndarray) -> None:
+    """Advance every column of ``row`` one interval, in place.
+
+    ``row`` and ``nxt`` are (5, n) arrays of (accel, v_follow, rel_speed,
+    x_follow, spacing). ``row[0]`` holds the commands, which are clamped in
+    place to the actuator bounds; ``nxt[1:]`` receives the next states, and
+    ``collided`` whether each next spacing is at or below the collision gap.
+    ``dt`` is (2, n), each column's interval twice (one row per term of a
+    pair), ``lead`` the leader speeds after the step and ``limits`` are
+    ``step_limits(config)``. The operations are the module docstring's
+    formulas, one ufunc per term.
+    """
+    a_min, a_max, gap, zero, two = limits
+    a, v, v_next = row[0], row[1], nxt[1]
+    np.maximum(a_min, a, out=a)
+    np.minimum(a_max, a, out=a)
+    np.multiply(a, dt[0], out=v_next)
+    np.add(v, v_next, out=v_next)
+    np.maximum(zero, v_next, out=v_next)
+    np.subtract(lead, v_next, out=nxt[2])
+    # (x, s) + ((v, dv) + (v_next, dv_next)) / 2 * dt, one operation per term
+    xs = nxt[3:]
+    np.add(row[1:3], nxt[1:3], out=xs)
+    np.divide(xs, two, out=xs)
+    np.multiply(xs, dt, out=xs)
+    np.add(row[3:], xs, out=xs)
+    np.less_equal(nxt[4], gap, out=collided)
+
+
 def step(state: EnvState, accel: float, lead_speed_next: float, dt: float,
-         follow_position: float = 0.0, config: EnvConfig = DEFAULT_ENV) -> StepOutcome:
-    """Advance the follower one interval under a commanded acceleration."""
-    inputs = (state.follow_speed, state.spacing, state.rel_speed,
-              accel, lead_speed_next, dt, follow_position)
-    if not all(map(math.isfinite, inputs)):
-        raise ValueError(f"non-finite step input: {inputs}")
-    if dt <= 0:
-        raise ValueError(f"dt must be positive, got {dt}")
-    accel = config.clamp(accel)
-    v_next = max(0.0, state.follow_speed + accel * dt)
-    dv_next = lead_speed_next - v_next
-    s_next = state.spacing + (state.rel_speed + dv_next) / 2.0 * dt
-    x_next = follow_position + (state.follow_speed + v_next) / 2.0 * dt
-    collided = s_next <= config.collision_gap
-    return StepOutcome(EnvState(v_next, s_next, dv_next), collided, x_next)
+         follow_position: float = 0.0, config: EnvConfig = DEFAULT_ENV
+         ) -> tuple[EnvState, bool, float]:
+    """``advance`` of one state: the next state, whether it collided, and the
+    next follower position, as floats.
+
+    The package steps arrays with ``advance``; this one-state form, like
+    ``rollout``, ``objectives.reward`` and ``vtmicro.fuel_rate``, is kept
+    because ``benchmarks/bench_trace.py`` traces it by name (its test binds
+    ``env.step`` and the ``step`` name of ``ddpg``).
+    """
+    row = np.array([[accel], [state.follow_speed], [state.rel_speed], [follow_position],
+                    [state.spacing]], dtype=float)
+    nxt, collided = np.empty((5, 1)), np.empty(1, dtype=bool)
+    advance(row, nxt, np.full((2, 1), float(dt)), np.array([float(lead_speed_next)]),
+            step_limits(config), collided)
+    v, dv, x, s = nxt[1:, 0].tolist()
+    return EnvState(v, s, dv), bool(collided[0]), x
 
 
 @dataclass
@@ -132,42 +156,11 @@ def _command_error(event: CarFollowingEvent, k: int, reason) -> RolloutError:
 
 def rollout(event: CarFollowingEvent, controller: Controller,
             config: EnvConfig = DEFAULT_ENV) -> SimulatedTrace:
-    """Simulate the follower against the event's recorded leader, one ``step`` at a time.
-
-    The scalar reference that ``rollout_batch`` is tested against. Each step
-    asks the controller for a command, which must be finite, and clamps it.
-    Stops early on collision; the colliding step is the last recorded row.
-    """
-    state = reset(event)
-    x_follow = float(event.x_follow[0])
-    v_lead, dt = event.v_lead.tolist(), event.dt
-    accel, v, s, dv, x = [], [], [], [], []
-    collided = False
-    for k in range(len(event) - 1):
-        try:
-            a = float(controller(state, k))
-        except Exception as exc:
-            raise _command_error(event, k, exc) from exc
-        if not math.isfinite(a):
-            raise _command_error(event, k, f"non-finite command {a}")
-        a = config.clamp(a)
-        accel.append(a)
-        v.append(state.follow_speed)
-        s.append(state.spacing)
-        dv.append(state.rel_speed)
-        x.append(x_follow)
-        outcome = step(state, a, v_lead[k + 1], dt, follow_position=x_follow, config=config)
-        if outcome.collided:
-            collided = True
-            break
-        state, x_follow = outcome.next_state, outcome.follow_position
-    return SimulatedTrace(
-        event_id=event.event_id,
-        dt=event.dt,
-        t=event.t[:len(accel)], accel=np.asarray(accel), v_follow=np.asarray(v),
-        spacing=np.asarray(s), rel_speed=np.asarray(dv), x_follow=np.asarray(x),
-        collided=collided,
-    )
+    """``rollout_batch`` of one event: its trace, or the RolloutError it failed with, raised."""
+    [result] = rollout_batch([event], controller, config)
+    if isinstance(result, RolloutError):
+        raise result
+    return result
 
 
 def _commands(controller: Controller, state: EnvState, k: int, a: np.ndarray) -> dict[int, str]:
@@ -211,11 +204,11 @@ def rollout_batch(events: Sequence[CarFollowingEvent], controller: Controller,
 
     Each step asks the controller once, with an EnvState of arrays over the
     events still running, then clamps, steps and tests for collision over all
-    of them with the operations of ``step`` in its order. An event leaves the
-    running set after its last step, on collision, or when its command is
-    non-finite or its own call raises. Returns, in the order of ``events``,
-    each event's trace or the RolloutError it failed with. A trace equals
-    ``rollout``'s bit for bit when the controller gives each event the same
+    of them with one ``advance``. An event leaves the running set after its
+    last step, on collision, or when its command is non-finite or its own call
+    raises. Returns, in the order of ``events``, each event's trace or the
+    RolloutError it failed with. A trace equals that of a scalar loop over the
+    event alone bit for bit when the controller gives each event the same
     command in a batch as alone (a constant, an elementwise formula); IDM and
     the policy do up to rounding, since array and scalar arithmetic may round
     differently.
@@ -238,35 +231,19 @@ def rollout_batch(events: Sequence[CarFollowingEvent], controller: Controller,
     first = [reset(events[c]) for c in cols]
     state = np.array([(st.follow_speed, st.rel_speed, float(events[c].x_follow[0]), st.spacing)
                       for c, st in zip(cols, first)]).T
-    # 0-d arrays: a ufunc takes them faster than Python floats, and computes the same
-    a_min, a_max, gap, zero, two = (np.array(float(x)) for x in (
-        config.a_min, config.a_max, config.collision_gap, 0.0, 2.0))
+    limits = step_limits(config)
     k = 0   # the run's first step
     while cols:
         end = min(n_steps[c] for c in cols)   # the next step at which an event ends
         dt = np.array([[events[c].dt for c in cols]] * 2)   # one row per term of a pair
-        dt1 = dt[0]
         lead = np.stack([events[c].v_lead[k + 1:end + 1] for c in cols], axis=1)
         buf = np.empty((end - k + 1, 5, len(cols)))
         buf[0, 1:] = state
         collided = np.empty(len(cols), dtype=bool)
         for i in range(end - k):
             row, nxt = buf[i], buf[i + 1]
-            a, v, v_next = row[0], row[1], nxt[1]
-            failures = _commands(controller, EnvState(v, row[4], row[2]), k + i, a)
-            np.maximum(a_min, a, out=a)
-            np.minimum(a_max, a, out=a)
-            np.multiply(a, dt1, out=v_next)
-            np.add(v, v_next, out=v_next)
-            np.maximum(zero, v_next, out=v_next)
-            np.subtract(lead[i], v_next, out=nxt[2])
-            # (x, s) + ((v, dv) + (v_next, dv_next)) / 2 * dt, one operation per term
-            xs = nxt[3:]
-            np.add(row[1:3], nxt[1:3], out=xs)
-            np.divide(xs, two, out=xs)
-            np.multiply(xs, dt, out=xs)
-            np.add(row[3:], xs, out=xs)
-            np.less_equal(nxt[4], gap, out=collided)
+            failures = _commands(controller, EnvState(row[1], row[4], row[2]), k + i, row[0])
+            advance(row, nxt, dt, lead[i], limits, collided)
             if failures or np.count_nonzero(collided):
                 break
         n_rows = i + 1

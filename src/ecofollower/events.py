@@ -86,12 +86,17 @@ def json_number(value, where: str, integer: bool = False, error=ValueError):
 
 def json_floats(value, where: str, ndim: int = 1) -> np.ndarray:
     """A JSON list of numbers (``ndim`` 1) or of such lists (``ndim`` 2) as a float array,
-    each number read by ``json_number`` as ``where[i]`` (``where[i][j]``). Anything else is
-    a ValueError naming it; ragged rows get numpy's own (numpy >= 1.24)."""
+    each number read by ``json_number`` as ``where[i]`` (``where[i][j]``). Anything else,
+    a row of another length than the first included, is a ValueError naming it."""
     if not isinstance(value, list):
         raise ValueError(f"{where} must be a list, got {json.dumps(value, default=repr)}")
     if ndim > 1:
-        return np.array([json_floats(r, f"{where}[{i}]", ndim - 1) for i, r in enumerate(value)])
+        rows = [json_floats(r, f"{where}[{i}]", ndim - 1) for i, r in enumerate(value)]
+        for i, r in enumerate(rows):
+            if len(r) != len(rows[0]):
+                raise ValueError(f"{where}[{i}] has {len(r)} numbers, expected {len(rows[0])} "
+                                 f"as in {where}[0]")
+        return np.array(rows)
     try:
         return np.array([json_number(v, where) for v in value])
     except ValueError:   # name the refused number; naming each one up front costs more
@@ -177,8 +182,12 @@ class ColumnMapping:
         missing = [f for f in CANONICAL_FIELDS if f not in self.columns]
         if missing:
             raise SchemaError(f"mapping missing canonical fields: {missing}")
-        object.__setattr__(self, "scale", {k: json_number(v, f"mapping.scale.{k}", error=SchemaError)
-                                           for k, v in self.scale.items()})
+        scale = {k: json_number(v, f"mapping.scale.{k}", error=SchemaError)
+                 for k, v in self.scale.items()}
+        for k, v in scale.items():
+            if v <= 0:
+                raise SchemaError(f"mapping.scale.{k} must be positive, got {v!r}")
+        object.__setattr__(self, "scale", scale)
 
     @classmethod
     def identity(cls) -> "ColumnMapping":

@@ -1,8 +1,7 @@
 """Per-step TTC, time headway and jerk over whole trajectory arrays.
 
-Evaluation summaries, evaluation histograms and dataset statistics all use
-these formulas. The scalar forms in ``objectives`` score the reward one step
-at a time and are the reference these arrays are tested against.
+Evaluation summaries, evaluation histograms, dataset statistics and the
+training reward (``objectives.step_rewards``) all use these formulas.
 
 rel_speed is leader minus follower: negative while the gap is closing.
 """

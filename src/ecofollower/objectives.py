@@ -1,7 +1,9 @@
-"""Surrogate safety/efficiency/comfort metrics and the four-term step reward.
+"""The reward's configuration and the four-term step reward, over arrays of transitions.
 
-Undefined metric values (gap not closing, follower near standstill) are
-represented as None and contribute 0 to the reward.
+The terms are built on the ``indicators`` formulas (TTC of a closing gap,
+time headway at or above the speed floor) and on ``VtMicroModel.rates``. A
+term whose indicator is undefined on a step (gap not closing, follower near
+standstill, no gap left) contributes 0 to the reward.
 """
 
 from __future__ import annotations
@@ -10,8 +12,10 @@ import math
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
+import numpy as np
+
+from . import indicators
 from .env import EnvState
-from .indicators import SPEED_FLOOR
 from .vtmicro import VtMicroModel
 
 TTC_BOUND = 4.0              # s; gaps closing slower than this are not penalized
@@ -42,12 +46,6 @@ class HeadwayModel:
         if self.sigma <= 0:
             raise ValueError(f"sigma must be positive, got {self.sigma}")
 
-    def pdf(self, x: float) -> float:
-        if x <= 0:
-            return 0.0
-        z = (math.log(x) - self.mu) / self.sigma
-        return math.exp(-0.5 * z * z) / (x * self.sigma * _SQRT_2PI)
-
 
 @dataclass(frozen=True)
 class RewardConfig:
@@ -64,94 +62,68 @@ class RewardConfig:
                 raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
 
 
-class RewardBreakdown(NamedTuple):
-    """One step's reward terms; a named tuple, as it is built once per env step."""
+class StepRewards(NamedTuple):
+    """The reward terms of n transitions, one array of n each."""
 
-    f_ttc: float
-    f_headway: float
-    f_fuel: float
-    f_jerk: float
-    total: float
-    fuel_rate: float   # mL/s at the pre-step speed and commanded acceleration
-    collision_penalty_applied: bool
-
-
-def ttc(spacing: float, rel_speed: float) -> float | None:
-    """Time to collision -spacing/rel_speed; None unless the gap is closing."""
-    if spacing <= 0:
-        raise ValueError(f"ttc needs positive spacing, got {spacing}")
-    if rel_speed >= 0:
-        return None
-    return -spacing / rel_speed
+    f_ttc: np.ndarray
+    f_headway: np.ndarray
+    f_fuel: np.ndarray
+    f_jerk: np.ndarray
+    total: np.ndarray
+    fuel_rate: np.ndarray   # mL/s at the pre-step speed and commanded acceleration
 
 
-def f_ttc(ttc_value: float | None, ttc_floor: float = DEFAULT_TTC_FLOOR) -> float:
-    """ln(TTC/4) inside the risky band (0, 4]; 0 otherwise.
+def step_rewards(follow_speed: np.ndarray, accel: np.ndarray, accel_prev: np.ndarray,
+                 next_state: EnvState, dt: np.ndarray, collided: np.ndarray,
+                 config: RewardConfig, fuel_model: VtMicroModel) -> StepRewards:
+    """Weighted four-term reward of each transition (state, accel) -> next_state.
 
-    TTC is clipped below at ttc_floor so the penalty stays finite near impact.
+    ``follow_speed`` is the pre-step speed, ``accel`` the clamped command and
+    ``accel_prev`` the previous one (0 at an episode's start); the fields of
+    ``next_state`` are arrays. Per transition:
+
+      f_ttc     = ln(max(TTC, ttc_floor) / 4) while the gap closes with TTC <= 4 s
+      f_headway = lognormal density of the time headway (``config.headway``)
+      f_fuel    = -rate / fuel_scale, clipped to [-5, 0]
+      f_jerk    = -((accel - accel_prev) / dt / jerk_scale)^2
+
+    TTC and headway are scored on the outcome state, where its gap is
+    positive; fuel uses the pre-step speed with the commanded acceleration
+    (left-rectangle rule). A collision adds the terminal penalty on top of the
+    weighted sum.
     """
-    if ttc_value is None or not 0.0 < ttc_value <= TTC_BOUND:
-        return 0.0
-    return math.log(max(ttc_value, ttc_floor) / TTC_BOUND)
-
-
-def time_headway(gap: float, follow_speed: float) -> float | None:
-    """gap / follower speed; None below the speed floor where it diverges."""
-    if gap < 0:
-        raise ValueError(f"time_headway needs non-negative gap, got {gap}")
-    if follow_speed < SPEED_FLOOR:
-        return None
-    return gap / follow_speed
-
-
-def f_headway(h: float | None, model: HeadwayModel) -> float:
-    """Lognormal density at the observed headway; 0 when undefined."""
-    if h is None:
-        return 0.0
-    return model.pdf(h)
-
-
-def jerk(accel_now: float, accel_prev: float, dt: float) -> float:
-    """Finite-difference jerk; episodes start from accel_prev = 0."""
-    if dt <= 0:
-        raise ValueError(f"dt must be positive, got {dt}")
-    return (accel_now - accel_prev) / dt
-
-
-def f_jerk(j: float, j_scale: float = DEFAULT_JERK_SCALE) -> float:
-    """Negative normalized squared jerk, in [-1, 0] for |j| <= j_scale."""
-    if j_scale <= 0:
-        raise ValueError(f"j_scale must be positive, got {j_scale}")
-    return -((j / j_scale) ** 2)
-
-
-def f_fuel(rate: float, rate_scale: float = DEFAULT_FUEL_SCALE) -> float:
-    """Negative linearly-scaled fuel rate, clipped to [-5, 0]."""
-    if rate_scale <= 0:
-        raise ValueError(f"rate_scale must be positive, got {rate_scale}")
-    return min(0.0, max(DEFAULT_FUEL_CLIP, -rate / rate_scale))
+    n = len(accel)
+    f_ttc, f_headway = np.zeros(n), np.zeros(n)
+    ahead = next_state.spacing > 0
+    spacing = next_state.spacing[ahead]
+    # capped at the bound, a longer TTC scores ln(4/4) = 0, as an opening gap does;
+    # so does one that underflows to 0, which is outside the band (0, 4] too
+    ttc = indicators.ttc_closing(spacing, next_state.rel_speed[ahead], TTC_BOUND)
+    f_ttc[ahead & (next_state.rel_speed < 0)] = np.where(
+        ttc > 0, np.log(np.maximum(ttc, config.ttc_floor) / TTC_BOUND), 0.0)
+    h = indicators.headway(spacing, next_state.follow_speed[ahead])
+    moving = ahead & (next_state.follow_speed >= indicators.SPEED_FLOOR)
+    moving[moving] = h > 0   # a headway that underflows to 0 has no density
+    h = h[h > 0]
+    z = (np.log(h) - config.headway.mu) / config.headway.sigma
+    f_headway[moving] = np.exp(-0.5 * z * z) / (h * config.headway.sigma * _SQRT_2PI)
+    rate = fuel_model.rates(follow_speed, accel)
+    f_fuel = np.minimum(0.0, np.maximum(DEFAULT_FUEL_CLIP, -rate / config.fuel_scale))
+    f_jerk = -(((accel - accel_prev) / dt / config.jerk_scale) ** 2)
+    w = config.weights
+    total = w.w_ttc * f_ttc + w.w_headway * f_headway + w.w_fuel * f_fuel + w.w_jerk * f_jerk
+    np.add(total, config.collision_penalty, out=total, where=collided)
+    return StepRewards(f_ttc, f_headway, f_fuel, f_jerk, total, rate)
 
 
 def reward(state: EnvState, accel: float, accel_prev: float, next_state: EnvState,
            dt: float, collided: bool, config: RewardConfig,
-           fuel_model: VtMicroModel) -> RewardBreakdown:
-    """Weighted four-term step reward for the transition (state, accel) -> next_state.
+           fuel_model: VtMicroModel) -> StepRewards:
+    """``step_rewards`` of one transition, each term a one-element array; kept,
+    like ``env.step``, for the benchmark tracer, which traces it by name."""
+    def one(x):
+        return np.array([x], dtype=float)
 
-    Safety and efficiency terms are scored on the outcome state; fuel uses the
-    pre-step speed with the commanded acceleration (left-rectangle rule). A
-    collision adds the terminal penalty on top of the weighted sum.
-    """
-    if next_state.spacing > 0:
-        ft = f_ttc(ttc(next_state.spacing, next_state.rel_speed), config.ttc_floor)
-        fh = f_headway(time_headway(next_state.spacing, next_state.follow_speed), config.headway)
-    else:
-        ft, fh = 0.0, 0.0
-    rate = fuel_model.rate(state.follow_speed, accel)
-    ff = f_fuel(rate, config.fuel_scale)
-    fj = f_jerk(jerk(accel, accel_prev, dt), config.jerk_scale)
-    w = config.weights
-    total = w.w_ttc * ft + w.w_headway * fh + w.w_fuel * ff + w.w_jerk * fj
-    if collided:
-        total += config.collision_penalty
-    # positional: keyword arguments double the cost of building the tuple
-    return RewardBreakdown(ft, fh, ff, fj, total, rate, collided)
+    return step_rewards(one(state.follow_speed), one(accel), one(accel_prev),
+                        EnvState(*map(one, next_state)), one(dt), np.array([collided]),
+                        config, fuel_model)

@@ -14,7 +14,8 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from importlib import resources
 
 import numpy as np
@@ -31,17 +32,10 @@ _OUTPUT_SCALE = {"mL/s": 1.0, "L/s": 1000.0, "gal/s": 3785411.784}
 
 @dataclass(frozen=True)
 class VtMicroCoefficients:
-    """4x4 regression matrix in canonical units; k[i][j] scales v^i * a^j.
-
-    ``rows`` holds the same coefficients as Python floats, row 3 first, for
-    ``moe_exponent``: float arithmetic on them costs a fraction of indexing
-    ``k`` and gives the same bits.
-    """
+    """4x4 regression matrix in canonical units; k[i][j] scales v^i * a^j."""
 
     k: np.ndarray
     regime: str
-    rows: tuple[tuple[float, float, float, float], ...] = field(
-        init=False, repr=False, compare=False)
 
     def __post_init__(self):
         k = np.array(self.k, dtype=float)
@@ -53,7 +47,6 @@ class VtMicroCoefficients:
             raise ValueError(f"regime must be one of {REGIMES}, got {self.regime!r}")
         k.setflags(write=False)
         object.__setattr__(self, "k", k)
-        object.__setattr__(self, "rows", tuple(map(tuple, k[::-1].tolist())))
 
 
 @dataclass(frozen=True)
@@ -61,14 +54,24 @@ class VtMicroModel:
     accel: VtMicroCoefficients
     decel: VtMicroCoefficients
 
-    def rate(self, v: float, a: float) -> float:
-        return fuel_rate(self.accel, self.decel, v, a)
-
     def rates(self, v: np.ndarray, a: np.ndarray) -> np.ndarray:
-        """``rate`` of each (v, a) pair of two arrays; inf where the exponent overflows."""
+        """The fuel rate in mL/s of each (v, a) pair of two arrays; the a >= 0
+        regime uses the acceleration table. inf where the exponent overflows.
+
+        One Horner nesting runs over coefficients picked per element by regime,
+        a row of both tables at a time with one ``take``, which gives each
+        element the bits of its own table's polynomial.
+        """
+        regime = (a >= 0).view(np.int8)   # 1 picks the acceleration table
+        tables = self._tables
+        p = _horner(lambda i: tables[i].take(regime, axis=1), v, a)
         with np.errstate(over="ignore"):
-            return np.exp(np.where(a >= 0, moe_exponent(self.accel, v, a),
-                                   moe_exponent(self.decel, v, a)))
+            return np.exp(p)
+
+    @cached_property
+    def _tables(self) -> np.ndarray:
+        """k of both regimes as one (4, 4, 2) array: [..., 0] deceleration, [..., 1] acceleration."""
+        return np.stack([self.decel.k, self.accel.k], axis=-1)
 
 
 def moe_exponent(coeffs: VtMicroCoefficients, v: float, a: float) -> float:
@@ -78,20 +81,25 @@ def moe_exponent(coeffs: VtMicroCoefficients, v: float, a: float) -> float:
     Row i contributes ((k[i, 3] * a + k[i, 2]) * a + k[i, 1]) * a + k[i, 0],
     for i = 3, 2, 1, 0, into p = p * v + row.
     """
-    p = 0.0
-    for k0, k1, k2, k3 in coeffs.rows:
-        p = p * v + (((k3 * a + k2) * a + k1) * a + k0)
-    return p
+    return _horner(coeffs.k.__getitem__, v, a)
 
 
 def fuel_rate(coeffs_accel: VtMicroCoefficients, coeffs_decel: VtMicroCoefficients,
               v: float, a: float) -> float:
-    """Instantaneous fuel rate in mL/s; the a >= 0 regime uses the acceleration table."""
-    coeffs = coeffs_accel if a >= 0 else coeffs_decel
-    try:
-        return math.exp(moe_exponent(coeffs, v, a))
-    except OverflowError:
-        return math.inf
+    """``VtMicroModel.rates`` of one (v, a); kept, like ``env.step``, for the
+    benchmark tracer, which traces it by name."""
+    model = VtMicroModel(coeffs_accel, coeffs_decel)
+    return float(model.rates(np.array([v], dtype=float), np.array([a], dtype=float))[0])
+
+
+def _horner(row, v, a):
+    """``moe_exponent``'s nesting, with ``row(i)`` the coefficients k[i, 0..3]: of one
+    table, or arrays of per-element coefficients."""
+    p = 0.0
+    for i in (3, 2, 1, 0):
+        k = row(i)
+        p = p * v + (((k[3] * a + k[2]) * a + k[1]) * a + k[0])
+    return p
 
 
 def _scale(units: dict, key: str, unit_key: str, named: dict[str, float]) -> float:
@@ -116,9 +124,16 @@ def _fold_units(k: np.ndarray, units) -> np.ndarray:
     cv = _scale(units, "speed_scale", "speed", _SPEED_SCALE)
     ca = _scale(units, "accel_scale", "acceleration", _ACCEL_SCALE)
     cout = _scale(units, "output_scale", "output", _OUTPUT_SCALE)
-    powers = np.outer(cv ** np.arange(4), ca ** np.arange(4))
-    folded = k * powers
+    with np.errstate(over="ignore", invalid="ignore"):
+        folded = k * np.outer(np.float64(cv) ** np.arange(4), np.float64(ca) ** np.arange(4))
     folded[0, 0] += math.log(cout)
+    bad = np.argwhere(~np.isfinite(folded))
+    if len(bad):   # k is finite: the scales of the entry's powers took it there
+        i, j = bad[0].tolist()
+        named = [f"units.{key} {c!r}" for key, c, power in
+                 (("speed_scale", cv, i), ("accel_scale", ca, j), ("output_scale", cout, i == j == 0))
+                 if power]
+        raise ValueError(f"k[{i}][{j}] folded by {' and '.join(named)} is past the float range")
     return folded
 
 

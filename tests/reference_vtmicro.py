@@ -1,15 +1,17 @@
-"""The VT-Micro evaluation as it was written against the coefficient array.
+"""Scalar VT-Micro evaluations, kept as test oracles.
 
 ``numpy_horner_exponent`` indexes ``coeffs.k`` and so does its arithmetic on
-``np.float64`` scalars. The package evaluates the same Horner nesting on
-Python floats; the tests hold it to these functions bit for bit.
+``np.float64`` scalars, as ``vtmicro.moe_exponent`` does. ``float_exponent``
+runs the same Horner nesting on the coefficients as Python floats (``rows``),
+and ``fuel_rate`` takes ``math.exp`` of it in the table of the command's
+regime: the one-step rate that ``VtMicroModel.rates`` is held to.
 """
 
 from __future__ import annotations
 
 import math
 
-from ecofollower.vtmicro import VtMicroCoefficients
+from ecofollower.vtmicro import VtMicroCoefficients, VtMicroModel
 
 
 def numpy_horner_exponent(coeffs: VtMicroCoefficients, v: float, a: float) -> float:
@@ -30,11 +32,27 @@ def numpy_horner_fuel_rate(coeffs_accel: VtMicroCoefficients,
         return math.inf
 
 
-class NumpyHornerModel:
-    """Stands in for a ``VtMicroModel`` where ``objectives.reward`` asks for a rate."""
+def rows(coeffs: VtMicroCoefficients) -> tuple[tuple[float, float, float, float], ...]:
+    """The coefficients as Python floats, row 3 (the highest power of v) first."""
+    return tuple(map(tuple, coeffs.k[::-1].tolist()))
 
-    def __init__(self, model):
-        self.accel, self.decel = model.accel, model.decel
 
-    def rate(self, v: float, a: float) -> float:
-        return numpy_horner_fuel_rate(self.accel, self.decel, v, a)
+def float_exponent(coeffs: VtMicroCoefficients, v: float, a: float) -> float:
+    p = 0.0
+    for k0, k1, k2, k3 in rows(coeffs):
+        p = p * v + (((k3 * a + k2) * a + k1) * a + k0)
+    return p
+
+
+def fuel_rate(coeffs_accel: VtMicroCoefficients, coeffs_decel: VtMicroCoefficients,
+              v: float, a: float) -> float:
+    """Instantaneous fuel rate in mL/s; the a >= 0 regime uses the acceleration table."""
+    coeffs = coeffs_accel if a >= 0 else coeffs_decel
+    try:
+        return math.exp(float_exponent(coeffs, v, a))
+    except OverflowError:
+        return math.inf
+
+
+def rate(model: VtMicroModel, v: float, a: float) -> float:
+    return fuel_rate(model.accel, model.decel, v, a)

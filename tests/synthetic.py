@@ -11,10 +11,12 @@ import math
 
 import numpy as np
 
-from ecofollower.env import DEFAULT_ENV, Controller, EnvConfig, EnvState, step
+from ecofollower.env import DEFAULT_ENV, Controller, EnvConfig, EnvState
 from ecofollower.events import CarFollowingEvent
 from ecofollower.idm import IdmParams, idm_accel
 from ecofollower.rng import derive_seed
+
+from reference_scalar import clamp, step
 
 
 def positions_from_speeds(v: np.ndarray, dt: float, x0: float = 0.0) -> np.ndarray:
@@ -72,7 +74,7 @@ def idm_follower_event(event_id: str, v_lead: np.ndarray, dt: float,
     state = EnvState(follow_speed=float(v_f[0]), spacing=gap0,
                      rel_speed=float(v_lead[0] - v_f[0]))
     for k in range(n - 1):
-        a = env.clamp(idm_accel(params, state.follow_speed, state.spacing, -state.rel_speed))
+        a = clamp(env, idm_accel(params, state.follow_speed, state.spacing, -state.rel_speed))
         out = step(state, a, float(v_lead[k + 1]), dt,
                    follow_position=float(x_f[k]), config=env)
         state = out.next_state

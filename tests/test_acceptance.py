@@ -20,16 +20,16 @@ import pytest
 
 from ecofollower.cli import main as cli_main
 from ecofollower.ddpg import TrainConfig, train
-from ecofollower.env import DEFAULT_ENV, EnvState, rollout
+from ecofollower.env import DEFAULT_ENV, EnvState, rollout_batch
 from ecofollower.evaluate import compare, evaluate_controller, evaluate_ground_truth, render_text
 from ecofollower.events import (CarFollowingEvent, ColumnMapping, extract_events,
                                 descriptive_stats, fit_lognormal_headway,
                                 load_events, split_dataset, write_events)
 from ecofollower.idm import IdmParams, idm_accel
 from ecofollower.nets import Mlp, load_policy
-from ecofollower.objectives import (HeadwayModel, RewardConfig, f_fuel,
-                                    f_headway, f_jerk, f_ttc, reward)
-from ecofollower.vtmicro import VtMicroCoefficients, fuel_rate, moe_exponent, reference_model
+from ecofollower.objectives import HeadwayModel, RewardConfig, step_rewards
+from ecofollower.vtmicro import (VtMicroCoefficients, VtMicroModel, moe_exponent,
+                                 reference_model)
 
 from synthetic import (UNBOUNDED_ENV, constant_controller, make_fleet,
                        recorded_accel_controller)
@@ -68,9 +68,11 @@ TTC_FLOOR = 0.1
 
 
 def oracle_f_ttc(t):
+    # log1p of the exact t - 4 (Sterbenz): log(t) - log(4) cancels near the
+    # 4 s bound and loses up to 1e-12 of the value there
     if t is None or not 0.0 < t <= 4.0:
         return 0.0
-    return math.log(max(t, TTC_FLOOR)) - math.log(4.0)
+    return math.log1p((max(t, TTC_FLOOR) - 4.0) / 4.0)
 
 
 def oracle_lognorm_pdf(x, mu, sigma):
@@ -97,26 +99,50 @@ def oracle_poly(k, v, a):
     return total
 
 
+def _criterion_1_transitions(rng, n):
+    """n transitions whose indicators are drawn: TTC None ~10% (an opening gap) or in
+    (0.0005, 9) s, headway None ~10% (below the speed floor) or in (0.01, 20) s, jerk in
+    (-120, 120) m/s^3 from a zero start; speed and command for the fuel rate."""
+    v, a, v2, s2, dv2 = (np.empty(n) for _ in range(5))
+    for i in range(n):
+        t = None if rng.uniform() < 0.1 else float(rng.uniform(0.0005, 9.0))
+        h = None if rng.uniform() < 0.1 else float(rng.uniform(0.01, 20.0))
+        v2[i] = float(rng.uniform(0.5, 30.0)) if h is not None else float(rng.uniform(0.0, 0.09))
+        s2[i] = h * v2[i] if h is not None else float(rng.uniform(0.5, 50.0))
+        dv2[i] = -s2[i] / t if t is not None else float(rng.uniform(0.0, 5.0))
+        a[i] = float(rng.uniform(-120.0, 120.0)) * 0.1
+        v[i] = float(rng.uniform(0.0, 35.0))
+    return v, a, EnvState(v2, s2, dv2)
+
+
 def test_criterion_1_reward_term_oracles():
     with criterion(1, "reward terms match independent scalar oracles", 5.0):
         rng = np.random.default_rng(101)
-        model = HeadwayModel(mu=0.4226, sigma=0.5436)
-        for _ in range(10_000):
-            t = None if rng.uniform() < 0.1 else float(rng.uniform(0.0005, 9.0))
-            assert_rel(f_ttc(t), oracle_f_ttc(t), 1e-12, "f_ttc")
-            h = None if rng.uniform() < 0.1 else float(rng.uniform(0.01, 20.0))
-            assert_rel(f_headway(h, model), oracle_lognorm_pdf(h, model.mu, model.sigma),
-                       1e-12, "f_headway")
-            j = float(rng.uniform(-120.0, 120.0))
-            scale = float(rng.uniform(10.0, 100.0))
-            assert_rel(f_jerk(j, scale), oracle_f_jerk(j, scale), 1e-12, "f_jerk")
-            rate = float(rng.uniform(0.0, 12.0))
-            fscale = float(rng.uniform(0.5, 2.0))
-            assert_rel(f_fuel(rate, fscale), oracle_f_fuel(rate, fscale), 1e-12, "f_fuel")
-        assert f_ttc(4.0) == 0.0
-        for t in np.linspace(4.0000001, 1e6, 100):
-            assert f_ttc(float(t)) == 0.0
-        assert f_ttc(None) == 0.0
+        fuel = reference_model()
+        headway = HeadwayModel(mu=0.4226, sigma=0.5436)
+        for _ in range(100):   # 100 configs of 100 transitions: 10,000 of each term
+            cfg = RewardConfig(headway=headway, jerk_scale=float(rng.uniform(10.0, 100.0)),
+                               fuel_scale=float(rng.uniform(0.5, 2.0)))
+            v, a, nxt = _criterion_1_transitions(rng, 100)
+            got = step_rewards(v, a, np.zeros(100), nxt, np.full(100, 0.1),
+                               np.zeros(100, dtype=bool), cfg, fuel)
+            for i in range(100):
+                s2, dv2, v2 = float(nxt.spacing[i]), float(nxt.rel_speed[i]), float(nxt.follow_speed[i])
+                t = -s2 / dv2 if dv2 < 0 else None
+                h = s2 / v2 if v2 >= 0.1 else None
+                assert_rel(float(got.f_ttc[i]), oracle_f_ttc(t), 1e-12, "f_ttc")
+                assert_rel(float(got.f_headway[i]),
+                           oracle_lognorm_pdf(h, headway.mu, headway.sigma), 1e-12, "f_headway")
+                assert_rel(float(got.f_jerk[i]), oracle_f_jerk(float(a[i]) / 0.1, cfg.jerk_scale),
+                           1e-12, "f_jerk")
+                assert_rel(float(got.f_fuel[i]), oracle_f_fuel(float(got.fuel_rate[i]),
+                                                               cfg.fuel_scale), 1e-12, "f_fuel")
+        # TTC at and past the 4 s bound scores 0, as an opening gap does
+        t = np.array([4.0, *np.linspace(4.0000001, 1e6, 100)])
+        got = step_rewards(np.zeros(101), np.zeros(101), np.zeros(101),
+                           EnvState(np.full(101, 10.0), t, np.full(101, -1.0)),
+                           np.full(101, 0.1), np.zeros(101, dtype=bool), RewardConfig(), fuel)
+        assert got.f_ttc.tolist() == [0.0] * 101
 
 
 def test_criterion_2_vtmicro_polynomial_oracle():
@@ -132,9 +158,10 @@ def test_criterion_2_vtmicro_polynomial_oracle():
             a = float(rng.uniform(-a_max, a_max))
             got = moe_exponent(coeffs, v, a)
             assert_rel(got, oracle_poly(k, v, a), 1e-12, "moe_exponent")
-            rate = fuel_rate(coeffs, coeffs, v, a)
+            model = VtMicroModel(coeffs, VtMicroCoefficients(k=k, regime="deceleration"))
+            rate = float(model.rates(np.array([v]), np.array([a]))[0])
             assert rate > 0
-            assert_rel(math.log(rate), got, 1e-12, "log(fuel_rate)")
+            assert_rel(math.log(rate), got, 1e-12, "log(rates)")
 
 
 def test_criterion_3_kinematics():
@@ -142,12 +169,13 @@ def test_criterion_3_kinematics():
         # constant accelerations: closed-form quadratic spacing over 1000 steps
         a_lead, a_follow = 0.5, 0.2
         ev = linear_leader_event(accel=a_lead, gap=30.0, n=1001)
-        trace = rollout(ev, constant_controller(a_follow))
+        [trace] = rollout_batch([ev], constant_controller(a_follow))
         expected = 30.0 + 0.5 * (a_lead - a_follow) * trace.t ** 2
         assert np.max(np.abs(trace.spacing - expected)) < 1e-9
         # recorded-acceleration replay on fixture events
         for fixture in make_fleet(6, seed=303):
-            replay = rollout(fixture, recorded_accel_controller(fixture), UNBOUNDED_ENV)
+            [replay] = rollout_batch([fixture], recorded_accel_controller(fixture),
+                                     UNBOUNDED_ENV)
             n = len(replay)
             assert n == len(fixture) - 1
             assert np.max(np.abs(replay.x_follow - fixture.x_follow[:n])) < 1e-4
@@ -372,18 +400,19 @@ def test_reward_landscape_pins_standing_still_above_recorded_driving():
     cfg, fuel, dt = RewardConfig(), reference_model(), bench_inputs.DT
     recorded, still = [], []
     for ev in fleet:
-        driven = [EnvState(v, xl - xf, vl - v) for v, xl, xf, vl in
-                  zip(ev.v_follow.tolist(), ev.x_lead.tolist(), ev.x_follow.tolist(),
-                      ev.v_lead.tolist())]
-        stopped = [EnvState(0.0, xl - float(ev.x_follow[0]), vl)
-                   for xl, vl in zip(ev.x_lead.tolist(), ev.v_lead.tolist())]
-        accel_prev = 0.0
-        for k, accel in enumerate((np.diff(ev.v_follow) / dt).tolist()):
-            recorded.append(reward(driven[k], accel, accel_prev, driven[k + 1], dt,
-                                   False, cfg, fuel).total)
-            still.append(reward(stopped[k], 0.0, 0.0, stopped[k + 1], dt,
-                                False, cfg, fuel).total)
-            accel_prev = accel
+        n = len(ev.t) - 1
+        accel = np.diff(ev.v_follow) / dt
+        gap, lead_rel = ev.x_lead - ev.x_follow, ev.v_lead - ev.v_follow
+        no_crash, dts = np.zeros(n, dtype=bool), np.full(n, dt)
+        recorded.append(step_rewards(
+            ev.v_follow[:-1], accel, np.concatenate([[0.0], accel[:-1]]),
+            EnvState(ev.v_follow[1:], gap[1:], lead_rel[1:]), dts, no_crash, cfg, fuel).total)
+        stopped_gap = ev.x_lead - ev.x_follow[0]
+        still.append(step_rewards(
+            np.zeros(n), np.zeros(n), np.zeros(n),
+            EnvState(np.zeros(n), stopped_gap[1:], ev.v_lead[1:]), dts, no_crash, cfg,
+            fuel).total)
+    recorded, still = np.concatenate(recorded), np.concatenate(still)
     assert len(recorded) == 15_639
     assert round(float(np.mean(recorded)), 3) == -0.765
     assert round(float(np.mean(still)), 3) == -0.437

@@ -5,6 +5,7 @@ import math
 import os
 import re
 import typing
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -25,6 +26,7 @@ from ecofollower.objectives import RewardConfig
 from ecofollower.vtmicro import load_coefficients, reference_model
 
 from forking import assert_no_child_left, count_forks, record_exits
+from reference_vtmicro import fuel_rate
 from synthetic import constant_event, make_fleet, positions_from_speeds
 
 CANONICAL = {f: f for f in CANONICAL_FIELDS}
@@ -109,6 +111,17 @@ class TestPrepare:
                      "--out", str(tmp_path / "o")])
         assert code == 2
         assert named in capsys.readouterr().err
+        assert not (tmp_path / "o" / "events.csv").exists()
+
+    @pytest.mark.parametrize("field, value", [("t", 0), ("x_lead", -0.3048), ("v_follow", -0.0)])
+    def test_non_positive_mapping_scale_exit_2(self, tmp_path, fleet_csv, capsys, field, value):
+        mapping = tmp_path / "map.json"
+        mapping.write_text(json.dumps({"columns": CANONICAL, "scale": {field: value}}))
+        code = main(["prepare", "--input", str(fleet_csv), "--mapping", str(mapping),
+                     "--out", str(tmp_path / "o")])
+        assert code == 2
+        [line] = capsys.readouterr().err.splitlines()
+        assert f"mapping.scale.{field} must be positive" in line and "map.json" in line
         assert not (tmp_path / "o" / "events.csv").exists()
 
     @pytest.mark.parametrize("dt", ["-0.2", "nan"])
@@ -528,8 +541,8 @@ class TestEvalCompare:
             want = next((ev.event_id, j) for ev in sorted(load_events(path, min_duration=0.0),
                                                           key=lambda ev: ev.event_id)
                         for j in range(len(ev) - 1)
-                        if not math.isfinite(fuel.rate(
-                            ev.v_follow[j], (ev.v_follow[j + 1] - ev.v_follow[j]) / ev.dt)))
+                        if not math.isfinite(fuel_rate(fuel.accel, fuel.decel, ev.v_follow[j],
+                                                       (ev.v_follow[j + 1] - ev.v_follow[j]) / ev.dt)))
             assert want[0] == events[i].event_id
             out = tmp_path / f"o{i}"
             code = main([command, "--events", str(path), "--idm-params", "--ground-truth",
@@ -592,6 +605,25 @@ class TestEvalCompare:
         assert code == 2
         err = capsys.readouterr().err
         assert "bad_vt_micro.json" in err and named in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("units, named", [
+        ({"speed_scale": 1e300}, "k[2][0] folded by units.speed_scale 1e+300 is past"),
+        ({"accel_scale": 1e300}, "k[0][2] folded by units.accel_scale 1e+300 is past"),
+        ({"speed_scale": 1e100, "accel_scale": 1e100},
+         "k[1][3] folded by units.speed_scale 1e+100 and units.accel_scale 1e+100 is past"),
+    ], ids=["speed_scale", "accel_scale", "both"])
+    def test_scale_past_the_float_range_exit_2_naming_it(self, tmp_path, trained, capsys,
+                                                          units, named):
+        path = tmp_path / "big_vt_micro.json"
+        path.write_text(json.dumps({"regime": "acceleration", "k": [[0.5] * 4] * 4,
+                                    "units": units}))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(["eval", "--events", str(trained["events"]), "--idm-params",
+                         "--vt-micro", str(path), "--out", str(tmp_path / "o")])
+        assert code == 2 and caught == []
+        [line] = capsys.readouterr().err.splitlines()
+        assert line.startswith("error: VT-Micro coefficient file") and named in line
 
     def test_policy_with_wrong_sizes_exit_2(self, tmp_path, trained):
         # trained with [8, 8] hidden; default config expects [64, 64]
@@ -1303,8 +1335,9 @@ class TestJsonNumbers:
 
     @settings(max_examples=100, deadline=None)
     @given(st.sampled_from(CANONICAL_FIELDS[1:]),
-           st.integers(-10**300, 10**300) | st.floats(allow_nan=False, allow_infinity=False))
-    def test_valid_scale_reads_as_float(self, field, value):
+           st.integers(1, 10**300) | st.floats(min_value=0.0, exclude_min=True,
+                                              allow_infinity=False))
+    def test_valid_scale_reads_as_float(self, field, value):   # a scale must be positive
         scale = ColumnMapping(columns=CANONICAL, scale=json.loads(json.dumps({field: value}))).scale
         assert np.float64(scale[field]).tobytes() == np.float64(float(value)).tobytes()
 

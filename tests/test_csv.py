@@ -202,7 +202,7 @@ class TestReaderMatchesRowLoop:
         forked = []
 
         @given(event_tables(),
-               st.sampled_from([{}, {"t": -0.5}, {"t": 1e308, "x_lead": 0.3048}]),
+               st.sampled_from([{}, {"t": 0.5}, {"t": 1e308, "x_lead": 0.3048}]),
                st.sampled_from([0.0, 0.3]), one_in(10), st.sampled_from([3, READ_CHUNK_ROWS]),
                st.sampled_from([0, READ_FORK_BYTES]))
         @settings(max_examples=300, deadline=None)

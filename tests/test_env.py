@@ -4,9 +4,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ecofollower.env import EnvState, RolloutError, reset, rollout, step
+from ecofollower import env
+from ecofollower.env import EnvConfig, EnvState, RolloutError, advance, reset, step_limits
 from ecofollower.events import CarFollowingEvent
 
+from reference_scalar import rollout, step
 from synthetic import (UNBOUNDED_ENV, constant_controller, constant_event, make_fleet,
                        positions_from_speeds, recorded_accel_controller)
 
@@ -175,3 +177,41 @@ class TestRollout:
         lines = path.read_text().strip().splitlines()
         assert lines[0] == "t,accel,v_follow,spacing,rel_speed,x_follow"
         assert len(lines) == len(trace) + 1
+
+
+_FINITE = dict(allow_nan=False, allow_infinity=False)
+
+
+class TestAdvance:
+    """The array step against the scalar oracle ``step``, bit for bit."""
+
+    @given(columns=st.lists(st.tuples(
+               st.floats(0.0, 40.0) | st.sampled_from([0.0, 1e-300]),   # v
+               st.floats(-5.0, 200.0),                                  # spacing
+               st.floats(-20.0, 20.0),                                  # rel_speed
+               st.floats(-10.0, 10.0, **_FINITE) | st.sampled_from([1e300, -1e300]),  # accel
+               st.floats(0.0, 40.0),                                    # lead speed after
+               st.floats(-1e4, 1e4),                                    # position
+               st.sampled_from([0.1, 0.04, 1.0, 0.1 + 1e-15])),          # dt
+               min_size=1, max_size=12),
+           bounds=st.sampled_from([(-3.0, 3.0), (-1.0, 6.0), (-0.3, 0.1), (-np.inf, np.inf)]),
+           gap=st.sampled_from([0.0, 2.5, -1.0]))
+    @settings(max_examples=300, deadline=None)
+    def test_equals_the_scalar_step_bit_for_bit(self, columns, bounds, gap):
+        config = EnvConfig(a_min=bounds[0], a_max=bounds[1], collision_gap=gap)
+        v, s, dv, a, lead, x, dt = map(np.array, zip(*columns))
+        row = np.array([a, v, dv, x, s])
+        nxt, collided = np.empty_like(row), np.empty(len(v), dtype=bool)
+        advance(row, nxt, np.array([dt, dt]), lead, step_limits(config), collided)
+        for j, col in enumerate(columns):
+            vj, sj, dvj, aj, leadj, xj, dtj = col
+            want = step(EnvState(vj, sj, dvj), aj, leadj, dtj, follow_position=xj, config=config)
+            assert row[0, j].tobytes() == np.float64(min(bounds[1], max(bounds[0], aj))).tobytes()
+            got = (nxt[1, j], nxt[4, j], nxt[2, j], nxt[3, j])
+            assert np.array(got).tobytes() == np.array(
+                [*want.next_state, want.follow_position]).tobytes(), j
+            assert collided[j] == want.collided
+            one = env.step(EnvState(vj, sj, dvj), aj, leadj, dtj, follow_position=xj, config=config)
+            assert np.array([*one[0], one[2]]).tobytes() == np.array(
+                [*want.next_state, want.follow_position]).tobytes()
+            assert one[1] == want.collided

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ecofollower.env import DEFAULT_ENV, SimulatedTrace, rollout, rollout_batch
+from ecofollower.env import DEFAULT_ENV, SimulatedTrace, rollout_batch
 from ecofollower.evaluate import (EvalConfig, GROUND_TRUTH, NonFiniteFuelError, compare,
                                   evaluate_controller, evaluate_ground_truth,
                                   export_distributions, pooled_steps, render_text,
@@ -17,6 +17,7 @@ from ecofollower.indicators import SPEED_FLOOR
 from ecofollower.vtmicro import VtMicroCoefficients, VtMicroModel, reference_model
 
 import reference_pooling
+from reference_scalar import rollout
 from synthetic import constant_controller, constant_event, make_fleet, positions_from_speeds
 
 FUEL = reference_model()

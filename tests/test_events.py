@@ -115,8 +115,12 @@ class TestLoadEvents:
         ([{"columns": {f: f for f in CANONICAL_FIELDS}}], "list"),
         ({"columns": {f: f for f in CANONICAL_FIELDS}, "scale": 0.3048}, "JSON objects"),
         ({"columns": {f: f for f in CANONICAL_FIELDS}, "scale": {"v_follow": "ft"}}, "v_follow must be a number"),
+        ({"columns": {f: f for f in CANONICAL_FIELDS}, "scale": {"t": 0}},
+         r"mapping.scale.t must be positive, got 0"),
+        ({"columns": {f: f for f in CANONICAL_FIELDS}, "scale": {"x_lead": -0.3048}},
+         r"mapping.scale.x_lead must be positive, got -0.3048"),
     ], ids=["scales-beside-columns", "no-columns-block", "scale-only", "top-level-list",
-            "scale-not-object", "scale-not-number"])
+            "scale-not-object", "scale-not-number", "scale-zero", "scale-negative"])
     def test_mapping_file_structure_checked(self, tmp_path, obj, named):
         path = tmp_path / "map.json"
         path.write_text(json.dumps(obj))
@@ -267,14 +271,15 @@ class TestReaderSemantics:
             for name in ("t", "x_lead", "v_lead", "x_follow", "v_follow"):
                 assert getattr(a, name).tobytes() == getattr(b, name).tobytes()
 
-    def test_negative_scale_on_t_sorts_after_scaling(self, tmp_path):
+    def test_negative_scale_on_t_is_refused(self, tmp_path):
+        # a clock that counts down would read with a negative scale; the mapping
+        # refuses it by name instead of reordering the rows
         path = tmp_path / "raw.csv"
         rows = [f"e,{-k},{12 + 0.8 * k},8.0,{0.8 * k},8.0" for k in range(4)]
         write_raw(path, rows[::-1])
-        mapping = ColumnMapping(columns={f: f for f in CANONICAL_FIELDS}, scale={"t": -0.1})
-        (ev,) = load_events(path, mapping, min_duration=0.0)
-        assert ev.t.tolist() == [0.0, 0.1, 0.2, 0.30000000000000004]
-        assert ev.x_follow.tolist() == [0.8 * k for k in range(4)]
+        with pytest.raises(SchemaError, match="mapping.scale.t must be positive, got -0.1"):
+            load_events(path, ColumnMapping(columns={f: f for f in CANONICAL_FIELDS},
+                                            scale={"t": -0.1}), min_duration=0.0)
 
 
 @st.composite

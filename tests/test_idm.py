@@ -8,11 +8,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ecofollower.cli import read_config
-from ecofollower.env import DEFAULT_ENV, EnvConfig, EnvState, RolloutError, rollout
+from ecofollower.env import DEFAULT_ENV, EnvConfig, EnvState, RolloutError
 from ecofollower.events import CarFollowingEvent
 from ecofollower.idm import (CalibrationError, IdmParams, _spacing_mse, calibrate_idm,
                              desired_spacing, idm_accel, idm_controller)
 
+from reference_scalar import rollout
 from synthetic import idm_follower_event, leader_profile, make_fleet
 
 

@@ -1,4 +1,4 @@
-"""The array indicators agree step by step with the scalar reward formulas."""
+"""The array indicators agree step by step with the scalar oracles of the reward's terms."""
 
 import warnings
 
@@ -6,12 +6,11 @@ import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from ecofollower import indicators
-from ecofollower.env import DEFAULT_ENV, rollout
+from ecofollower.env import DEFAULT_ENV
 from ecofollower.evaluate import trace_from_event
 from ecofollower.idm import IdmParams, idm_controller
-from ecofollower.objectives import jerk, time_headway, ttc
 
-from reference_scalar import ttc_signed
+from reference_scalar import jerk, rollout, time_headway, ttc, ttc_signed
 from synthetic import make_fleet
 
 

@@ -7,15 +7,16 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ecofollower.ddpg import TrainConfig, policy_controller
-from ecofollower.env import DEFAULT_ENV, EnvConfig, RolloutError, rollout, rollout_batch
+from ecofollower.env import DEFAULT_ENV, EnvConfig, RolloutError, rollout_batch
 from ecofollower.evaluate import evaluate_controller
 from ecofollower.events import CarFollowingEvent
 from ecofollower.idm import IdmParams, idm_controller
 from ecofollower.nets import Mlp
-from ecofollower.vtmicro import (VtMicroCoefficients, VtMicroModel, fuel_rate,
-                                 reference_model)
+from ecofollower.vtmicro import VtMicroCoefficients, VtMicroModel, reference_model
 
 import reference_lockstep
+from reference_scalar import rollout
+from reference_vtmicro import fuel_rate
 from synthetic import (UNBOUNDED_ENV, constant_controller, constant_event, make_fleet,
                        recorded_accel_controller)
 

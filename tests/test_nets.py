@@ -1,4 +1,6 @@
 import json
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -353,6 +355,18 @@ class TestPolicyFile:
         path.write_text(json.dumps(obj))
         with pytest.raises(PolicyLoadError, match="policy.json"):
             load_policy(path)
+
+    def test_fixture_with_a_short_row_names_it(self, tmp_path):
+        fixture = Path(__file__).resolve().parents[1] / "benchmarks/fixtures/policy_v1.json"
+        obj = json.loads(fixture.read_text())
+        del obj["weights"][1][3][-1]
+        path = tmp_path / "policy.json"
+        path.write_text(json.dumps(obj))
+        with pytest.raises(PolicyLoadError,
+                           match=re.escape("weights[1][3] has 63 numbers, expected 64 as in "
+                                           "weights[1][0]")) as info:
+            load_policy(path)
+        assert "inhomogeneous" not in str(info.value)
 
     def test_missing_version_rejected(self, tmp_path):
         path = tmp_path / "policy.json"

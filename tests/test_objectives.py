@@ -8,12 +8,15 @@ from scipy import stats as scipy_stats
 
 from ecofollower.cli import read_config
 from ecofollower.env import EnvState
-from ecofollower.objectives import (HeadwayModel, RewardConfig, RewardWeights,
-                                    f_fuel, f_headway, f_jerk, f_ttc, jerk,
-                                    reward, time_headway, ttc)
-from ecofollower.vtmicro import VtMicroCoefficients, VtMicroModel
+from hypothesis import example, given, settings, strategies as st
 
-from reference_scalar import ttc_signed
+from ecofollower.indicators import SPEED_FLOOR
+from ecofollower.objectives import (TTC_BOUND, HeadwayModel, RewardConfig, RewardWeights,
+                                    step_rewards)
+from ecofollower.vtmicro import VtMicroCoefficients, VtMicroModel, reference_model
+
+from reference_scalar import (f_fuel, f_headway, f_jerk, f_ttc, jerk, reward, time_headway,
+                              ttc, ttc_signed)
 
 ZERO_FUEL = VtMicroModel(
     accel=VtMicroCoefficients(k=np.zeros((4, 4)), regime="acceleration"),
@@ -185,6 +188,92 @@ class TestReward:
             br = reward(s, a, ap, s2, 0.1, s2.spacing <= 0, cfg, ZERO_FUEL)
             for v in (br.f_ttc, br.f_headway, br.f_fuel, br.f_jerk, br.total):
                 assert math.isfinite(v)
+
+
+_TRANSITION = st.tuples(
+    st.floats(0.0, 35.0) | st.sampled_from([0.0, 0.05, SPEED_FLOOR]),   # pre-step speed
+    st.floats(-3.0, 3.0) | st.sampled_from([0.0, -0.0, 3.0, -3.0]),      # accel
+    st.floats(-3.0, 3.0),                                                # previous accel
+    st.floats(0.0, 35.0) | st.sampled_from([0.0, 0.09, SPEED_FLOOR]),   # next speed
+    st.floats(-2.0, 120.0) | st.sampled_from([0.0, 0.01, 0.3, 1e-3]),    # next spacing
+    st.floats(-15.0, 15.0) | st.sampled_from([0.0, -0.0, -1e-9, -40.0]),  # next rel_speed
+    st.sampled_from([0.1, 0.04]))                                        # dt
+
+
+def array_rewards(transitions, cfg, gap=0.0, fuel=None):
+    v, a, ap, v2, s2, dv2, dt = map(np.array, zip(*transitions))
+    collided = s2 <= gap
+    return step_rewards(v, a, ap, EnvState(v2, s2, dv2), dt, collided, cfg,
+                        fuel or reference_model()), collided
+
+
+def assert_matches_oracle(transitions, cfg, gap=0.0, fuel=None):
+    fuel = fuel or reference_model()
+    got, collided = array_rewards(transitions, cfg, gap, fuel)
+    for j, (v, a, ap, v2, s2, dv2, dt) in enumerate(transitions):
+        want = reward(EnvState(v, 0.0, 0.0), a, ap, EnvState(v2, s2, dv2), dt,
+                      bool(collided[j]), cfg, fuel)
+        terms = (want.f_ttc, want.f_headway, want.f_fuel, want.f_jerk)
+        for name, w in zip(("f_ttc", "f_headway", "f_fuel", "f_jerk", "fuel_rate"),
+                           (*terms, want.fuel_rate)):
+            assert getattr(got, name)[j] == pytest.approx(w, rel=1e-12, abs=0), (name, j)
+        # the total to 1e-12 of its terms' magnitudes: they may cancel
+        scale = sum(abs(t) for t in terms) + abs(cfg.collision_penalty) * collided[j]
+        assert abs(got.total[j] - want.total) <= 1e-12 * scale, ("total", j)
+
+
+class TestStepRewards:
+    """The array reward against the scalar oracle ``reward``, per element."""
+
+    @given(transitions=st.lists(_TRANSITION, min_size=1, max_size=16),
+           weights=st.tuples(*[st.sampled_from([1.0, 0.0, 2.5, -0.5])] * 4),
+           ttc_floor=st.sampled_from([0.1, 0.5]), gap=st.sampled_from([0.0, -1.0, 1.0]))
+    # a subnormal gap: its headway and its TTC underflow to 0
+    @example(transitions=[(0.0, 0.0, 0.0, 2.0, 5e-324, 0.0, 0.1),
+                          (0.0, 0.0, 0.0, 2.0, 5e-324, -40.0, 0.1)],
+             weights=(1.0, 1.0, 1.0, 1.0), ttc_floor=0.1, gap=0.0)
+    @settings(max_examples=300, deadline=None)
+    def test_equals_the_scalar_reward(self, transitions, weights, ttc_floor, gap):
+        cfg = RewardConfig(weights=RewardWeights(*weights), ttc_floor=ttc_floor)
+        assert_matches_oracle(transitions, cfg, gap)
+
+    def test_each_case_of_the_terms(self):
+        cases = {
+            "collided": (8.0, -1.0, 0.0, 7.5, -0.1, -4.5, 0.1),
+            "opening gap": (8.0, 0.5, 0.0, 8.0, 12.0, 2.0, 0.1),
+            "below the speed floor": (0.05, 0.0, 0.0, 0.05, 12.0, -1.0, 0.1),
+            "ttc floor": (8.0, -3.0, 3.0, 8.0, 0.05, -1.0, 0.1),
+            "ttc past the bound": (8.0, 0.0, 0.0, 8.0, 50.0, -2.0, 0.1),
+            "ttc at the bound": (8.0, 0.0, 0.0, 8.0, 8.0, -2.0, 0.1),
+            "accel regime": (12.0, 1.5, 0.0, 12.15, 20.0, -0.15, 0.1),
+            "decel regime": (12.0, -1.5, 0.0, 11.85, 20.0, 0.15, 0.1),
+        }
+        transitions = list(cases.values())
+        cfg = RewardConfig()
+        assert_matches_oracle(transitions, cfg)
+        got, collided = array_rewards(transitions, cfg)
+        by_case = {name: j for j, name in enumerate(cases)}
+        assert collided.tolist() == [name == "collided" for name in cases]
+        for name in ("collided", "opening gap", "ttc past the bound", "ttc at the bound"):
+            assert got.f_ttc[by_case[name]] == 0.0, name
+        assert got.f_ttc[by_case["ttc floor"]] == pytest.approx(math.log(0.1 / TTC_BOUND),
+                                                                rel=1e-12)
+        for name in ("collided", "below the speed floor"):
+            assert got.f_headway[by_case[name]] == 0.0, name
+        model = reference_model()
+        rates = got.fuel_rate[[by_case["accel regime"], by_case["decel regime"]]]
+        assert rates.tolist() == model.rates(np.array([12.0, 12.0]),
+                                             np.array([1.5, -1.5])).tolist()
+
+    def test_overflowing_rate_clips_the_fuel_term(self):
+        k = np.zeros((4, 4))
+        k[1, 0] = 100.0   # exponent 100 v: inf at 10 m/s
+        fuel = VtMicroModel(VtMicroCoefficients(k, "acceleration"),
+                            VtMicroCoefficients(k, "deceleration"))
+        transitions = [(10.0, 0.5, 0.0, 10.05, 20.0, 0.0, 0.1)]
+        got, _ = array_rewards(transitions, RewardConfig(), fuel=fuel)
+        assert got.fuel_rate[0] == math.inf and got.f_fuel[0] == -5.0
+        assert_matches_oracle(transitions, RewardConfig(), fuel=fuel)
 
 
 class TestRewardConfigJson:
