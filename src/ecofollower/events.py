@@ -16,6 +16,7 @@ import json
 import math
 import os
 import pickle
+import re
 import tempfile
 import warnings
 from dataclasses import dataclass, field
@@ -236,11 +237,9 @@ def extract_events(path, mapping: ColumnMapping | None = None,
 
     The header is read by the csv module and the records by numpy's C reader,
     ``READ_CHUNK_ROWS`` at a time; a file of ``READ_FORK_BYTES`` or more that
-    holds no ``"`` from two processes, with the result of one. A numeric cell
-    is accepted exactly when ``float()`` accepts it: a file numpy refuses is
-    read again with the csv module and ``float()``, which parses the
-    spellings that only ``float()`` takes (``1_0``, non-ASCII digits) or
-    names the first bad record's line.
+    holds no ``"`` from two processes, with the result of one. A cell is
+    accepted when numpy's reader accepts it and the file holds no byte
+    0x1C-0x1F (``_scan``).
     """
     mapping = mapping or ColumnMapping.identity()
     path = Path(path)
@@ -256,9 +255,10 @@ def extract_events(path, mapping: ColumnMapping | None = None,
             position = {name: i for i, name in enumerate(header)}
             where = [position[mapping.columns[f]] for f in CANONICAL_FIELDS]
             code_of, codes, columns = _read_columns(fh, where, path)
-    except UnicodeDecodeError as exc:
-        raise SchemaError(f"{path} is not UTF-8 text: {exc}") from exc
-    except csv.Error as exc:   # from the header read or the float() re-read
+    except UnicodeDecodeError as exc:   # its position counts from the block being decoded
+        raise SchemaError(f"{path} is not UTF-8 text: can't decode byte "
+                          f"{exc.object[exc.start]:#04x} ({exc.reason})") from exc
+    except csv.Error as exc:   # from the header read
         raise SchemaError(f"{path} is not a readable CSV: {exc}") from exc
 
     events: list[CarFollowingEvent] = []
@@ -293,50 +293,48 @@ def _read_columns(fh, where: list[int], path):
 
     ``where`` holds the positions of the canonical fields. numpy's C reader
     parses the chunks; in a quote-free file of ``READ_FORK_BYTES`` or more it
-    does so from two processes (``_read_halves``). Where it refuses the file (a
-    ValueError, which a UnicodeDecodeError is too), or where the file holds a
-    byte 0x1C-0x1F, which it strips around a number and ``float()`` does not,
-    the records are read again from the top with ``float()``. Returns the event
-    ids, each mapped to its code in order of first appearance, and the
-    per-chunk arrays of the codes and of each numeric column.
+    does so from two processes (``_read_halves``). A record numpy refuses raises
+    DataError naming its line, which counts the header and the non-blank
+    records only, then numpy's message. Returns the event ids, each mapped to
+    its code in order of first appearance, and the per-chunk arrays of the
+    codes and of each numeric column.
     """
-    separator, cut = _scan(path)
-    if not separator:
-        try:
-            if cut is None:
-                return _columns(_loadtxt_chunks(fh, where))
-            return _read_halves(path, where, cut)
-        except ValueError:
-            pass
-    fh.seek(0)
-    reader = csv.reader(fh)
-    next(reader)
-    return _columns(_float_chunks(reader, where, path))
+    try:
+        cut = _scan(path)
+        if cut is None:
+            return _columns(_loadtxt_chunks(fh, where))
+        return _read_halves(path, where, cut)
+    except _Refused as exc:
+        record, reason = exc.args
+        raise DataError(f"{path}:{record + 2}: {reason}") from exc
 
 
-def _scan(path) -> tuple[bool, int | None]:
-    """Whether the file at ``path`` holds a byte 0x1C-0x1F (in UTF-8, only an
-    ASCII information separator); and the offset just past its first LF at or
-    after its middle, where a second process may start parsing, or None for a
-    file under ``READ_FORK_BYTES``, with a ``"`` or with no such LF before its
-    last byte. Without a ``"`` every LF ends a record."""
-    separator, quote, cut, offset = False, False, None, 0
+def _scan(path) -> int | None:
+    """The offset just past the first LF at or after the middle of the file at
+    ``path``, where a second process may start parsing; None for a file under
+    ``READ_FORK_BYTES``, with a ``"`` (without one every LF ends a record) or
+    with no such LF before its last byte. A byte 0x1C-0x1F (in UTF-8, only an
+    ASCII information separator) raises DataError naming its offset."""
+    quote, cut, offset = False, None, 0
     with open(path, "rb") as fh:
         middle = os.fstat(fh.fileno()).st_size // 2
         for block in iter(lambda: fh.read(1 << 20), b""):
-            separator = separator or any(sep in block for sep in b"\x1c\x1d\x1e\x1f")
+            if found := [at for at in map(block.find, b"\x1c\x1d\x1e\x1f") if at >= 0]:
+                raise DataError(f"{path}: byte {block[min(found)]:#04x} at offset "
+                                f"{offset + min(found)} is an ASCII information separator")
             quote = quote or b'"' in block
             if cut is None and (at := block.find(b"\n", max(0, middle - offset))) >= 0:
                 cut = offset + at + 1
             offset += len(block)
-    return separator, None if quote or offset < READ_FORK_BYTES or cut == offset else cut
+    return None if quote or offset < READ_FORK_BYTES or cut == offset else cut
 
 
 def _read_halves(path, where: list[int], cut: int):
     """``_columns`` of the file at ``path``, whose records from byte ``cut`` on
     another process parses (``in_two``) while this one parses those before it.
     The tail's codes are mapped onto the head's, ids first seen past the cut
-    taking the next codes. A ValueError in either half raises one here."""
+    taking the next codes. A ValueError in either half raises here: the
+    tail's comes back as its result, so that no record is parsed twice."""
 
     def head():
         with _span(path, 0, cut) as fh:
@@ -347,12 +345,14 @@ def _read_halves(path, where: list[int], cut: int):
         try:
             with _span(path, cut, None) as fh:
                 return _columns(_loadtxt_chunks(fh, where))
-        except ValueError:  # raised below, so that a failed tail is parsed once
-            return None
+        except ValueError as exc:   # a refused record or a byte that is not UTF-8
+            return exc
 
     (code_of, codes, columns), parsed = in_two(head, tail)
-    if parsed is None:
-        raise ValueError("numpy refused a record past the cut")
+    if isinstance(parsed, _Refused):   # its index counts the head's records too
+        raise _Refused(parsed.args[0] + sum(map(len, codes)), parsed.args[1])
+    if isinstance(parsed, ValueError):
+        raise parsed
     tail_code_of, tail_codes, tail_columns = parsed
     recode = np.array([code_of.setdefault(eid, len(code_of)) for eid in tail_code_of], np.intp)
     codes += [recode[chunk] for chunk in tail_codes]
@@ -389,36 +389,35 @@ def _span(path, start: int, stop: int | None):
     return io.TextIOWrapper(io.BufferedReader(_Span(path, start, stop)), "utf-8", newline="")
 
 
+class _Refused(ValueError):
+    """``(record, reason)``: numpy's reader refused the record at index
+    ``record`` of a stream of records (blank lines are none), for ``reason``."""
+
+
 def _loadtxt_chunks(fh, where: list[int]):
-    """The records of ``fh`` as numpy's C reader parses them, in RECORD arrays."""
+    """The records of ``fh`` as numpy's C reader parses them, in RECORD arrays.
+    A record it refuses raises _Refused."""
+    read = 0
     while True:
-        with warnings.catch_warnings():
-            # numpy's notes on a blank line and on a read that finds no records
-            warnings.simplefilter("ignore", UserWarning)
-            chunk = np.loadtxt(fh, RECORD, delimiter=",", quotechar='"', comments=None,
-                               usecols=where, ndmin=1, max_rows=READ_CHUNK_ROWS)
+        try:
+            with warnings.catch_warnings():
+                # numpy's notes on a blank line and on a read that finds no records
+                warnings.simplefilter("ignore", UserWarning)
+                chunk = np.loadtxt(fh, RECORD, delimiter=",", quotechar='"', comments=None,
+                                   usecols=where, ndmin=1, max_rows=READ_CHUNK_ROWS)
+        except ValueError as exc:
+            # the last row numpy's message names counts the call's non-blank records:
+            # a bad value's from 0, a short row's (naming the column it lacks) from 1
+            reason = str(exc)
+            if not (found := re.match(r"(?:invalid column index (\d+))?.* at row (\d+)", reason)):
+                raise
+            column, row = found.groups()
+            what = "missing event id" if column == str(where[0]) else "unparsable numeric value"
+            raise _Refused(read + int(row) - bool(column), f"{what} (numpy: {reason})") from exc
         if not len(chunk):
             return
+        read += len(chunk)
         yield chunk
-
-
-def _float_chunks(reader, where: list[int], path):
-    """The records of ``reader`` with each mapped numeric cell parsed by
-    ``float()``, in RECORD arrays. The first record that lacks a mapped cell
-    or holds a numeric cell ``float()`` rejects raises DataError naming its
-    line, which counts the header and the non-blank records only."""
-    rows = enumerate(filter(None, reader), start=2)
-    while chunk := list(itertools.islice(rows, READ_CHUNK_ROWS)):
-        records = []
-        for lineno, row in chunk:
-            try:
-                values = [float(row[i]) for i in where[1:]]
-            except (IndexError, ValueError) as exc:
-                raise DataError(f"{path}:{lineno}: unparsable numeric value") from exc
-            if where[0] >= len(row):
-                raise DataError(f"{path}:{lineno}: missing event id")
-            records.append((row[where[0]], *values))
-        yield np.array(records, RECORD)
 
 
 def _columns(chunks):

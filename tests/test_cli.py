@@ -910,8 +910,7 @@ def test_non_utf8_csv_names_its_file(tmp_path, fleet_csv, capsys, argv):
 def test_non_utf8_byte_after_the_first_chunk_names_its_file(tmp_path, fleet_csv, capsys,
                                                             monkeypatch):
     # numpy's reader parses chunks of 64 records, then meets the byte on the
-    # last line, past the first 8 KiB the file decodes at once; the file is
-    # read again with the csv module, which names it
+    # last line, past the first 8 KiB the file decodes at once
     monkeypatch.setattr("ecofollower.events.READ_CHUNK_ROWS", 64)
     lines = fleet_csv.read_bytes().split(b"\r\n")
     assert len(lines) > 10 * 64 and len(fleet_csv.read_bytes()) > 10 * 8192
@@ -923,6 +922,90 @@ def test_non_utf8_byte_after_the_first_chunk_names_its_file(tmp_path, fleet_csv,
     assert code == 2, err
     assert "late_latin.csv" in err and "UTF-8" in err and "Traceback" not in err
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+# faults numpy's reader refuses, each put on line 802, record 800 of the
+# fixture's 1,117, which lies past the cut of a two-process read: a cell for
+# the last v_follow, "short" a record without it, and "separator-id" a 0x1C
+# byte inside the event id; a file holding that byte is refused by its offset
+FAULTS = {"value": b",fast", "empty": b",", "short": b"", "underscore": b",1_0",
+          "arabic-digit": ",\u0661".encode(), "separator": b",\x1c1", "separator-id": b""}
+FAULT_LINE = 802
+
+
+def _faulty_csv(fleet_csv, path, fault):
+    lines = fleet_csv.read_bytes().split(b"\r\n")
+    record = lines[FAULT_LINE - 1]
+    if fault == "separator-id":
+        record = record[:1] + b"\x1c" + record[1:]
+    else:
+        record = record[:record.rindex(b",")] + FAULTS[fault]
+    lines[FAULT_LINE - 1] = record
+    path.write_bytes(b"\r\n".join(lines))
+    return path
+
+
+@pytest.mark.parametrize("how", ["one-process", "chunk-edge", "past-the-cut"])
+@pytest.mark.parametrize("fault", list(FAULTS))
+def test_refused_record_exit_2_naming_its_line(tmp_path, fleet_csv, capsys, monkeypatch,
+                                               fault, how):
+    path = _faulty_csv(fleet_csv, tmp_path / "refused.csv", fault)
+    if how == "chunk-edge":   # the record is the first of the ninth chunk of 100
+        monkeypatch.setattr("ecofollower.events.READ_CHUNK_ROWS", 100)
+    if how == "past-the-cut":
+        monkeypatch.setattr("ecofollower.events.READ_FORK_BYTES", 0)
+    forks, exits = count_forks(monkeypatch), record_exits(monkeypatch)
+    code = main(["stats", "--events", str(path), "--out", str(tmp_path / "o")])
+    err = capsys.readouterr().err
+    assert code == 2, err
+    assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err
+    if fault.startswith("separator"):
+        offset = path.read_bytes().index(b"\x1c")
+        assert err.startswith(f"error: {path}: byte 0x1c at offset {offset} "), err
+        assert forks == []
+    else:
+        assert err.startswith(f"error: {path}:{FAULT_LINE}: unparsable numeric value"), err
+        assert forks == ([1] if how == "past-the-cut" else [])
+    assert exits == [0] * len(forks)
+    assert_no_child_left()
+
+
+@pytest.mark.parametrize("fault", ["value", "not-utf8"])
+def test_fault_past_the_cut_parsed_once(tmp_path, fleet_csv, capsys, monkeypatch, fault):
+    # the child parses the tail, meets the fault and returns it; this process
+    # parses the records before the cut only, and no one parses the tail again
+    path = tmp_path / "late_fault.csv"
+    if fault == "not-utf8":
+        lines = fleet_csv.read_bytes().split(b"\r\n")
+        lines[FAULT_LINE - 1] = b"\xff" + lines[FAULT_LINE - 1]
+        path.write_bytes(b"\r\n".join(lines))
+    else:
+        _faulty_csv(fleet_csv, path, fault)
+    monkeypatch.setattr("ecofollower.events.READ_CHUNK_ROWS", 100)
+    monkeypatch.setattr("ecofollower.events.READ_FORK_BYTES", 0)
+    cut = ecofollower.events._scan(path)
+    head_records = path.read_bytes()[:cut].count(b"\r\n") - 1
+    assert head_records < FAULT_LINE - 2
+    parent, real_columns, parsed = os.getpid(), ecofollower.events._columns, []
+
+    def counted(chunks):   # the records of each chunk of parsed records this process keeps
+        for chunk in chunks:
+            if os.getpid() == parent:
+                parsed.append(len(chunk))
+            yield chunk
+
+    monkeypatch.setattr("ecofollower.events._columns", lambda chunks: real_columns(counted(chunks)))
+    forks, exits = count_forks(monkeypatch), record_exits(monkeypatch)
+    code = main(["stats", "--events", str(path), "--out", str(tmp_path / "o")])
+    err = capsys.readouterr().err
+    assert code == 2, err
+    assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err
+    if fault == "not-utf8":
+        assert err.startswith(f"error: {path} is not UTF-8 text: can't decode byte 0xff"), err
+    else:
+        assert err.startswith(f"error: {path}:{FAULT_LINE}: unparsable numeric value"), err
+    assert (forks, exits, sum(parsed)) == ([1], [0], head_records)
+    assert_no_child_left()
 
 
 LONG_CELL = "x" * 200_000   # past the csv module's 131,072-character field limit
@@ -946,25 +1029,24 @@ def _long_id_csv(path, x_lead: str):
     pytest.param(["eval", "--ground-truth", "--events"], id="eval"),
     pytest.param(["compare", "--events"], id="compare"),
 ])
-@pytest.mark.parametrize("make_file", [
-    pytest.param(_long_header_csv, id="header-cell"),
-    # 1_0 is a float() spelling numpy refuses, so the file is read again by the csv module
-    pytest.param(lambda path: _long_id_csv(path, "1_0"), id="event-id"),
+@pytest.mark.parametrize("make_file, says", [
+    pytest.param(_long_header_csv, ": field larger than field limit", id="header-cell"),
+    # the csv module's field limit holds for the header only: a record with an
+    # over-long id and a cell numpy refuses (1_0) is refused for that cell
+    pytest.param(lambda path: _long_id_csv(path, "1_0"), ":2: unparsable numeric value",
+                 id="event-id"),
 ])
-def test_over_long_field_names_its_file(tmp_path, capsys, argv, make_file):
-    code = main([*argv, str(make_file(tmp_path / "long_input.csv")), "--out", str(tmp_path / "o")])
+def test_over_long_field_names_its_file(tmp_path, capsys, argv, make_file, says):
+    path = make_file(tmp_path / "long_input.csv")
+    code = main([*argv, str(path), "--out", str(tmp_path / "o")])
     err = capsys.readouterr().err
     assert code == 2, err
-    assert "long_input.csv" in err and "field larger than field limit" in err
+    assert str(path) in err and says in err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert not (tmp_path / "o").exists()
 
 
-def test_over_long_event_id_loads_through_numpy(tmp_path, monkeypatch):
-    def no_reread(*args):
-        raise AssertionError("read again by the csv module")
-
-    monkeypatch.setattr("ecofollower.events._float_chunks", no_reread)
+def test_over_long_event_id_loads_through_numpy(tmp_path):
     [event] = load_events(_long_id_csv(tmp_path / "long_id.csv", "10.0"), min_duration=0.0)
     assert event.event_id == LONG_CELL and event.x_lead.tolist() == [10.0, 10.5]
 

@@ -216,17 +216,40 @@ class TestReaderSemantics:
         (ev,) = load_events(path, min_duration=0.0)
         assert ev.event_id == "e" and len(ev) == 3
 
-    # float() does not strip an ASCII separator (0x1C-0x1F) before a number, as numpy does
-    @pytest.mark.parametrize("bad", ["e,0.2,13.6,8.0,1.6,fast", "e,0.2,13.6,8.0,1.6",
-                                     "e,0.2,13.6,8.0,1.6,", "e,0.2,13.6,8.0,1.6,\x1c8.0"],
-                             ids=["unparsable", "short", "empty", "separator"])
-    def test_bad_record_names_its_line(self, tmp_path, bad):
+    # numpy strips an ASCII separator (0x1C-0x1F) around a number, so a file
+    # holding one is refused by the byte's offset: 43 bytes of header, two
+    # records of 23 and the 19 of "e,0.2,13.6,8.0,1.6," come before it
+    @pytest.mark.parametrize("bad, says", [
+        ("e,0.2,13.6,8.0,1.6,fast", ":4: unparsable numeric value"),
+        ("e,0.2,13.6,8.0,1.6", ":4: unparsable numeric value"),
+        ("e,0.2,13.6,8.0,1.6,", ":4: unparsable numeric value"),
+        ("e,0.2,13.6,8.0,1.6,\x1c8.0", ": byte 0x1c at offset 108 is an ASCII information"),
+    ], ids=["unparsable", "short", "empty", "separator"])
+    def test_bad_record_names_its_line(self, tmp_path, bad, says):
         path = tmp_path / "raw.csv"
         rows = simple_rows("e", 4)
         rows[2] = bad
         write_raw(path, rows)
-        with pytest.raises(DataError, match=rf"^{re.escape(str(path))}:4: unparsable numeric"):
+        with pytest.raises(DataError, match=rf"^{re.escape(str(path) + says)}"):
             extract_events(path)
+
+    # with 3 records a chunk, record k (from 0) is the first (k = 0, 3) or the last
+    # (k = 2, 5) of its chunk; two blank lines come before every record, so the
+    # bad record is physically on line 3k + 4
+    @pytest.mark.parametrize("k, line", [(0, 2), (2, 4), (3, 5), (5, 7)])
+    @pytest.mark.parametrize("bad", ["e,0.2,13.6,8.0,1.6,fast", "e,0.2,13.6,8.0,1.6,at row 9",
+                                     "e,0.2,13.6,8.0,1.6,", "e,0.2,13.6,8.0,1.6"],
+                             ids=["value", "value-naming-a-row", "empty", "short"])
+    def test_refused_record_line_counts_records_across_chunks(self, tmp_path, monkeypatch,
+                                                              bad, k, line):
+        monkeypatch.setattr("ecofollower.events.READ_CHUNK_ROWS", 3)
+        path = tmp_path / "raw.csv"
+        rows = simple_rows("e", 7)
+        rows[k] = bad
+        write_raw(path, [text for row in rows for text in ("", "", row)])
+        says = rf"^{re.escape(str(path))}:{line}: unparsable numeric value \(numpy: "
+        with pytest.raises(DataError, match=says):
+            extract_events(path, min_duration=0.0)
 
     def test_record_without_event_id_names_its_line(self, tmp_path):
         path = tmp_path / "raw.csv"
