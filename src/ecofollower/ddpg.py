@@ -266,6 +266,8 @@ def train(events: Sequence[CarFollowingEvent],
     update_floor = max(cfg.warmup_steps, cfg.batch_size)
     divisors, (a_min, one, two, span) = _state_divisors(cfg), _action_operands(env_config)
     limits, theta = step_limits(env_config), np.array(-cfg.ou_theta)
+    # the env rows of an observation's speed, spacing and relative speed, and their divisors
+    obs_rows, obs_divisors = np.array([1, 4, 2]), np.array(divisors)
 
     # One column (a row of obs and lead) per slot; the running slots are the first n.
     # env holds (accel, v_follow, rel_speed, x_follow, spacing) as advance reads it;
@@ -319,8 +321,7 @@ def train(events: Sequence[CarFollowingEvent],
         advance(row, nxt, dt[:, :n], lead.take(at[:n]), limits, hit)
         r = step_rewards(row[1], accel, accel_prev[:n], EnvState(nxt[1], nxt[4], nxt[2]),
                          dt[0, :n], hit, reward_config, fuel_model)
-        for col, x, d in zip(obs_next.T, (nxt[1], nxt[4], nxt[2]), divisors):
-            np.divide(x, d, out=col[:n])
+        np.divide(nxt.take(obs_rows, axis=0).T, obs_divisors, out=obs_next[:n])
         # timeouts are not stored as terminal so the TD target keeps bootstrapping
         buffer.push(obs[:n], y, r.total, obs_next[:n], hit)
         reward_sum[:n] += r.total

@@ -102,17 +102,25 @@ def pooled_steps(traces: Sequence[SimulatedTrace], fuel_model: VtMicroModel,
     Keys: ``ttc`` (signed, clipped to +/- cap, any nonzero rel speed),
     ``jerk``, ``headway`` (steps above the speed floor) and ``fuel_rate``
     (every step), one distribution file each, then ``ttc_closing`` (capped,
-    closing-gap steps only). Jerk is taken per trace, as the acceleration
-    before each trace's step 0 is 0.
+    closing-gap steps only). Jerk is ``indicators.jerk`` of each trace: one
+    difference over the pooled accelerations, whose first step of each trace
+    is set to its acceleration (the acceleration before step 0 is 0, and
+    x - 0.0 is x), divided by each step's trace dt.
     """
     v_follow = np.concatenate([tr.v_follow for tr in traces])
     spacing = np.concatenate([tr.spacing for tr in traces])
     rel_speed = np.concatenate([tr.rel_speed for tr in traces])
+    accel = np.concatenate([tr.accel for tr in traces])
+    lengths = [len(tr) for tr in traces]
+    starts = np.cumsum([0] + lengths[:-1])[np.array(lengths, dtype=bool)]
+    jerk = np.diff(accel, prepend=0.0)
+    jerk[starts] = accel[starts]
+    jerk /= np.repeat([tr.dt for tr in traces], lengths)
     return {
         "ttc": indicators.ttc_signed(spacing, rel_speed, cfg.ttc_cap),
-        "jerk": np.concatenate([indicators.jerk(tr.accel, tr.dt) for tr in traces]),
+        "jerk": jerk,
         "headway": indicators.headway(spacing, v_follow),
-        "fuel_rate": fuel_model.rates(v_follow, np.concatenate([tr.accel for tr in traces])),
+        "fuel_rate": fuel_model.rates(v_follow, accel),
         "ttc_closing": indicators.ttc_closing(spacing, rel_speed, cfg.ttc_cap),
     }
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, fields, replace
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -43,10 +43,29 @@ class IdmParams:
         if self.s_jam < 0 or self.T_headway < 0:
             raise ValueError(f"s_jam and T_headway must be non-negative: {self}")
 
+    @property
+    def interaction(self) -> float:
+        """2 sqrt(a_max a_comf), the divisor of the desired gap's closing-speed term."""
+        return 2.0 * math.sqrt(self.a_max * self.a_comf)
+
+
+class _Operands(NamedTuple):
+    """What ``idm_accel`` reads of an IdmParams, as 0-d float64 arrays, which a
+    ufunc takes faster than floats and computes the same with. ``interaction``
+    is negated, so the env's rel_speed goes in as the closing speed: v * rel / -c
+    is v * (-rel) / c bit for bit."""
+
+    a_max: np.ndarray
+    v_desired: np.ndarray
+    beta: np.ndarray
+    s_jam: np.ndarray
+    T_headway: np.ndarray
+    interaction: np.ndarray
+
 
 def desired_spacing(params: IdmParams, v: float, dv_closing: float) -> float:
     """Equilibrium-plus-dynamic desired gap at speed v and closing speed dv."""
-    dynamic = v * params.T_headway + v * dv_closing / (2.0 * math.sqrt(params.a_max * params.a_comf))
+    dynamic = v * params.T_headway + v * dv_closing / params.interaction
     return params.s_jam + np.maximum(0.0, dynamic)
 
 
@@ -55,7 +74,8 @@ def idm_accel(params: IdmParams, v: float, spacing: float, dv_closing: float) ->
 
     Raises on non-positive spacing: the caller must have terminated the
     rollout on collision before asking for another command. An overflow of
-    a numpy input gives -inf (Python floats raise OverflowError).
+    a numpy input gives -inf (Python floats raise OverflowError). ``params``
+    may also be ``idm_controller``'s ``_Operands``.
     """
     if np.count_nonzero(np.less_equal(spacing, 0.0)):
         raise ValueError(f"idm_accel needs positive spacing, got {spacing}")
@@ -70,15 +90,18 @@ def idm_controller(params: IdmParams) -> Controller:
 
     The env clamps the command to its actuator bounds after checking that it
     is finite, so an overflowing IDM fails its event instead of braking.
-    Arrays of states get the parameters as 0-d arrays, which a ufunc takes
-    faster than floats and computes the same with; a float state keeps the
-    floats, as Python's float power rounds differently from numpy's.
+    Arrays of states get the parameters as ``_Operands``, built once, and pass
+    rel_speed as it is; a float state keeps the float parameters, as Python's
+    float power rounds differently from numpy's.
     """
-    operands = IdmParams(*(np.array(float(getattr(params, f.name))) for f in fields(IdmParams)))
+    operands = _Operands(*(np.array(float(x)) for x in (
+        params.a_max, params.v_desired, params.beta, params.s_jam, params.T_headway,
+        -params.interaction)))
 
     def control(state: EnvState, k: int) -> float | np.ndarray:
-        p = operands if type(state.follow_speed) is np.ndarray else params
-        return idm_accel(p, state.follow_speed, state.spacing, -state.rel_speed)
+        if type(state.follow_speed) is np.ndarray:
+            return idm_accel(operands, state.follow_speed, state.spacing, state.rel_speed)
+        return idm_accel(params, state.follow_speed, state.spacing, -state.rel_speed)
 
     return control
 

@@ -85,10 +85,16 @@ class Mlp:
         return weights, biases
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        return self.forward_cache(x)[0]
+        return self._layers(x, None)
 
     def forward_cache(self, x: np.ndarray):
-        """Forward pass keeping per-layer outputs for backward().
+        """Forward pass keeping per-layer outputs for backward()."""
+        outs = []
+        return self._layers(x, outs), outs
+
+    def _layers(self, x: np.ndarray, outs: list | None) -> np.ndarray:
+        """The forward pass, appending the input and each layer's output to
+        ``outs`` unless it is None.
 
         A 1-D or 2-D float64 array is used as given (a row as ``x[None]``), which
         is what ``np.atleast_2d(np.asarray(x, dtype=float))`` would return for it
@@ -98,7 +104,8 @@ class Mlp:
             h = x[None] if x.ndim == 1 else x
         else:
             h = np.atleast_2d(np.asarray(x, dtype=float))
-        outs = [h]
+        if outs is not None:
+            outs.append(h)
         # h @ w is a fresh array, so the bias and the squash can write into it;
         # tanh's out is passed by position, as the keyword costs more than a
         # one-row call saves by skipping the allocation
@@ -107,8 +114,9 @@ class Mlp:
             h += b
             if squashed:
                 np.tanh(h, h)
-            outs.append(h)
-        return h, outs
+            if outs is not None:
+                outs.append(h)
+        return h
 
     def _pre_activation_grad(self, cache: list[np.ndarray], grad: np.ndarray,
                              layer: int) -> np.ndarray:
@@ -201,9 +209,9 @@ def save_policy(net: Mlp, path) -> None:
         "weights": [w.tolist() for w in net.weights],
         "biases": [b.tolist() for b in net.biases],
     }
+    # json.dumps runs the C encoder; json.dump writes the same text in Python chunks
     with open(path, "w") as fh:
-        json.dump(obj, fh)
-        fh.write("\n")
+        fh.write(json.dumps(obj) + "\n")
 
 
 def load_policy(path, expect_sizes=None) -> Mlp:

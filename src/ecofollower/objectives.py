@@ -92,21 +92,22 @@ def step_rewards(follow_speed: np.ndarray, accel: np.ndarray, accel_prev: np.nda
     (left-rectangle rule). A collision adds the terminal penalty on top of the
     weighted sum.
     """
-    n = len(accel)
-    f_ttc, f_headway = np.zeros(n), np.zeros(n)
-    ahead = next_state.spacing > 0
-    spacing = next_state.spacing[ahead]
-    # capped at the bound, a longer TTC scores ln(4/4) = 0, as an opening gap does;
-    # so does one that underflows to 0, which is outside the band (0, 4] too
-    ttc = indicators.ttc_closing(spacing, next_state.rel_speed[ahead], TTC_BOUND)
-    f_ttc[ahead & (next_state.rel_speed < 0)] = np.where(
-        ttc > 0, np.log(np.maximum(ttc, config.ttc_floor) / TTC_BOUND), 0.0)
-    h = indicators.headway(spacing, next_state.follow_speed[ahead])
-    moving = ahead & (next_state.follow_speed >= indicators.SPEED_FLOOR)
-    moving[moving] = h > 0   # a headway that underflows to 0 has no density
-    h = h[h > 0]
-    z = (np.log(h) - config.headway.mu) / config.headway.sigma
-    f_headway[moving] = np.exp(-0.5 * z * z) / (h * config.headway.sigma * _SQRT_2PI)
+    spacing, rel_speed, speed = next_state.spacing, next_state.rel_speed, next_state.follow_speed
+    # Each term on every transition, kept where it is defined; elsewhere the
+    # divisions and logs may give inf or NaN, which np.where drops. A TTC or
+    # headway above 0, of a closing gap or at a positive speed, has a gap
+    # ahead, so no spacing test is needed.
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        # capped at the bound, a longer TTC scores ln(4/4) = 0, as an opening gap does;
+        # so does one that underflows to 0, which is outside the band (0, 4] too
+        ttc = np.minimum(indicators.time_to_collision(spacing, rel_speed), TTC_BOUND)
+        f_ttc = np.where((rel_speed < 0) & (ttc > 0),
+                         np.log(np.maximum(ttc, config.ttc_floor) / TTC_BOUND), 0.0)
+        h = indicators.time_headway(spacing, speed)
+        z = (np.log(h) - config.headway.mu) / config.headway.sigma
+        # a headway that underflows to 0 has no density
+        f_headway = np.where((speed >= indicators.SPEED_FLOOR) & (h > 0),
+                             np.exp(-0.5 * z * z) / (h * config.headway.sigma * _SQRT_2PI), 0.0)
     rate = fuel_model.rates(follow_speed, accel)
     f_fuel = np.minimum(0.0, np.maximum(DEFAULT_FUEL_CLIP, -rate / config.fuel_scale))
     f_jerk = -(((accel - accel_prev) / dt / config.jerk_scale) ** 2)

@@ -58,13 +58,12 @@ class VtMicroModel:
         """The fuel rate in mL/s of each (v, a) pair of two arrays; the a >= 0
         regime uses the acceleration table. inf where the exponent overflows.
 
-        One Horner nesting runs over coefficients picked per element by regime,
-        a row of both tables at a time with one ``take``, which gives each
-        element the bits of its own table's polynomial.
+        One ``take`` picks each element's coefficients by regime, and one Horner
+        nesting runs over them, which gives each element the bits of its own
+        table's polynomial.
         """
         regime = (a >= 0).view(np.int8)   # 1 picks the acceleration table
-        tables = self._tables
-        p = _horner(lambda i: tables[i].take(regime, axis=1), v, a)
+        p = _horner(self._tables.take(regime, axis=2), v, a)
         with np.errstate(over="ignore"):
             return np.exp(p)
 
@@ -81,7 +80,7 @@ def moe_exponent(coeffs: VtMicroCoefficients, v: float, a: float) -> float:
     Row i contributes ((k[i, 3] * a + k[i, 2]) * a + k[i, 1]) * a + k[i, 0],
     for i = 3, 2, 1, 0, into p = p * v + row.
     """
-    return _horner(coeffs.k.__getitem__, v, a)
+    return _horner(coeffs.k.reshape(coeffs.k.shape + (1,) * np.ndim(a)), v, a)
 
 
 def fuel_rate(coeffs_accel: VtMicroCoefficients, coeffs_decel: VtMicroCoefficients,
@@ -92,13 +91,25 @@ def fuel_rate(coeffs_accel: VtMicroCoefficients, coeffs_decel: VtMicroCoefficien
     return float(model.rates(np.array([v], dtype=float), np.array([a], dtype=float))[0])
 
 
-def _horner(row, v, a):
-    """``moe_exponent``'s nesting, with ``row(i)`` the coefficients k[i, 0..3]: of one
-    table, or arrays of per-element coefficients."""
-    p = 0.0
-    for i in (3, 2, 1, 0):
-        k = row(i)
-        p = p * v + (((k[3] * a + k[2]) * a + k[1]) * a + k[0])
+def _horner(k: np.ndarray, v, a):
+    """``moe_exponent``'s nesting over coefficients k[i, j] that broadcast against
+    ``a``: one table, or a (4, 4, n) array of per-element coefficients.
+
+    The four rows' polynomials in ``a`` are computed together, one operation
+    on all rows at a time, then nested in ``v``. Each element gets the float
+    operations of the scalar nesting in the same order, the first step's
+    ``0.0 * v +`` included, so the bits are the scalar nesting's.
+    """
+    rows = k[:, 3] * a
+    rows += k[:, 2]
+    rows *= a
+    rows += k[:, 1]
+    rows *= a
+    rows += k[:, 0]
+    p = 0.0 * v + rows[3]
+    for i in (2, 1, 0):
+        p *= v
+        p += rows[i]
     return p
 
 

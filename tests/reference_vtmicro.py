@@ -5,11 +5,15 @@
 runs the same Horner nesting on the coefficients as Python floats (``rows``),
 and ``fuel_rate`` takes ``math.exp`` of it in the table of the command's
 regime: the one-step rate that ``VtMicroModel.rates`` is held to.
+``per_row_rates`` is ``VtMicroModel.rates`` as it was written with one
+``take`` per table row, the array form whose bits ``rates`` keeps.
 """
 
 from __future__ import annotations
 
 import math
+
+import numpy as np
 
 from ecofollower.vtmicro import VtMicroCoefficients, VtMicroModel
 
@@ -56,3 +60,16 @@ def fuel_rate(coeffs_accel: VtMicroCoefficients, coeffs_decel: VtMicroCoefficien
 
 def rate(model: VtMicroModel, v: float, a: float) -> float:
     return fuel_rate(model.accel, model.decel, v, a)
+
+
+def per_row_rates(model: VtMicroModel, v: np.ndarray, a: np.ndarray) -> np.ndarray:
+    """The rate of each (v, a) pair, each row's coefficients picked by regime
+    with their own ``take``, one row of the Horner nesting at a time."""
+    regime = (a >= 0).view(np.int8)   # 1 picks the acceleration table
+    tables = np.stack([model.decel.k, model.accel.k], axis=-1)
+    p = 0.0
+    for i in (3, 2, 1, 0):
+        k = tables[i].take(regime, axis=1)
+        p = p * v + (((k[3] * a + k[2]) * a + k[1]) * a + k[0])
+    with np.errstate(over="ignore"):
+        return np.exp(p)

@@ -285,6 +285,20 @@ class TestPooledSteps:
         want = reference_pooling.summarize_traces("c", values, cfg, errors=2).to_json_dict()
         assert json.dumps(got) == json.dumps(want)
 
+    @pytest.mark.parametrize("lengths", [[0, 3, 0, 1, 5, 0], [4], [0], [1, 1], [2, 0, 0, 7]])
+    def test_jerk_of_ragged_and_empty_traces(self, lengths):
+        # each trace's first step differences against 0, at its own dt
+        rng = np.random.default_rng(len(lengths))
+        traces = []
+        for i, n in enumerate(lengths):
+            tr = still_trace(f"e{i}", np.full(n, 5.0), dt=(0.1, 0.05, 0.5, 0.04)[i % 4])
+            tr.accel[:] = rng.normal(size=n)
+            tr.accel[1::3] = -0.0
+            traces.append(tr)
+        want = np.concatenate([v.jerk for v in reference_pooling.trace_values(traces, FUEL)])
+        got = pooled_steps(traces, FUEL)["jerk"]
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
     @pytest.mark.parametrize("i, k", [(0, 0), (0, 2), (1, 0), (2, 0), (2, 3)])
     def test_non_finite_rate_names_its_event_and_step(self, i, k):
         # exp(1000 v) overflows on the one step whose follower moves

@@ -131,6 +131,21 @@ class TestForwardCacheInputs:
         assert np.array(x).dtype == before.dtype
 
 
+class TestForwardWithoutCache:
+    """``forward`` runs ``forward_cache``'s layer loop without keeping the cache."""
+
+    @pytest.mark.parametrize("activation", ["tanh", "linear"])
+    @pytest.mark.parametrize("kind", ["row", "batch", "column_slice", "list", "float32", "int"])
+    def test_same_bits_as_forward_cache(self, kind, activation):
+        rng = np.random.default_rng(97)
+        net = Mlp.init([3, 16, 16, 1], rng, output_activation=activation)
+        net.theta += rng.normal(scale=0.1, size=net.theta.shape)
+        x = FORWARD_INPUTS[kind](rng)
+        out = net.forward(x)
+        assert out.dtype == np.float64 and out.ndim == 2
+        assert out.tobytes() == net.forward_cache(x)[0].tobytes()
+
+
 class TestFlatLayout:
     def test_views_share_memory_with_theta(self):
         net = Mlp.init([3, 6, 5, 1], np.random.default_rng(61), output_activation="tanh")

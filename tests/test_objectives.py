@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -12,9 +13,10 @@ from hypothesis import example, given, settings, strategies as st
 
 from ecofollower.indicators import SPEED_FLOOR
 from ecofollower.objectives import (TTC_BOUND, HeadwayModel, RewardConfig, RewardWeights,
-                                    step_rewards)
+                                    StepRewards, step_rewards)
 from ecofollower.vtmicro import VtMicroCoefficients, VtMicroModel, reference_model
 
+from reference_reward import filtered_step_rewards
 from reference_scalar import (f_fuel, f_headway, f_jerk, f_ttc, jerk, reward, time_headway,
                               ttc, ttc_signed)
 
@@ -274,6 +276,46 @@ class TestStepRewards:
         got, _ = array_rewards(transitions, RewardConfig(), fuel=fuel)
         assert got.fuel_rate[0] == math.inf and got.f_fuel[0] == -5.0
         assert_matches_oracle(transitions, RewardConfig(), fuel=fuel)
+
+
+# no gap, a negative one, subnormal ones and subnormal relative speeds: the
+# divisions of the reward's TTC and headway give 0, inf or NaN on such steps
+_EDGE = st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2e-308, -1.0])
+_EDGE_TRANSITION = st.tuples(
+    st.floats(0.0, 35.0) | st.sampled_from([0.0, 0.05]),                 # pre-step speed
+    st.floats(-3.0, 3.0) | st.sampled_from([0.0, -0.0]),                 # accel
+    st.floats(-3.0, 3.0),                                                # previous accel
+    st.sampled_from([0.0, -0.0, 0.05, 0.09, SPEED_FLOOR]) | st.floats(0.0, 35.0),  # next speed
+    _EDGE | st.floats(-2.0, 120.0),                                      # next spacing
+    _EDGE | st.floats(-15.0, 15.0),                                      # next rel_speed
+    st.sampled_from([0.1, 0.04]))                                        # dt
+
+
+class TestStepRewardsBits:
+    """``step_rewards`` scores every transition and selects with ``np.where``;
+    it gives the bits of the boolean-gather form, and warns of nothing."""
+
+    @given(transitions=st.lists(_TRANSITION | _EDGE_TRANSITION, min_size=1, max_size=16),
+           weights=st.tuples(*[st.sampled_from([1.0, 0.0, 2.5, -0.5])] * 4),
+           ttc_floor=st.sampled_from([0.1, 0.5]), gap=st.sampled_from([0.0, -1.0, 1.0]))
+    @example(transitions=[(0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.1),
+                          (5.0, -0.0, 0.0, 0.05, 5e-324, -5e-324, 0.1),
+                          (5.0, 1.0, 0.0, 2.0, -5e-324, 5e-324, 0.1),
+                          (5.0, 1.0, 0.0, 2.0, 2.2e-308, -0.0, 0.04),
+                          (5.0, 1.0, 0.0, -0.0, 10.0, -1.0, 0.1),
+                          (5.0, 1.0, 0.0, 2.0, 5e-324, -40.0, 0.1)],
+             weights=(1.0, 1.0, 1.0, 1.0), ttc_floor=0.1, gap=0.0)
+    @settings(max_examples=300, deadline=None)
+    def test_equal_the_filtered_form(self, transitions, weights, ttc_floor, gap):
+        v, a, ap, v2, s2, dv2, dt = map(np.array, zip(*transitions))
+        args = (v, a, ap, EnvState(v2, s2, dv2), dt, s2 <= gap,
+                RewardConfig(weights=RewardWeights(*weights), ttc_floor=ttc_floor),
+                reference_model())
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = step_rewards(*args)
+        for name, g, w in zip(StepRewards._fields, got, filtered_step_rewards(*args)):
+            assert g.dtype == w.dtype and g.tobytes() == w.tobytes(), name
 
 
 class TestRewardConfigJson:

@@ -12,7 +12,7 @@ from ecofollower.events import CarFollowingEvent
 from ecofollower.vtmicro import (VtMicroCoefficients, VtMicroModel, load_coefficients,
                                  moe_exponent, reference_model)
 
-from reference_vtmicro import float_exponent, fuel_rate, numpy_horner_exponent
+from reference_vtmicro import float_exponent, fuel_rate, numpy_horner_exponent, per_row_rates
 
 
 def rate(model, v, a):
@@ -164,6 +164,48 @@ class TestScalarPathBits:
         for coeffs in (model.accel, model.decel):
             got = moe_exponent(coeffs, v, a)
             assert got.tobytes() == numpy_horner_exponent(coeffs, v, a).tobytes()
+
+
+def _edge_model():
+    """The reference tables with a row of -0.0 and a term that overflows exp past ~7 m/s."""
+    accel, decel = reference_model().accel.k.copy(), reference_model().decel.k.copy()
+    accel[3] = -0.0
+    decel[1, 0] = 100.0
+    return VtMicroModel(table(accel), table(decel, "deceleration"))
+
+
+class TestRatesKeepThePerRowBits:
+    """``rates`` takes each element's coefficients at once and nests all four
+    rows together; it gives the bits of the per-row-``take`` form."""
+
+    @pytest.mark.parametrize("n", [1, 16, 15_639])
+    @pytest.mark.parametrize("first", [1.5, -1.5, 0.0, -0.0])
+    @pytest.mark.parametrize("model", [reference_model(), _edge_model()], ids=["reference", "edge"])
+    def test_fleet_sizes(self, n, first, model):
+        rng = np.random.default_rng(n)
+        v = rng.uniform(0.0, 40.0, n)
+        a = rng.uniform(-4.0, 4.0, n)
+        a[1::4], a[2::4] = 0.0, -0.0   # both signed zeros take the acceleration table
+        a[0] = first
+        got = model.rates(v, a)
+        assert got.dtype == np.float64 and got.shape == (n,)
+        assert got.tobytes() == per_row_rates(model, v, a).tobytes()
+
+    def test_a_table_of_negative_zeros_gives_positive_zero(self):
+        # the nesting's first step, 0.0 * v + row 3, turns a -0.0 row into +0.0
+        coeffs = table(np.full((4, 4), -0.0))
+        for v, a in ((3.0, 1.0), (0.0, -0.0)):
+            assert bits(moe_exponent(coeffs, v, a)) == bits(numpy_horner_exponent(coeffs, v, a))
+        got = moe_exponent(coeffs, np.array([3.0, 0.0]), np.array([1.0, -0.0]))
+        assert got.tobytes() == np.zeros(2).tobytes()
+
+    @given(model=models(), v=st.lists(_SPEED, min_size=1, max_size=20),
+           a=st.lists(_ACCEL, min_size=1, max_size=20))
+    @settings(max_examples=100, deadline=None)
+    def test_drawn_tables(self, model, v, a):
+        n = min(len(v), len(a))
+        v, a = np.array(v[:n]), np.array(a[:n])
+        assert model.rates(v, a).tobytes() == per_row_rates(model, v, a).tobytes()
 
 
 class TestLoader:
