@@ -70,7 +70,7 @@ class TrainConfig:
                              f"got {self.buffer_capacity}")
         if any(n < 1 for n in self.hidden_sizes):
             raise ValueError(f"hidden sizes must be >= 1, got {self.hidden_sizes}")
-        for name in ("speed_scale", "spacing_scale", "rel_speed_scale"):
+        for name in ("actor_lr", "critic_lr", "speed_scale", "spacing_scale", "rel_speed_scale"):
             if not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
 
@@ -121,41 +121,36 @@ class ReplayBuffer:
                 self.next_states[idx], self.dones[idx])
 
 
-def normalize_state(state: EnvState, cfg: TrainConfig,
-                    divisors: tuple | None = None) -> np.ndarray:
-    """The actor's input: shape (3,) for one state, (N, 3) for arrays of N states.
-
-    ``divisors`` are ``_state_divisors(cfg)`` made once by the caller, such as
-    ``policy_controller``; by default they are read off ``cfg``.
-    """
-    speed, spacing, rel_speed = divisors or _state_divisors(cfg)
-    return np.array([state.follow_speed / speed,
-                     state.spacing / spacing,
-                     state.rel_speed / rel_speed]).T
+def state_scales(cfg: TrainConfig) -> np.ndarray:
+    """The divisors of ``normalize_state``: the speed, spacing and relative speed scales."""
+    return np.array([cfg.speed_scale, cfg.spacing_scale, cfg.rel_speed_scale], dtype=float)
 
 
-def action_to_accel(y: float, env_cfg: EnvConfig, operands: tuple | None = None) -> float:
-    """Affine map of the squashed action [-1, 1] onto [a_min, a_max].
-
-    ``operands`` are ``_action_operands(env_cfg)`` made once by the caller, as
-    ``divisors`` are for ``normalize_state``.
-    """
-    a_min, one, two, span = operands or _action_operands(env_cfg)
-    return a_min + (y + one) / two * span
-
-
-def _state_divisors(cfg: TrainConfig) -> tuple[np.ndarray, ...]:
-    """The divisors of ``normalize_state``, the speed, spacing and relative speed
-    scales, as 0-d arrays: a ufunc takes them faster than floats, and computes
-    the same with them."""
-    return tuple(np.array(float(x)) for x in (cfg.speed_scale, cfg.spacing_scale,
-                                              cfg.rel_speed_scale))
-
-
-def _action_operands(env_cfg: EnvConfig) -> tuple[np.ndarray, ...]:
-    """The constants of ``action_to_accel``, a_min, 1, 2 and the actuator span, as 0-d arrays."""
+def action_operands(env_cfg: EnvConfig) -> tuple[np.ndarray, ...]:
+    """The constants of ``action_to_accel``, a_min, 1, 2 and the actuator span,
+    as 0-d arrays: a ufunc takes them faster than floats, and computes the same."""
     return tuple(np.array(float(x)) for x in (env_cfg.a_min, 1.0, 2.0,
                                               env_cfg.a_max - env_cfg.a_min))
+
+
+def normalize_state(state: EnvState, scales: np.ndarray, out: np.ndarray | None = None
+                    ) -> np.ndarray:
+    """The actor's input: each field of ``state`` over its scale in ``scales``
+    (``state_scales``), (n, 3) for (n,) arrays of states and (3,) for one
+    state of floats, written into ``out`` if given."""
+    return np.divide(np.array(state).T, scales, out=out)
+
+
+def action_to_accel(y: np.ndarray, operands: tuple[np.ndarray, ...],
+                    out: np.ndarray | None = None) -> np.ndarray:
+    """Affine map of the (n,) squashed actions in [-1, 1] onto [a_min, a_max],
+    a_min + (y + 1) / 2 * span, with ``operands`` from ``action_operands``;
+    written into ``out`` if given (``y`` itself may be)."""
+    a_min, one, two, span = operands
+    out = np.add(y, one, out=out)
+    np.divide(out, two, out=out)
+    np.multiply(out, span, out=out)
+    return np.add(a_min, out, out=out)
 
 
 class DdpgAgent:
@@ -264,10 +259,8 @@ def train(events: Sequence[CarFollowingEvent],
     rng_replay = np.random.default_rng(derive_seed(cfg.seed, "ddpg.replay"))
     rng_noise = np.random.default_rng(derive_seed(cfg.seed, "ddpg.noise"))
     update_floor = max(cfg.warmup_steps, cfg.batch_size)
-    divisors, (a_min, one, two, span) = _state_divisors(cfg), _action_operands(env_config)
+    scales, operands = state_scales(cfg), action_operands(env_config)
     limits, theta = step_limits(env_config), np.array(-cfg.ou_theta)
-    # the env rows of an observation's speed, spacing and relative speed, and their divisors
-    obs_rows, obs_divisors = np.array([1, 4, 2]), np.array(divisors)
 
     # One column (a row of obs and lead) per slot; the running slots are the first n.
     # env holds (accel, v_follow, rel_speed, x_follow, spacing) as advance reads it;
@@ -290,7 +283,7 @@ def train(events: Sequence[CarFollowingEvent],
         event = events[int(rng_events.integers(len(events)))]
         state = reset(event)
         env[1:, j] = state.follow_speed, state.rel_speed, float(event.x_follow[0]), state.spacing
-        obs[j] = [x / d for x, d in zip(state, divisors)]
+        normalize_state(state, scales, out=obs[j])
         dt[:, j] = event.dt
         lead[j, :len(event)] = event.v_lead
         frac = ep / (cfg.episodes - 1) if cfg.episodes > 1 else 0.0
@@ -312,16 +305,13 @@ def train(events: Sequence[CarFollowingEvent],
         y += ou[:n]
         np.maximum(-1.0, y, out=y)
         np.minimum(1.0, y, out=y)
-        accel = row[0]
-        np.add(y, one, out=accel)
-        np.divide(accel, two, out=accel)
-        np.multiply(accel, span, out=accel)
-        np.add(a_min, accel, out=accel)
+        accel = action_to_accel(y, operands, out=row[0])
         hit = collided[:n]
         advance(row, nxt, dt[:, :n], lead.take(at[:n]), limits, hit)
-        r = step_rewards(row[1], accel, accel_prev[:n], EnvState(nxt[1], nxt[4], nxt[2]),
-                         dt[0, :n], hit, reward_config, fuel_model)
-        np.divide(nxt.take(obs_rows, axis=0).T, obs_divisors, out=obs_next[:n])
+        state_next = EnvState(nxt[1], nxt[4], nxt[2])
+        r = step_rewards(row[1], accel, accel_prev[:n], state_next, dt[0, :n], hit, reward_config,
+                         fuel_model)
+        normalize_state(state_next, scales, out=obs_next[:n])
         # timeouts are not stored as terminal so the TD target keeps bootstrapping
         buffer.push(obs[:n], y, r.total, obs_next[:n], hit)
         reward_sum[:n] += r.total
@@ -364,15 +354,13 @@ def policy_controller(net: Mlp, train_config: TrainConfig,
                       env_config: EnvConfig = DEFAULT_ENV) -> Controller:
     """Deterministic (noise-free) controller wrapping a trained actor.
 
-    One forward pass over every state it is given: a single state, or the
-    arrays of states of a lockstep rollout. The formulas' constants are built
-    once.
+    One forward pass over the (n,) arrays of states of a lockstep step, with
+    ``train``'s observation and action maps, whose constants are built once.
     """
-    divisors, operands = _state_divisors(train_config), _action_operands(env_config)
+    scales, operands = state_scales(train_config), action_operands(env_config)
 
-    def control(state: EnvState, k: int) -> float | np.ndarray:
-        x = normalize_state(state, train_config, divisors)
-        y = net.forward(x)[:, 0].reshape(np.shape(state.follow_speed))
-        return action_to_accel(y, env_config, operands)
+    def control(state: EnvState, k: int) -> np.ndarray:
+        y = net.forward(normalize_state(state, scales))[:, 0]
+        return action_to_accel(y, operands, out=y)
 
     return control

@@ -27,8 +27,9 @@ class RolloutError(RuntimeError):
 
 
 class EnvState(NamedTuple):
-    """RL observation: follower speed, bumper gap, relative speed; floats for one
-    state, or arrays over the events of a lockstep loop."""
+    """RL observation: follower speed, bumper gap, relative speed. A controller
+    gets (n,) arrays over the events of a lockstep step; ``reset`` and ``step``
+    give floats for one state."""
 
     follow_speed: float | np.ndarray
     spacing: float | np.ndarray
@@ -48,9 +49,10 @@ class EnvConfig:
 
 DEFAULT_ENV = EnvConfig()
 
-# A controller maps (state, step index) to a commanded acceleration. Under
-# rollout_batch the state's fields are arrays over the running events and the
-# controller returns one command per event; a float applies to all of them.
+# A controller maps (state, step index) to commanded accelerations: the state's
+# fields are (n,) arrays over the running events, n >= 1, and the controller
+# returns one command per event, or one float for all of them. A retried step
+# asks each event alone, as a lockstep call of one.
 Controller = Callable[[EnvState, int], float | np.ndarray]
 
 
@@ -168,17 +170,18 @@ def _commands(controller: Controller, state: EnvState, k: int, a: np.ndarray) ->
     each event whose command failed, whose entry of ``a`` is then 0.
 
     If the lockstep call raises, the step is asked again one event at a time,
-    with plain floats, so only the events whose own call raises fail.
+    each as a lockstep call of one with the views ``x[j:j + 1]`` of the state's
+    arrays, so only the events whose own call raises fail. An elementwise
+    controller gives every other event the command the lockstep call would
+    have, so an event's trace does not depend on which other events fail.
     """
     failures = {}
     try:
         a[...] = controller(state, k)
     except Exception:
         for j in range(len(a)):
-            one = EnvState(float(state.follow_speed[j]), float(state.spacing[j]),
-                           float(state.rel_speed[j]))
             try:
-                a[j] = float(controller(one, k))
+                a[j:j + 1] = controller(EnvState(*(x[j:j + 1] for x in state)), k)
             except Exception as exc:
                 failures[j] = str(exc)
                 a[j] = 0.0
@@ -202,16 +205,18 @@ def rollout_batch(events: Sequence[CarFollowingEvent], controller: Controller,
                   config: EnvConfig = DEFAULT_ENV) -> list[SimulatedTrace | RolloutError]:
     """Roll one controller out over several events in lockstep.
 
-    Each step asks the controller once, with an EnvState of arrays over the
-    events still running, then clamps, steps and tests for collision over all
-    of them with one ``advance``. An event leaves the running set after its
-    last step, on collision, or when its command is non-finite or its own call
-    raises. Returns, in the order of ``events``, each event's trace or the
+    Each step asks the controller once, with an EnvState of (n,) arrays over
+    the n events still running, then clamps, steps and tests for collision
+    over all of them with one ``advance``. If that call raises, each event is
+    asked alone as a lockstep call of one (``_commands``). An event leaves the
+    running set after its last step, on collision, or when its command is
+    non-finite or its own call raises; which other events fail does not change
+    its trace. Returns, in the order of ``events``, each event's trace or the
     RolloutError it failed with. A trace equals that of a scalar loop over the
     event alone bit for bit when the controller gives each event the same
     command in a batch as alone (a constant, an elementwise formula); IDM and
-    the policy do up to rounding, since array and scalar arithmetic may round
-    differently.
+    the policy do up to rounding, since numpy may round an operation over n
+    elements differently from the same operation over one.
 
     Between two retirements the running set is fixed, so each such run of
     steps lives in one buffer of shape (steps + 1, 5, running events): row i

@@ -5,7 +5,7 @@ dv_closing = v_follower - v_leader (positive while catching up). The env's
 rel_speed is leader-minus-follower, so adapters must pass -rel_speed.
 
 The model functions take one state as floats or, elementwise, arrays of
-states.
+states; the controller takes arrays.
 """
 
 from __future__ import annotations
@@ -72,13 +72,15 @@ def desired_spacing(params: IdmParams, v: float, dv_closing: float) -> float:
 def idm_accel(params: IdmParams, v: float, spacing: float, dv_closing: float) -> float:
     """Unclamped IDM acceleration; the env clamps it to its actuator bounds.
 
-    Raises on non-positive spacing: the caller must have terminated the
-    rollout on collision before asking for another command. An overflow of
-    a numpy input gives -inf (Python floats raise OverflowError). ``params``
-    may also be ``idm_controller``'s ``_Operands``.
+    Raises on non-positive spacing, naming the first such spacing: the caller
+    must have terminated the rollout on collision before asking for another
+    command. An overflow of a numpy input gives -inf (Python floats raise
+    OverflowError). ``params`` may also be ``idm_controller``'s ``_Operands``.
     """
-    if np.count_nonzero(np.less_equal(spacing, 0.0)):
-        raise ValueError(f"idm_accel needs positive spacing, got {spacing}")
+    refused = np.less_equal(spacing, 0.0)
+    if np.count_nonzero(refused):
+        raise ValueError(f"idm_accel needs positive spacing, "
+                         f"got {float(np.extract(refused, spacing)[0])}")
     s_star = desired_spacing(params, v, dv_closing)
     with np.errstate(over="ignore"):
         a = params.a_max * (1.0 - (v / params.v_desired) ** params.beta - (s_star / spacing) ** 2)
@@ -90,18 +92,15 @@ def idm_controller(params: IdmParams) -> Controller:
 
     The env clamps the command to its actuator bounds after checking that it
     is finite, so an overflowing IDM fails its event instead of braking.
-    Arrays of states get the parameters as ``_Operands``, built once, and pass
-    rel_speed as it is; a float state keeps the float parameters, as Python's
-    float power rounds differently from numpy's.
+    The parameters are built once as ``_Operands``, and rel_speed goes in as
+    it is.
     """
     operands = _Operands(*(np.array(float(x)) for x in (
         params.a_max, params.v_desired, params.beta, params.s_jam, params.T_headway,
         -params.interaction)))
 
-    def control(state: EnvState, k: int) -> float | np.ndarray:
-        if type(state.follow_speed) is np.ndarray:
-            return idm_accel(operands, state.follow_speed, state.spacing, state.rel_speed)
-        return idm_accel(params, state.follow_speed, state.spacing, -state.rel_speed)
+    def control(state: EnvState, k: int) -> np.ndarray:
+        return idm_accel(operands, state.follow_speed, state.spacing, state.rel_speed)
 
     return control
 

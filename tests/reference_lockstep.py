@@ -22,7 +22,7 @@ def _commands(controller: Controller, state: EnvState, k: int) -> tuple[np.ndarr
     """One command per running event, and the reason of each event whose command failed.
 
     If the lockstep call raises, the step is asked again one event at a time,
-    with plain floats, so only the events whose own call raises fail.
+    each with one-element arrays, so only the events whose own call raises fail.
     """
     a = np.empty(len(state.follow_speed))
     failures = {}
@@ -30,10 +30,10 @@ def _commands(controller: Controller, state: EnvState, k: int) -> tuple[np.ndarr
         a[...] = controller(state, k)
     except Exception:
         for j in range(len(a)):
-            one = EnvState(float(state.follow_speed[j]), float(state.spacing[j]),
-                           float(state.rel_speed[j]))
+            one = EnvState(state.follow_speed[j:j + 1], state.spacing[j:j + 1],
+                           state.rel_speed[j:j + 1])
             try:
-                a[j] = float(controller(one, k))
+                a[j:j + 1] = controller(one, k)
             except Exception as exc:
                 failures[j] = str(exc)
                 a[j] = 0.0

@@ -75,20 +75,23 @@ def rollout(event: CarFollowingEvent, controller: Controller,
             config: EnvConfig = DEFAULT_ENV) -> SimulatedTrace:
     """Simulate the follower against the event's recorded leader, one ``step`` at a time.
 
-    Each step asks the controller for a command, which must be finite, and
-    clamps it. Stops early on collision; the colliding step is the last
-    recorded row.
+    Each step asks the controller for a command, with the state as one-element
+    arrays, as a lockstep call of one; the command must be finite, and is
+    clamped. Stops early on collision; the colliding step is the last recorded
+    row.
     """
     state = reset(event)
     x_follow = float(event.x_follow[0])
     v_lead, dt = event.v_lead.tolist(), event.dt
     accel, v, s, dv, x = [], [], [], [], []
     collided = False
+    command = np.empty(1)
     for k in range(len(event) - 1):
         try:
-            a = float(controller(state, k))
+            command[...] = controller(EnvState(*(np.array([f]) for f in state)), k)
         except Exception as exc:
             raise _command_error(event, k, exc) from exc
+        a = float(command[0])
         if not math.isfinite(a):
             raise _command_error(event, k, f"non-finite command {a}")
         a = clamp(config, a)

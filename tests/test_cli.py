@@ -1505,6 +1505,8 @@ class TestRangeChecks:
         ("train", {"reward": {"fuel_scale": 0.0}}, "fuel_scale"),
         ("train", {"train": {"buffer_capacity": 0}}, "buffer_capacity"),
         ("train", {"train": {"buffer_capacity": 7}}, "buffer_capacity"),
+        ("train", {"train": {"actor_lr": -0.001, "critic_lr": 0.0}}, "actor_lr"),
+        ("train", {"train": {"critic_lr": 0.0}}, "critic_lr"),
     ], ids=lambda v: v if isinstance(v, str) else None)
     def test_out_of_range_exit_1_before_any_output(self, tmp_path, fleet_csv, capsys,
                                                     command, blocks, named):

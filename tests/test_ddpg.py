@@ -8,8 +8,8 @@ from hypothesis import given, settings, strategies as st
 
 from ecofollower import cli, ddpg
 from ecofollower.ddpg import (DdpgAgent, ReplayBuffer, TrainConfig, TrainingError,
-                              TrainLogRow, action_to_accel,
-                              normalize_state, policy_controller, train)
+                              TrainLogRow, action_operands, action_to_accel,
+                              normalize_state, policy_controller, state_scales, train)
 from ecofollower.env import DEFAULT_ENV, EnvConfig, EnvState
 from ecofollower.events import CarFollowingEvent, write_events
 from ecofollower.nets import Mlp
@@ -104,16 +104,31 @@ class TestOuNoise:
 class TestNormalization:
     def test_action_affine_roundtrip(self):
         env = EnvConfig(a_min=-3.0, a_max=3.0)
-        assert action_to_accel(0.0, env) == 0.0
-        assert action_to_accel(1.0, env) == 3.0
-        assert action_to_accel(-1.0, env) == -3.0
-        for y in np.linspace(-1, 1, 21):
-            assert accel_to_action(action_to_accel(y, env), env) == pytest.approx(y, abs=1e-12)
+        operands = action_operands(env)
+        assert action_to_accel(np.array([0.0, 1.0, -1.0]), operands).tolist() == [0.0, 3.0, -3.0]
+        ys = np.linspace(-1, 1, 21)
+        for y, a in zip(ys, action_to_accel(ys, operands).tolist()):
+            assert accel_to_action(a, env) == pytest.approx(y, abs=1e-12)
 
     def test_asymmetric_bounds(self):
         env = EnvConfig(a_min=-3.0, a_max=2.0)
-        assert action_to_accel(1.0, env) == 2.0
-        assert action_to_accel(-1.0, env) == -3.0
+        assert action_to_accel(np.array([1.0, -1.0]), action_operands(env)).tolist() == [2.0, -3.0]
+
+    def test_maps_write_through_out_with_the_formulas_bits(self):
+        cfg, env = TrainConfig(speed_scale=23.0), EnvConfig(a_min=-2.5, a_max=1.7)
+        rng = np.random.default_rng(5)
+        state = EnvState(rng.uniform(0, 40, 7), rng.uniform(0.1, 150, 7), rng.normal(0, 5, 7))
+        out = np.empty((7, 3))
+        assert normalize_state(state, state_scales(cfg), out=out) is out
+        for j in range(7):
+            one = EnvState(*(float(x[j]) for x in state))
+            want = reference_scalar.normalize_state(one, cfg)
+            assert out[j].tobytes() == want.tobytes()
+            assert normalize_state(one, state_scales(cfg)).tobytes() == want.tobytes()
+        y = rng.uniform(-1, 1, 7)
+        want = [reference_scalar.action_to_accel(v, env) for v in y.tolist()]
+        assert action_to_accel(y, action_operands(env), out=y) is y
+        assert y.tolist() == want
 
 
 class TestAgentUpdate:
@@ -318,13 +333,15 @@ class TestPolicyController:
         net = Mlp.init([3, 16, 16, 1], np.random.default_rng(3), output_activation="tanh")
         cfg = TrainConfig()
         ctrl = policy_controller(net, cfg, DEFAULT_ENV)
-        state = EnvState(8.0, 12.0, -1.0)
-        want = action_to_accel(float(net.forward(normalize_state(state, cfg))[0, 0]), DEFAULT_ENV)
-        assert ctrl(state, 0) == want
+        x = reference_scalar.normalize_state(EnvState(8.0, 12.0, -1.0), cfg)
+        want = reference_scalar.action_to_accel(float(net.forward(x)[0, 0]), DEFAULT_ENV)
+        got = ctrl(EnvState(np.array([8.0]), np.array([12.0]), np.array([-1.0])), 0)
+        assert got.shape == (1,) and got[0] == want
 
 
 class TestPolicyControllerBytePin:
-    """The controller's 0-d constants give the formulas' bytes with the config floats."""
+    """The controller's constants give the formulas' bytes with the config
+    floats, on n states and on one as one-element arrays."""
 
     @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 40),
            scales=st.tuples(*[st.floats(0.5, 200.0)] * 3),
@@ -338,12 +355,12 @@ class TestPolicyControllerBytePin:
         env = EnvConfig(a_min=bounds[0], a_max=bounds[1])
         ctrl = policy_controller(net, cfg, env)
         state = EnvState(rng.uniform(0, 40, n), rng.uniform(0.1, 150, n), rng.normal(0, 5, n))
-        one = EnvState(float(state.follow_speed[0]), float(state.spacing[0]),
-                       float(state.rel_speed[0]))
-        for given_state in (state, one):
-            got = ctrl(given_state, 0)
-            want = action_to_accel(net.forward(normalize_state(given_state, cfg))[:, 0], env)
-            assert np.asarray(got).tobytes() == want.tobytes()
+        one = EnvState(*(x[:1] for x in state))
+        for v, s, dv in (state, one):
+            got = ctrl(EnvState(v, s, dv), 0)
+            x = np.array([v / cfg.speed_scale, s / cfg.spacing_scale, dv / cfg.rel_speed_scale]).T
+            want = env.a_min + (net.forward(x)[:, 0] + 1.0) / 2.0 * (env.a_max - env.a_min)
+            assert got.tobytes() == want.tobytes()
 
 
 class Recorder:
@@ -480,11 +497,12 @@ class TestCollectionLoopBits:
             for j, ep in enumerate(episodes):
                 state = EnvState(before[1, j], before[4, j], before[2, j])
                 nxt = EnvState(after[1, j], after[4, j], after[2, j])
-                assert s[j].tobytes() == normalize_state(state, cfg).tobytes()
-                assert s2[j].tobytes() == normalize_state(nxt, cfg).tobytes()
+                assert s[j].tobytes() == reference_scalar.normalize_state(state, cfg).tobytes()
+                assert s2[j].tobytes() == reference_scalar.normalize_state(nxt, cfg).tobytes()
                 if ep in previous:
                     assert previous[ep][0].tobytes() == s[j].tobytes()
-                assert clamp(DEFAULT_ENV, action_to_accel(y[j], DEFAULT_ENV)) == accel[j]
+                want_accel = reference_scalar.action_to_accel(float(y[j]), DEFAULT_ENV)
+                assert clamp(DEFAULT_ENV, want_accel) == accel[j]
                 accel_prev = previous[ep][1] if ep in previous else 0.0
                 want = reward(EnvState(*map(float, state)), float(accel[j]), accel_prev,
                               EnvState(*map(float, nxt)), float(dt[j]), bool(collided[j]),

@@ -1,20 +1,25 @@
 import itertools
 import json
 import math
+import sys
 from dataclasses import asdict, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from ecofollower.cli import read_config
-from ecofollower.env import DEFAULT_ENV, EnvConfig, EnvState, RolloutError
+from ecofollower.env import DEFAULT_ENV, EnvConfig, EnvState, RolloutError, rollout_batch
 from ecofollower.events import CarFollowingEvent
 from ecofollower.idm import (CalibrationError, IdmParams, _spacing_mse, calibrate_idm,
                              desired_spacing, idm_accel, idm_controller)
 
 from reference_scalar import rollout
-from synthetic import idm_follower_event, leader_profile, make_fleet
+from synthetic import idm_follower_event, leader_profile, make_fleet, positions_from_speeds
+
+sys.path.append(str(Path(__file__).resolve().parents[1] / "benchmarks"))
+import bench_inputs  # noqa: E402
 
 
 HAND_PARAMS = IdmParams(a_max=1.0, v_desired=15.0, beta=4.0, s_jam=2.0,
@@ -110,12 +115,11 @@ class TestIdmAccel:
 
 class TestControllerAdapter:
     def test_flips_rel_speed_sign(self):
-        from ecofollower.env import EnvState
         ctrl = idm_controller(HAND_PARAMS)
         # rel_speed = -3 (gap closing) must equal dv_closing = +3
-        got = ctrl(EnvState(8.0, 12.0, -3.0), 0)
-        want = idm_accel(HAND_PARAMS, 8.0, 12.0, 3.0)
-        assert got == want
+        got = ctrl(EnvState(np.array([8.0]), np.array([12.0]), np.array([-3.0])), 0)
+        want = idm_accel(HAND_PARAMS, np.array([8.0]), np.array([12.0]), np.array([3.0]))
+        assert got.tobytes() == want.tobytes()
 
 
 def _states(n):
@@ -133,7 +137,8 @@ IDM_PARAMS = st.builds(
 
 class TestControllerBytePin:
     """The controller's 0-d parameter operands give idm_accel's bytes with the
-    float parameters, on arrays and on one float state."""
+    float parameters, and each state alone, as a one-element array, gets the
+    bits it has in the longer array."""
 
     @given(params=IDM_PARAMS, data=st.data(), n=st.integers(1, 40))
     @settings(max_examples=150, deadline=None)
@@ -143,11 +148,10 @@ class TestControllerBytePin:
         got = ctrl(EnvState(v, s, dv), 3)
         want = idm_accel(params, v, s, -dv)
         assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
-        # one float state at a time, as the lockstep fallback asks
-        for one in zip(v.tolist(), s.tolist(), dv.tolist()):
-            got = ctrl(EnvState(*one), 0)
-            assert np.float64(got).tobytes() == np.float64(idm_accel(params, one[0], one[1],
-                                                                     -one[2])).tobytes()
+        # one state at a time, as a retried lockstep step asks
+        for j in range(n):
+            one = ctrl(EnvState(v[j:j + 1], s[j:j + 1], dv[j:j + 1]), 0)
+            assert one.tobytes() == got[j:j + 1].tobytes()
 
     def test_overflow_gives_minus_inf_in_both(self):
         v, s, dv = np.array([10.0, 10.0]), np.array([1e-300, 20.0]), np.array([0.0, 0.0])
@@ -162,8 +166,40 @@ class TestControllerBytePin:
             idm_controller(HAND_PARAMS)(EnvState(v, s, dv), 0)
         with pytest.raises(ValueError, match="positive spacing"):
             idm_accel(HAND_PARAMS, v, s, -dv)
-        with pytest.raises(ValueError, match="positive spacing"):
-            idm_controller(HAND_PARAMS)(EnvState(10.0, bad, 0.0), 0)
+        # a refused spacing is named as a number, as a one-element call names it
+        with pytest.raises(ValueError, match=f"positive spacing, got {bad}$"):
+            idm_controller(HAND_PARAMS)(EnvState(np.array([10.0]), np.array([bad]),
+                                                 np.zeros(1)), 0)
+
+
+def braking_event(n=150, dt=0.1):
+    """A leader 12 m ahead at 15 m/s that brakes at 9 m/s^2 to a stop, recorded
+    with a follower that brakes with it."""
+    t = np.arange(n) * dt
+    v = np.maximum(0.0, 15.0 - 9.0 * t)
+    x = positions_from_speeds(v, dt)
+    return CarFollowingEvent.from_arrays("brake", t, 12.0 + x, v, x, v)
+
+
+def test_a_failing_event_leaves_the_other_traces_bit_for_bit():
+    """IDM on the benchmark's seed-1 eval fleet, alone and with an event that it
+    drives into its leader: with the collision test off, IDM refuses the
+    event's spacing at step 21, the lockstep call raises, and the step is asked
+    event by event. Every other event keeps the bits of the run without it."""
+    fleet = [CarFollowingEvent.from_arrays(e.event_id, e.t, e.x_lead, e.v_lead, e.x_follow,
+                                           e.v_follow)
+             for e in bench_inputs.make_fleet(1, "eval", 30, (15.0, 90.0))]
+    env, ctrl = EnvConfig(collision_gap=-1e9), idm_controller(IdmParams())
+    alone = rollout_batch(fleet, ctrl, env)
+    *others, failed = rollout_batch([*fleet, braking_event()], ctrl, env)
+    assert isinstance(failed, RolloutError)
+    assert str(failed) == ("controller failed at step 21 of event brake: "
+                           "idm_accel needs positive spacing, got -0.42055555555553314")
+    for got, want in zip(others, alone, strict=True):
+        assert not isinstance(want, RolloutError) and got.collided == want.collided
+        for name in ("accel", "v_follow", "spacing", "rel_speed", "x_follow"):
+            assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), (
+                got.event_id, name)
 
 
 class TestJsonRoundTrip:

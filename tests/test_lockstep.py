@@ -24,7 +24,8 @@ FIELDS = ("t", "accel", "v_follow", "spacing", "rel_speed", "x_follow")
 
 
 def fraction(x):
-    """A hash of ``x`` in [0, 1), elementwise, with the same bits for a float and an array."""
+    """A hash of ``x`` in [0, 1), elementwise, with the same bits for an element
+    of any array and for a float."""
     u = x * 7919.0
     return u - np.floor(u)
 
@@ -32,8 +33,8 @@ def fraction(x):
 def hashed_controller(bias):
     """Commands in [-3, 3) + bias drawn from the state's spacing, elementwise.
 
-    The same bits come out for a float state and for each element of an array
-    state, so one controller serves the whole batch and every single rollout.
+    The same bits come out for each element of an array state whatever its
+    length, so one controller serves the whole batch and every single rollout.
     """
     def control(state, k):
         return 6.0 * fraction(state.spacing) - 3.0 + bias
@@ -87,10 +88,22 @@ def test_exact_controllers_give_the_scalar_traces_bit_for_bit(events, bias):
 
 def raising_controller(base, k_fail):
     """``base``, except that the lockstep call at step ``k_fail`` raises, and
-    so does the one-event call of each event whose spacing hashes low."""
+    so does the one-event call of each event whose spacing hashes low.
+
+    The calls are told apart by their order: the lockstep call of n events is
+    followed by the n one-event calls of the retry, before the next step.
+    """
+    retries = 0   # one-event calls still to come at step k_fail
+
     def control(state, k):
-        if k == k_fail and (np.ndim(state.spacing) or fraction(state.spacing) < 0.4):
-            raise RuntimeError("radar dropout")
+        nonlocal retries
+        if k == k_fail:
+            if not retries:
+                retries = len(state.spacing)
+                raise RuntimeError("radar dropout")
+            retries -= 1
+            if fraction(state.spacing[0]) < 0.4:
+                raise RuntimeError("radar dropout")
         return base(state, k)
 
     return control
