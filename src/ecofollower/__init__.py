@@ -20,5 +20,4 @@ from .events import (CarFollowingEvent, ColumnMapping, DataError, DatasetSplit,
 from .idm import CalibrationError, IdmParams, calibrate_idm, desired_spacing, idm_accel, idm_controller
 from .nets import Adam, Mlp, PolicyLoadError, load_policy, save_policy, soft_update
 from .objectives import HeadwayModel, RewardConfig, RewardWeights, StepRewards, step_rewards
-from .vtmicro import (VtMicroCoefficients, VtMicroModel, load_coefficients, moe_exponent,
-                      reference_model)
+from .vtmicro import VtMicroModel, load_coefficients, moe_exponent, reference_model

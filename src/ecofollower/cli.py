@@ -91,26 +91,19 @@ def read_config(cls, obj, where: str):
         raise ValueError(f"{where}: {exc}") from exc
 
 
-def _read_object(path, flag: str, read):
-    """``read`` of the JSON in the file ``path``; a ValueError it raises names the file."""
-    obj = read_json(path, flag)
-    try:
-        return read(obj)
-    except ValueError as exc:
-        raise ValueError(f"{exc} in {path}") from exc
-
-
 _CONFIG_BLOCKS = {"train": TrainConfig, "reward": RewardConfig, "env": EnvConfig, "eval": EvalConfig}
-
-
-def _load_config_blocks(path) -> dict:
-    if path is None:
-        return {}
-    return _read_object(path, "--config", lambda obj: json_object(obj, "--config", _CONFIG_BLOCKS))
 
 
 def _configs(blocks: dict) -> tuple[TrainConfig, RewardConfig, EnvConfig, EvalConfig]:
     return tuple(read_config(cls, blocks.get(name, {}), name) for name, cls in _CONFIG_BLOCKS.items())
+
+
+def _load_config(path) -> tuple[dict, tuple[TrainConfig, RewardConfig, EnvConfig, EvalConfig]]:
+    """The blocks of the --config file ``path`` (none without one) and the configs they give."""
+    def parse(obj):
+        blocks = json_object(obj, "--config", _CONFIG_BLOCKS)
+        return blocks, _configs(blocks)
+    return ({}, _configs({})) if path is None else read_json(path, "--config", parse, ValueError)
 
 
 def _out_dir(args) -> Path:
@@ -196,8 +189,7 @@ def cmd_stats(args) -> int:
 
 def cmd_train(args) -> int:
     events = _nonempty(load_events(args.events, min_duration=0.0), f"events file {args.events}")
-    blocks = _load_config_blocks(args.config)
-    train_cfg, reward_cfg, env_cfg, _ = _configs(blocks)
+    blocks, (train_cfg, reward_cfg, env_cfg, _) = _load_config(args.config)
     overrides = {"seed": args.seed, "episodes": args.episodes}
     train_cfg = dataclasses.replace(
         train_cfg, **{k: v for k, v in overrides.items() if v is not None})
@@ -231,16 +223,16 @@ def _run_evaluations(args) -> tuple[list[EvaluationResult], Path, dict]:
         raise ValueError("eval needs at least one of --policy, --idm-params, --ground-truth")
     events = _nonempty(load_events(args.events, min_duration=0.0), f"events file {args.events}")
     _check_trace_names(events, args.events)
-    blocks = _load_config_blocks(args.config)
-    train_cfg, _, env_cfg, eval_cfg = _configs(blocks)
+    blocks, (train_cfg, _, env_cfg, eval_cfg) = _load_config(args.config)
     fuel = load_coefficients(args.vt_micro) if args.vt_micro else reference_model()
     controllers = []   # (name, controller) in report order; the ground truth comes last
     if args.policy:
         net = load_policy(args.policy, expect_sizes=[3, *train_cfg.hidden_sizes, 1])
         controllers.append(("policy", policy_controller(net, train_cfg, env_cfg)))
     if args.idm_params is not None:
-        params = (args.idm_params if isinstance(args.idm_params, IdmParams) else _read_object(
-            args.idm_params, "--idm-params", lambda obj: read_config(IdmParams, obj, "--idm-params")))
+        params = (args.idm_params if isinstance(args.idm_params, IdmParams) else read_json(
+            args.idm_params, "--idm-params",
+            lambda obj: read_config(IdmParams, obj, "--idm-params"), ValueError))
         controllers.append(("idm", idm_controller(params)))
 
     # a factory returning one shared controller, so all events roll out as one batch

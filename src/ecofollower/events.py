@@ -44,15 +44,29 @@ class SchemaError(ValueError):
     """Input file lacks an expected column or is structurally unreadable."""
 
 
-def read_json(path, what: str):
-    """The value in the JSON file ``path``, decoded by JSON's own UTF-8/16/32
-    rules rather than the locale's. A file that does not decode or parse, or
-    nests too deep to, raises SchemaError naming ``what`` and the path; an
-    OSError passes through."""
+def read_json(path, what: str, parse=None, error=SchemaError):
+    """``parse`` of the value in the JSON file ``path`` (the value itself without
+    one), decoded by JSON's own UTF-8/16/32 rules rather than the locale's. A
+    file that does not decode or parse, nests too deep to, or repeats a key in
+    one object raises SchemaError naming ``what`` and the path; a ValueError of
+    ``parse`` is raised again as ``error`` naming them. An OSError passes through."""
     try:
-        return json.loads(Path(path).read_bytes())
+        obj = json.loads(Path(path).read_bytes(), object_pairs_hook=_unique_keys)
     except (ValueError, RecursionError) as exc:
         raise SchemaError(f"{what} {path} is not valid JSON: {exc}") from exc
+    try:
+        return obj if parse is None else parse(obj)
+    except ValueError as exc:
+        raise error(f"{what} {path}: {exc}") from exc
+
+
+def _unique_keys(pairs: list) -> dict:
+    """The object of ``pairs``; a repeated key is refused, not the last value kept."""
+    obj = dict(pairs)
+    if len(obj) < len(pairs):
+        key = next(k for i, (k, _) in enumerate(pairs) if k in dict(pairs[:i]))
+        raise ValueError(f"an object repeats the key {json.dumps(key)}")
+    return obj
 
 
 def json_object(value, where: str, known, error=ValueError) -> dict:
@@ -197,15 +211,14 @@ class ColumnMapping:
     @classmethod
     def from_json(cls, path) -> "ColumnMapping":
         """The mapping in the JSON file ``path``; any fault raises SchemaError naming it."""
-        obj = read_json(path, "mapping")
-        try:
+        def parse(obj):
             obj = json_object(obj, "mapping", ("columns", "scale"), SchemaError)
             if "columns" not in obj:
                 raise SchemaError("mapping has no 'columns' block")
             return cls(columns=obj["columns"], scale=obj.get("scale", {}))
-        except SchemaError as exc:
-            raise SchemaError(f"{path}: {exc} (a mapping is a JSON object of JSON objects "
-                              "'columns' and optionally 'scale')") from exc
+
+        return read_json(path, "mapping", parse, lambda msg: SchemaError(
+            f"{msg} (a mapping is a JSON object of JSON objects 'columns' and optionally 'scale')"))
 
 
 @dataclass(frozen=True)

@@ -15,12 +15,11 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from functools import cached_property
 from importlib import resources
 
 import numpy as np
 
-from .events import SchemaError, json_floats, json_number, json_object, read_json
+from .events import json_floats, json_number, json_object, read_json
 
 REGIMES = ("acceleration", "deceleration")
 
@@ -31,28 +30,23 @@ _OUTPUT_SCALE = {"mL/s": 1.0, "L/s": 1000.0, "gal/s": 3785411.784}
 
 
 @dataclass(frozen=True)
-class VtMicroCoefficients:
-    """4x4 regression matrix in canonical units; k[i][j] scales v^i * a^j."""
+class VtMicroModel:
+    """Both regimes' 4x4 tables in canonical units; k[i][j] scales v^i * a^j."""
 
-    k: np.ndarray
-    regime: str
+    accel: np.ndarray
+    decel: np.ndarray
 
     def __post_init__(self):
-        k = np.array(self.k, dtype=float)
-        if k.shape != (4, 4):
-            raise ValueError(f"coefficient matrix must be 4x4, got {k.shape}")
-        if not np.isfinite(k).all():
-            raise ValueError("coefficient matrix has non-finite entries")
-        if self.regime not in REGIMES:
-            raise ValueError(f"regime must be one of {REGIMES}, got {self.regime!r}")
-        k.setflags(write=False)
-        object.__setattr__(self, "k", k)
-
-
-@dataclass(frozen=True)
-class VtMicroModel:
-    accel: VtMicroCoefficients
-    decel: VtMicroCoefficients
+        for name, regime in (("accel", "acceleration"), ("decel", "deceleration")):
+            k = np.array(getattr(self, name), dtype=float)
+            if k.shape != (4, 4):
+                raise ValueError(f"{regime} table must be 4x4, got {k.shape}")
+            if not np.isfinite(k).all():
+                raise ValueError(f"{regime} table has non-finite entries")
+            k.setflags(write=False)
+            object.__setattr__(self, name, k)
+        # both tables as one (4, 4, 2) array: [..., 0] deceleration, [..., 1] acceleration
+        object.__setattr__(self, "_tables", np.stack([self.decel, self.accel], axis=-1))
 
     def rates(self, v: np.ndarray, a: np.ndarray) -> np.ndarray:
         """The fuel rate in mL/s of each (v, a) pair of two arrays; the a >= 0
@@ -67,27 +61,21 @@ class VtMicroModel:
         with np.errstate(over="ignore"):
             return np.exp(p)
 
-    @cached_property
-    def _tables(self) -> np.ndarray:
-        """k of both regimes as one (4, 4, 2) array: [..., 0] deceleration, [..., 1] acceleration."""
-        return np.stack([self.decel.k, self.accel.k], axis=-1)
 
-
-def moe_exponent(coeffs: VtMicroCoefficients, v: float, a: float) -> float:
-    """Evaluate P(v, a) with Horner nesting in both variables, of scalars or
-    elementwise of arrays.
+def moe_exponent(k: np.ndarray, v: float, a: float) -> float:
+    """Evaluate the table k's P(v, a) with Horner nesting in both variables, of
+    scalars or elementwise of arrays.
 
     Row i contributes ((k[i, 3] * a + k[i, 2]) * a + k[i, 1]) * a + k[i, 0],
     for i = 3, 2, 1, 0, into p = p * v + row.
     """
-    return _horner(coeffs.k.reshape(coeffs.k.shape + (1,) * np.ndim(a)), v, a)
+    return _horner(k.reshape(k.shape + (1,) * np.ndim(a)), v, a)
 
 
-def fuel_rate(coeffs_accel: VtMicroCoefficients, coeffs_decel: VtMicroCoefficients,
-              v: float, a: float) -> float:
+def fuel_rate(accel: np.ndarray, decel: np.ndarray, v: float, a: float) -> float:
     """``VtMicroModel.rates`` of one (v, a); kept, like ``env.step``, for the
     benchmark tracer, which traces it by name."""
-    model = VtMicroModel(coeffs_accel, coeffs_decel)
+    model = VtMicroModel(accel, decel)
     return float(model.rates(np.array([v], dtype=float), np.array([a], dtype=float))[0])
 
 
@@ -148,7 +136,8 @@ def _fold_units(k: np.ndarray, units) -> np.ndarray:
     return folded
 
 
-def _parse_table(obj) -> VtMicroCoefficients:
+def _parse_table(obj) -> tuple[str, np.ndarray]:
+    """The regime of a file table and its k in canonical units."""
     obj = json_object(obj, "table", ("source", "regime", "units", "k"))
     try:
         regime = obj["regime"]
@@ -159,7 +148,10 @@ def _parse_table(obj) -> VtMicroCoefficients:
         raise ValueError(f"coefficient table missing key {exc}") from exc
     except ValueError as exc:  # ragged, not numbers or not 4x4
         raise ValueError(f"coefficient table 'k' must be 4x4 numbers: {exc}") from exc
-    return VtMicroCoefficients(k=_fold_units(k, obj.get("units", {})), regime=regime)
+    k = _fold_units(k, obj.get("units", {}))
+    if regime not in REGIMES:
+        raise ValueError(f"regime must be one of {REGIMES}, got {regime!r}")
+    return regime, k
 
 
 def load_coefficients(path) -> VtMicroModel:
@@ -169,23 +161,22 @@ def load_coefficients(path) -> VtMicroModel:
     single object is applied to both regimes (single-table parity mode).
     A file that is not such JSON raises SchemaError naming the file.
     """
-    obj = read_json(path, "VT-Micro coefficient file")
-    try:
-        return _model_from_json(obj)
-    except ValueError as exc:
-        raise SchemaError(f"VT-Micro coefficient file {path}: {exc}") from exc
+    return read_json(path, "VT-Micro coefficient file", _model_from_json)
 
 
 def _model_from_json(obj) -> VtMicroModel:
     if isinstance(obj, dict):
-        k = _parse_table(obj).k
-        return VtMicroModel(accel=VtMicroCoefficients(k=k, regime="acceleration"),
-                            decel=VtMicroCoefficients(k=k, regime="deceleration"))
-    tables = {t.regime: t for t in map(_parse_table, obj if isinstance(obj, list) else [obj])}
+        _, k = _parse_table(obj)
+        return VtMicroModel(k, k)
+    tables = {}
+    for regime, k in map(_parse_table, obj if isinstance(obj, list) else [obj]):
+        if regime in tables:
+            raise ValueError(f"coefficient file has two {regime!r} tables")
+        tables[regime] = k
     missing = [r for r in REGIMES if r not in tables]
     if missing:
         raise ValueError(f"coefficient file missing regimes: {missing}")
-    return VtMicroModel(accel=tables["acceleration"], decel=tables["deceleration"])
+    return VtMicroModel(tables["acceleration"], tables["deceleration"])
 
 
 def reference_model() -> VtMicroModel:

@@ -1,6 +1,6 @@
 """Scalar VT-Micro evaluations, kept as test oracles.
 
-``numpy_horner_exponent`` indexes ``coeffs.k`` and so does its arithmetic on
+``numpy_horner_exponent`` indexes the table ``k`` and so does its arithmetic on
 ``np.float64`` scalars, as ``vtmicro.moe_exponent`` does. ``float_exponent``
 runs the same Horner nesting on the coefficients as Python floats (``rows``),
 and ``fuel_rate`` takes ``math.exp`` of it in the table of the command's
@@ -15,11 +15,10 @@ import math
 
 import numpy as np
 
-from ecofollower.vtmicro import VtMicroCoefficients, VtMicroModel
+from ecofollower.vtmicro import VtMicroModel
 
 
-def numpy_horner_exponent(coeffs: VtMicroCoefficients, v: float, a: float) -> float:
-    k = coeffs.k
+def numpy_horner_exponent(k: np.ndarray, v: float, a: float) -> float:
     p = 0.0
     for i in (3, 2, 1, 0):
         ci = ((k[i, 3] * a + k[i, 2]) * a + k[i, 1]) * a + k[i, 0]
@@ -27,33 +26,22 @@ def numpy_horner_exponent(coeffs: VtMicroCoefficients, v: float, a: float) -> fl
     return p
 
 
-def numpy_horner_fuel_rate(coeffs_accel: VtMicroCoefficients,
-                           coeffs_decel: VtMicroCoefficients, v: float, a: float) -> float:
-    coeffs = coeffs_accel if a >= 0 else coeffs_decel
-    try:
-        return math.exp(numpy_horner_exponent(coeffs, v, a))
-    except OverflowError:
-        return math.inf
-
-
-def rows(coeffs: VtMicroCoefficients) -> tuple[tuple[float, float, float, float], ...]:
+def rows(k: np.ndarray) -> tuple[tuple[float, float, float, float], ...]:
     """The coefficients as Python floats, row 3 (the highest power of v) first."""
-    return tuple(map(tuple, coeffs.k[::-1].tolist()))
+    return tuple(map(tuple, k[::-1].tolist()))
 
 
-def float_exponent(coeffs: VtMicroCoefficients, v: float, a: float) -> float:
+def float_exponent(k: np.ndarray, v: float, a: float) -> float:
     p = 0.0
-    for k0, k1, k2, k3 in rows(coeffs):
+    for k0, k1, k2, k3 in rows(k):
         p = p * v + (((k3 * a + k2) * a + k1) * a + k0)
     return p
 
 
-def fuel_rate(coeffs_accel: VtMicroCoefficients, coeffs_decel: VtMicroCoefficients,
-              v: float, a: float) -> float:
+def fuel_rate(accel: np.ndarray, decel: np.ndarray, v: float, a: float) -> float:
     """Instantaneous fuel rate in mL/s; the a >= 0 regime uses the acceleration table."""
-    coeffs = coeffs_accel if a >= 0 else coeffs_decel
     try:
-        return math.exp(float_exponent(coeffs, v, a))
+        return math.exp(float_exponent(accel if a >= 0 else decel, v, a))
     except OverflowError:
         return math.inf
 
@@ -66,7 +54,7 @@ def per_row_rates(model: VtMicroModel, v: np.ndarray, a: np.ndarray) -> np.ndarr
     """The rate of each (v, a) pair, each row's coefficients picked by regime
     with their own ``take``, one row of the Horner nesting at a time."""
     regime = (a >= 0).view(np.int8)   # 1 picks the acceleration table
-    tables = np.stack([model.decel.k, model.accel.k], axis=-1)
+    tables = np.stack([model.decel, model.accel], axis=-1)
     p = 0.0
     for i in (3, 2, 1, 0):
         k = tables[i].take(regime, axis=1)

@@ -28,8 +28,7 @@ from ecofollower.events import (CarFollowingEvent, ColumnMapping, extract_events
 from ecofollower.idm import IdmParams, idm_accel
 from ecofollower.nets import Mlp, load_policy
 from ecofollower.objectives import HeadwayModel, RewardConfig, step_rewards
-from ecofollower.vtmicro import (VtMicroCoefficients, VtMicroModel, moe_exponent,
-                                 reference_model)
+from ecofollower.vtmicro import VtMicroModel, moe_exponent, reference_model
 
 from synthetic import (UNBOUNDED_ENV, constant_controller, make_fleet,
                        recorded_accel_controller)
@@ -153,12 +152,11 @@ def test_criterion_2_vtmicro_polynomial_oracle():
         for _ in range(10_000):
             k = rng.uniform(-10.0, 10.0, size=(4, 4))
             k /= np.outer(v_max ** np.arange(4), a_max ** np.arange(4))
-            coeffs = VtMicroCoefficients(k=k, regime="acceleration")
             v = float(rng.uniform(0.0, v_max))
             a = float(rng.uniform(-a_max, a_max))
-            got = moe_exponent(coeffs, v, a)
+            got = moe_exponent(k, v, a)
             assert_rel(got, oracle_poly(k, v, a), 1e-12, "moe_exponent")
-            model = VtMicroModel(coeffs, VtMicroCoefficients(k=k, regime="deceleration"))
+            model = VtMicroModel(k, k)
             rate = float(model.rates(np.array([v]), np.array([a]))[0])
             assert rate > 0
             assert_rel(math.log(rate), got, 1e-12, "log(rates)")

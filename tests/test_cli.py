@@ -888,6 +888,64 @@ def test_malformed_json_names_its_file(tmp_path, fleet_csv, capsys, flag, argv):
         assert err.startswith("error: ") and err.count("\n") == 1
 
 
+def _policy_with_two_versions(trained):
+    text = (trained["out"] / "policy.json").read_text()
+    assert text.startswith('{"version": 1, ')
+    return text.replace('{"version": 1, ', '{"version": 2, "version": 1, ', 1)
+
+
+# JSON keeps the last value of a repeated key, so each of these once ran with exit 0
+@pytest.mark.parametrize("argv, text, key", [
+    pytest.param(["train", "--episodes", "1", "--events", "{events}", "--config"],
+                 lambda t: '{"train": {"episodes": 1, "gamma": 1.5, "gamma": 0.5}}', "gamma",
+                 id="train-config"),
+    pytest.param(["eval", "--events", "{events}", "--idm-params"],
+                 lambda t: '{"s_jam": -5, "s_jam": 2.0}', "s_jam", id="idm-params"),
+    pytest.param(["prepare", "--input", "{events}", "--mapping"],
+                 lambda t: '{"columns": ' + json.dumps(CANONICAL)
+                           + ', "scale": {"t": 0.001, "t": 1.0}}', "t", id="mapping"),
+    pytest.param(["eval", "--events", "{events}", "--idm-params", "--vt-micro"],
+                 lambda t: '{"regime": "acceleration", "units": {"speed": "km/h", "speed": "m/s"}, '
+                           f'"k": {ZERO_K}}}', "speed", id="vt-micro"),
+    pytest.param(["eval", "--events", "{events}", "--config", "{cfg}", "--policy"],
+                 _policy_with_two_versions, "version", id="policy"),
+])
+def test_repeated_key_exit_2_naming_file_and_key(tmp_path, trained, capsys, argv, text, key):
+    path = tmp_path / "twice.json"
+    path.write_text(text(trained))
+    out = tmp_path / "o"
+    argv = [a.format(events=trained["events"], cfg=trained["cfg"]) for a in argv]
+    code = main([*argv, str(path), "--out", str(out)])
+    err = capsys.readouterr().err
+    assert code == 2, err
+    assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err
+    assert str(path) in err and f'repeats the key "{key}"' in err, err
+    assert not out.exists()
+
+
+BUNDLED_TABLES = Path(cli.__file__).parent / "data" / "vtmicro_fuel_ldv.json"
+
+
+@pytest.mark.parametrize("tables, named", [
+    # the acceleration table again with k[0][0] 5.0: once loaded, for 54,645.5 mL/s at 10 m/s
+    pytest.param(lambda ts: ts + [{**ts[0], "k": [[5.0, *ts[0]["k"][0][1:]], *ts[0]["k"][1:]]}],
+                 ["two 'acceleration' tables"], id="repeated-regime"),
+    pytest.param(lambda ts: [{**ts[0], "regime": "accel"}, ts[1]],
+                 ["'acceleration'", "'deceleration'", "'accel'"], id="unknown-regime"),
+])
+def test_vt_micro_regime_refused_exit_2(tmp_path, fleet_csv, capsys, tables, named):
+    path = tmp_path / "tables.json"
+    path.write_text(json.dumps(tables(json.loads(BUNDLED_TABLES.read_text()))))
+    out = tmp_path / "o"
+    code = main(["eval", "--events", str(fleet_csv), "--idm-params", "--vt-micro", str(path),
+                 "--out", str(out)])
+    err = capsys.readouterr().err
+    assert code == 2, err
+    assert err.startswith("error: ") and err.count("\n") == 1 and str(path) in err
+    assert all(name in err for name in named), err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("argv", [
     pytest.param(["prepare", "--input"], id="prepare"),
     pytest.param(["stats", "--events"], id="stats"),
@@ -1270,6 +1328,7 @@ class TestConfigTypes:
         err = capsys.readouterr().err
         assert code == 1
         assert named in err and "Traceback" not in err
+        assert f"--config {tmp_path / 'cfg.json'}: " in err, err
         assert written == []
 
     @pytest.mark.parametrize("obj", [["train"], 3])
@@ -1432,7 +1491,7 @@ class TestJsonNumbers:
         path.write_text(json.dumps({**VT_TABLE, "k": k}))
         expected = np.asarray(k, dtype=float)
         expected[0, 0] += math.log(1.0)   # the default units fold in nothing else
-        assert load_coefficients(path).accel.k.tobytes() == expected.tobytes()
+        assert load_coefficients(path).accel.tobytes() == expected.tobytes()
 
     @settings(max_examples=30, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])

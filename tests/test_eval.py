@@ -14,17 +14,14 @@ from ecofollower.evaluate import (EvalConfig, GROUND_TRUTH, NonFiniteFuelError, 
 from ecofollower.events import CarFollowingEvent
 from ecofollower.idm import IdmParams, idm_controller
 from ecofollower.indicators import SPEED_FLOOR
-from ecofollower.vtmicro import VtMicroCoefficients, VtMicroModel, reference_model
+from ecofollower.vtmicro import VtMicroModel, reference_model
 
 import reference_pooling
 from reference_scalar import rollout
 from synthetic import constant_controller, constant_event, make_fleet, positions_from_speeds
 
 FUEL = reference_model()
-UNIT_FUEL = VtMicroModel(
-    accel=VtMicroCoefficients(k=np.zeros((4, 4)), regime="acceleration"),
-    decel=VtMicroCoefficients(k=np.zeros((4, 4)), regime="deceleration"),
-)
+UNIT_FUEL = VtMicroModel(accel=np.zeros((4, 4)), decel=np.zeros((4, 4)))
 
 
 def summary_stub(name, fuel):
@@ -304,8 +301,7 @@ class TestPooledSteps:
         # exp(1000 v) overflows on the one step whose follower moves
         k_v = np.zeros((4, 4))
         k_v[1, 0] = 1000.0
-        model = VtMicroModel(accel=VtMicroCoefficients(k=k_v, regime="acceleration"),
-                             decel=UNIT_FUEL.decel)
+        model = VtMicroModel(accel=k_v, decel=UNIT_FUEL.decel)
         speeds = [np.zeros(3), np.zeros(5), np.zeros(4)]
         speeds[i][k] = 1.0
         traces = [still_trace(eid, v) for eid, v in zip(("a", "b", "c"), speeds)]

@@ -12,7 +12,7 @@ from ecofollower.evaluate import evaluate_controller
 from ecofollower.events import CarFollowingEvent
 from ecofollower.idm import IdmParams, idm_controller
 from ecofollower.nets import Mlp
-from ecofollower.vtmicro import VtMicroCoefficients, VtMicroModel, reference_model
+from ecofollower.vtmicro import VtMicroModel, reference_model
 
 import reference_lockstep
 from reference_scalar import rollout
@@ -280,16 +280,14 @@ class TestArrayFuelRates:
         accel = np.zeros((4, 4))
         decel = np.zeros((4, 4))
         accel[0, 0], decel[0, 0] = math.log(2.0), math.log(3.0)
-        model = VtMicroModel(VtMicroCoefficients(accel, "acceleration"),
-                             VtMicroCoefficients(decel, "deceleration"))
+        model = VtMicroModel(accel, decel)
         got = model.rates(np.full(3, 5.0), np.array([0.5, 0.0, -0.5]))
         np.testing.assert_allclose(got, [2.0, 2.0, 3.0], rtol=1e-15)
 
     def test_overflow_gives_inf(self):
         k = np.zeros((4, 4))
         k[1, 0] = 100.0   # exponent 100 v
-        table = VtMicroCoefficients(k, "acceleration")
-        model = VtMicroModel(table, VtMicroCoefficients(k, "deceleration"))
+        model = VtMicroModel(k, k)
         got = model.rates(np.array([1.0, 10.0]), np.array([0.0, -1.0]))
         assert got[0] == pytest.approx(math.exp(100.0)) and got[1] == math.inf
         assert fuel_rate(model.accel, model.decel, 10.0, -1.0) == math.inf

@@ -14,16 +14,13 @@ from hypothesis import example, given, settings, strategies as st
 from ecofollower.indicators import SPEED_FLOOR
 from ecofollower.objectives import (TTC_BOUND, HeadwayModel, RewardConfig, RewardWeights,
                                     StepRewards, step_rewards)
-from ecofollower.vtmicro import VtMicroCoefficients, VtMicroModel, reference_model
+from ecofollower.vtmicro import VtMicroModel, reference_model
 
 from reference_reward import filtered_step_rewards
 from reference_scalar import (f_fuel, f_headway, f_jerk, f_ttc, jerk, reward, time_headway,
                               ttc, ttc_signed)
 
-ZERO_FUEL = VtMicroModel(
-    accel=VtMicroCoefficients(k=np.zeros((4, 4)), regime="acceleration"),
-    decel=VtMicroCoefficients(k=np.zeros((4, 4)), regime="deceleration"),
-)  # rate exp(0) = 1 mL/s everywhere
+ZERO_FUEL = VtMicroModel(accel=np.zeros((4, 4)), decel=np.zeros((4, 4)))  # rate exp(0) = 1 mL/s
 
 
 class TestTtc:
@@ -270,8 +267,7 @@ class TestStepRewards:
     def test_overflowing_rate_clips_the_fuel_term(self):
         k = np.zeros((4, 4))
         k[1, 0] = 100.0   # exponent 100 v: inf at 10 m/s
-        fuel = VtMicroModel(VtMicroCoefficients(k, "acceleration"),
-                            VtMicroCoefficients(k, "deceleration"))
+        fuel = VtMicroModel(k, k)
         transitions = [(10.0, 0.5, 0.0, 10.05, 20.0, 0.0, 0.1)]
         got, _ = array_rewards(transitions, RewardConfig(), fuel=fuel)
         assert got.fuel_rate[0] == math.inf and got.f_fuel[0] == -5.0

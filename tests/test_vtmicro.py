@@ -9,8 +9,7 @@ from ecofollower import vtmicro
 from ecofollower.env import SimulatedTrace
 from ecofollower.evaluate import evaluate_ground_truth, pooled_steps, summarize_traces
 from ecofollower.events import CarFollowingEvent
-from ecofollower.vtmicro import (VtMicroCoefficients, VtMicroModel, load_coefficients,
-                                 moe_exponent, reference_model)
+from ecofollower.vtmicro import VtMicroModel, load_coefficients, moe_exponent, reference_model
 
 from reference_vtmicro import float_exponent, fuel_rate, numpy_horner_exponent, per_row_rates
 
@@ -20,12 +19,8 @@ def rate(model, v, a):
     return float(model.rates(np.array([v]), np.array([a]))[0])
 
 
-def table(k, regime="acceleration"):
-    return VtMicroCoefficients(k=np.asarray(k, dtype=float), regime=regime)
-
-
-def zeros(regime="acceleration"):
-    return table(np.zeros((4, 4)), regime)
+def zeros():
+    return np.zeros((4, 4))
 
 
 def naive_exponent(k, v, a):
@@ -44,13 +39,13 @@ class TestMoeExponent:
     def test_constant_term(self):
         k = np.zeros((4, 4))
         k[0, 0] = 1.0
-        assert moe_exponent(table(k), 10.0, 2.0) == 1.0
+        assert moe_exponent(k, 10.0, 2.0) == 1.0
 
     def test_single_cross_term(self):
         # 0.5 * v^1 * a^1 at (4, 2) -> 4
         k = np.zeros((4, 4))
         k[1, 1] = 0.5
-        assert moe_exponent(table(k), 4.0, 2.0) == pytest.approx(4.0, rel=1e-15)
+        assert moe_exponent(k, 4.0, 2.0) == pytest.approx(4.0, rel=1e-15)
 
     def test_matches_naive_oracle(self):
         rng = np.random.default_rng(42)
@@ -58,25 +53,25 @@ class TestMoeExponent:
             k = rng.uniform(-1e-3, 1e-3, size=(4, 4))
             v = rng.uniform(0.0, 35.0)
             a = rng.uniform(-4.0, 4.0)
-            got = moe_exponent(table(k), v, a)
+            got = moe_exponent(k, v, a)
             want = naive_exponent(k, v, a)
             assert got == pytest.approx(want, rel=1e-12, abs=1e-15)
 
 
 class TestFuelRate:
     def test_zero_table_rate_is_one(self):
-        assert rate(VtMicroModel(zeros(), zeros("deceleration")), 8.0, 1.0) == 1.0
+        assert rate(VtMicroModel(zeros(), zeros()), 8.0, 1.0) == 1.0
 
     def test_exp_inverse(self):
         k = np.zeros((4, 4))
         k[0, 0] = math.log(2.0)
-        model = VtMicroModel(table(k), zeros("deceleration"))
+        model = VtMicroModel(k, zeros())
         assert rate(model, 0.0, 0.0) == pytest.approx(2.0, rel=1e-15)
 
     def test_regime_selection(self):
         ka, kd = np.zeros((4, 4)), np.zeros((4, 4))
         ka[0, 0], kd[0, 0] = math.log(2.0), math.log(3.0)
-        model = VtMicroModel(accel=table(ka), decel=table(kd, "deceleration"))
+        model = VtMicroModel(accel=ka, decel=kd)
         assert rate(model, 5.0, 0.5) == pytest.approx(2.0)
         assert rate(model, 5.0, 0.0) == pytest.approx(2.0)  # a = 0 uses the accel table
         assert rate(model, 5.0, -0.5) == pytest.approx(3.0)
@@ -85,11 +80,10 @@ class TestFuelRate:
         rng = np.random.default_rng(7)
         for _ in range(200):
             k = rng.uniform(-1e-3, 1e-3, size=(4, 4))
-            coeffs = table(k)
             v, a = rng.uniform(0, 30), rng.uniform(0, 3)
-            got = rate(VtMicroModel(coeffs, coeffs), v, a)
+            got = rate(VtMicroModel(k, k), v, a)
             assert got > 0
-            assert math.log(got) == pytest.approx(moe_exponent(coeffs, v, a), rel=1e-12, abs=1e-15)
+            assert math.log(got) == pytest.approx(moe_exponent(k, v, a), rel=1e-12, abs=1e-15)
 
 
 def bits(x) -> str:
@@ -151,9 +145,8 @@ class TestScalarPathBits:
     def test_overflowing_exponent_is_inf(self):
         k = np.zeros((4, 4))
         k[0, 0], k[1, 0] = 700.0, 10.0
-        coeffs = table(k)
-        assert rate(VtMicroModel(coeffs, coeffs), 1.0, 0.5) == math.inf
-        assert fuel_rate(coeffs, coeffs, 1.0, 0.5) == math.inf
+        assert rate(VtMicroModel(k, k), 1.0, 0.5) == math.inf
+        assert fuel_rate(k, k, 1.0, 0.5) == math.inf
 
     @given(model=models(), v=st.lists(_SPEED, min_size=1, max_size=20),
            a=st.lists(_ACCEL, min_size=1, max_size=20))
@@ -168,10 +161,10 @@ class TestScalarPathBits:
 
 def _edge_model():
     """The reference tables with a row of -0.0 and a term that overflows exp past ~7 m/s."""
-    accel, decel = reference_model().accel.k.copy(), reference_model().decel.k.copy()
+    accel, decel = reference_model().accel.copy(), reference_model().decel.copy()
     accel[3] = -0.0
     decel[1, 0] = 100.0
-    return VtMicroModel(table(accel), table(decel, "deceleration"))
+    return VtMicroModel(accel, decel)
 
 
 class TestRatesKeepThePerRowBits:
@@ -193,7 +186,7 @@ class TestRatesKeepThePerRowBits:
 
     def test_a_table_of_negative_zeros_gives_positive_zero(self):
         # the nesting's first step, 0.0 * v + row 3, turns a -0.0 row into +0.0
-        coeffs = table(np.full((4, 4), -0.0))
+        coeffs = np.full((4, 4), -0.0)
         for v, a in ((3.0, 1.0), (0.0, -0.0)):
             assert bits(moe_exponent(coeffs, v, a)) == bits(numpy_horner_exponent(coeffs, v, a))
         got = moe_exponent(coeffs, np.array([3.0, 0.0]), np.array([1.0, -0.0]))
@@ -276,6 +269,32 @@ class TestLoader:
         assert moe_exponent(model.accel, 3.0, 0.0) == pytest.approx(6.0)
 
 
+class TestModelTables:
+    @pytest.mark.parametrize("bad, says", [
+        (np.zeros((4, 3)), r"must be 4x4, got \(4, 3\)"),
+        (np.zeros(16), r"must be 4x4, got \(16,\)"),
+        (np.full((4, 4), np.nan), "has non-finite entries"),
+        (np.diag([0.0, 0.0, np.inf, 0.0]), "has non-finite entries"),
+    ], ids=["4x3", "flat", "nan", "inf"])
+    @pytest.mark.parametrize("regime", ["acceleration", "deceleration"])
+    def test_refused_table_names_its_regime(self, bad, says, regime):
+        tables = {"accel": zeros(), "decel": zeros(), regime[:5]: bad}
+        with pytest.raises(ValueError, match=f"^{regime} table {says}"):
+            VtMicroModel(**tables)
+
+    def test_tables_are_read_only_copies(self):
+        accel, decel = zeros(), zeros()
+        model = VtMicroModel(accel, decel)
+        v, a = np.array([5.0, 5.0]), np.array([1.0, -1.0])
+        before = model.rates(v, a).tobytes()
+        accel[0, 0] = decel[0, 0] = 3.0
+        assert model.rates(v, a).tobytes() == before
+        assert model.accel[0, 0] == model.decel[0, 0] == 0.0
+        for k in (model.accel, model.decel):
+            with pytest.raises(ValueError, match="read-only"):
+                k[0, 0] = 1.0
+
+
 class TestReferenceTable:
     def test_loads_and_is_positive(self):
         model = reference_model()
@@ -286,7 +305,7 @@ class TestReferenceTable:
     def test_idle_rate_equals_exp_of_constant_term(self):
         # independent scalar evaluation of the loaded table at (0, 0)
         model = reference_model()
-        k00 = model.accel.k[0, 0]
+        k00 = model.accel[0, 0]
         assert rate(model, 0.0, 0.0) == pytest.approx(math.exp(k00), rel=1e-12)
 
     def test_idle_magnitude_plausible(self):
@@ -318,7 +337,7 @@ class TestEventFuel:
     """The fuel integral of summarize_traces."""
 
     def test_constant_rate_integration(self):
-        model = VtMicroModel(accel=zeros(), decel=zeros("deceleration"))
+        model = VtMicroModel(accel=zeros(), decel=zeros())
         trace = make_trace([8.0] * 100, [0.0] * 100)  # rate 1 mL/s for 10 s
         total, mean = fuel_of(trace, model)
         assert total == pytest.approx(10.0, rel=1e-12)
@@ -328,15 +347,14 @@ class TestEventFuel:
         # rates {1, 3} over two 0.1 s steps -> total 0.4 mL
         k = np.zeros((4, 4))
         k[0, 1] = math.log(3.0)  # rate = 3^a
-        coeffs = table(k)
-        model = VtMicroModel(accel=coeffs, decel=coeffs)
+        model = VtMicroModel(accel=k, decel=k)
         trace = make_trace([5.0, 5.0], [0.0, 1.0])
         total, mean = fuel_of(trace, model)
         assert total == pytest.approx(0.4, rel=1e-12)
         assert mean == pytest.approx(2.0, rel=1e-12)
 
     def test_recorded_event_input(self):
-        model = VtMicroModel(accel=zeros(), decel=zeros("deceleration"))
+        model = VtMicroModel(accel=zeros(), decel=zeros())
         t = np.arange(51) * 0.1
         v = np.full(51, 8.0)
         x = v * t
